@@ -8,10 +8,11 @@ is cross-checked against a dense truncated number-basis solver.
 """
 from .phase_space import (CoherentAmplitude, GaussianState, PhaseSpaceError,
                           PhaseSpaceLayout, QuadraticHamiltonian,
-                          coherent_state, gaussian_overlap, layout,
-                          log_gaussian_overlap, log_negativity, log_purity,
-                          purity, reduce_state, symplectic_form,
-                          thermal_occupation, thermal_state, vacuum_cov)
+                          TrustGateError, coherent_state, gaussian_overlap,
+                          layout, log_gaussian_overlap, log_negativity,
+                          log_purity, product_state, purity, reduce_state,
+                          symplectic_form, thermal_occupation, thermal_state,
+                          vacuum_cov)
 from .models import (BathParams, ModelError, SystemPotential, TwoModeParams,
                      build_caldeira_leggett, build_two_mode,
                      coupling_spectrum, discretize_ohmic_bath)
@@ -21,11 +22,11 @@ from .decomposition import (LinearCoordinateTransform, ManyModeConstants,
                             normal_mode_transform, transform_hamiltonian,
                             transform_state, two_mode_constants,
                             verify_constants)
-from .dynamics import (BranchPair, DynamicsError, SymplecticPropagator,
-                       energy, evolve, evolve_branches, evolve_branches_from,
-                       propagator, symplectic_residual)
+from .dynamics import (BranchPair, DynamicsError, DynamicsTrustError,
+                       SymplecticPropagator, energy, evolve, evolve_branches,
+                       evolve_branches_from, propagator, symplectic_residual)
 from .metrics import (DecoherenceReport, MetricsError, ParallelComparison,
-                      amplitude_distance_sq, build_report,
+                      PositivityGateError, amplitude_distance_sq, build_report,
                       decoherence_function, decoherence_time, fit_lambda,
                       model_fingerprint, parallel_compare,
                       pointer_robustness)
@@ -33,8 +34,8 @@ from .fock import (CrosscheckReport, CrosscheckRow, FockSpace, OracleError,
                    cm_relative_log_negativity, evolve_exact,
                    gaussian_crosscheck, leakage, pt_log_negativity_pure,
                    schmidt_log_negativity_pure)
-from .master import (MasterEqError, MasterEqScenario, MasterEvolution,
-                     backend_name, coherence_profile, evolve_master,
+from .master import (MasterEqError, MasterEqScenario, MasterEqTrustError,
+                     MasterEvolution, backend_name, coherence_profile, evolve_master,
                      position_kernel)
 from .config import ConfigError, ScenarioConfig, manifest_text, parse_config
 
@@ -43,10 +44,12 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # phase space
-    "PhaseSpaceError", "PhaseSpaceLayout", "QuadraticHamiltonian",
+    "PhaseSpaceError", "TrustGateError", "PhaseSpaceLayout",
+    "QuadraticHamiltonian",
     "GaussianState", "CoherentAmplitude", "layout", "symplectic_form",
     "vacuum_cov", "coherent_state", "thermal_occupation", "thermal_state",
-    "purity", "log_purity", "reduce_state", "log_negativity",
+    "purity", "log_purity", "reduce_state", "product_state",
+    "log_negativity",
     "log_gaussian_overlap", "gaussian_overlap",
     # models
     "ModelError", "TwoModeParams", "BathParams", "SystemPotential",
@@ -58,11 +61,13 @@ __all__ = [
     "transform_state", "two_mode_constants", "many_mode_constants",
     "verify_constants", "normal_mode_transform",
     # dynamics
-    "DynamicsError", "SymplecticPropagator", "propagator",
+    "DynamicsError", "DynamicsTrustError", "SymplecticPropagator",
+    "propagator",
     "symplectic_residual", "evolve", "energy", "BranchPair",
     "evolve_branches", "evolve_branches_from",
     # metrics
-    "MetricsError", "DecoherenceReport", "ParallelComparison",
+    "MetricsError", "PositivityGateError", "DecoherenceReport",
+    "ParallelComparison",
     "model_fingerprint", "decoherence_function", "amplitude_distance_sq",
     "fit_lambda", "decoherence_time", "build_report", "parallel_compare",
     "pointer_robustness",
@@ -72,7 +77,8 @@ __all__ = [
     "cm_relative_log_negativity", "pt_log_negativity_pure",
     "schmidt_log_negativity_pure",
     # master equation
-    "MasterEqError", "MasterEqScenario", "MasterEvolution", "evolve_master",
+    "MasterEqError", "MasterEqTrustError", "MasterEqScenario",
+    "MasterEvolution", "evolve_master",
     "position_kernel", "coherence_profile", "backend_name",
     # config
     "ConfigError", "ScenarioConfig", "parse_config", "manifest_text",

@@ -5,9 +5,13 @@ transforms, evolve moments, run decoherence branches, compare the two
 decompositions of one run, cross-check against the dense solver, and evolve
 the position-coupling master equation.
 
-Exit codes: 0 success, 1 invalid config/arguments, 2 numerical-trust failure
-(dense-solver leakage above gate at every grid time, or transformed-potential
-positivity violation without the override).
+Exit codes: 0 success, 1 invalid config/arguments, 2 numerical-trust failure.
+A trust failure names its gate on stderr: oracle leakage (dense-solver
+leakage above gate at every grid time), confinement positivity (the chain's
+potential is not confining and the override is off), certified-time cap
+(t*||h|| beyond the certified propagation range), uncertainty relation (an
+evolved covariance violates it) or master trace drift (no step size kept
+the trace).
 """
 from __future__ import annotations
 
@@ -26,9 +30,9 @@ from .dynamics import energy, evolve, evolve_branches
 from .fock import gaussian_crosscheck
 from .master import (MasterEqScenario, backend_name, coherence_profile,
                      evolve_master)
-from .metrics import MetricsError, build_report, parallel_compare
-from .phase_space import (CoherentAmplitude, PhaseSpaceLayout, coherent_state,
-                          purity, thermal_state)
+from .metrics import build_report, parallel_compare
+from .phase_space import (CoherentAmplitude, PhaseSpaceLayout, TrustGateError,
+                          coherent_state, purity, thermal_state)
 from .reporting import (write_comparison, write_crosscheck, write_csv,
                         write_decoherence, write_manifest, write_matrix,
                         write_moments)
@@ -37,13 +41,8 @@ from .reporting import (write_comparison, write_crosscheck, write_csv,
 def _load(args: argparse.Namespace) -> tuple[ScenarioConfig, Path, str]:
     text = Path(args.config).read_text()
     cfg = parse_config(text)
-    overrides = {}
     if args.seed is not None:
-        overrides["run.seed"] = args.seed
-    if args.workers is not None:
-        overrides["run.workers"] = args.workers
-    if overrides:
-        cfg = ScenarioConfig({**cfg.values, **overrides})
+        cfg = ScenarioConfig({**cfg.values, "run.seed": args.seed})
     out_dir = Path(args.out)
     digest = write_manifest(cfg, out_dir)
     return cfg, out_dir, digest
@@ -164,16 +163,11 @@ def _cmd_compare(cfg: ScenarioConfig, out: Path, digest: str) -> int:
     pair_s = _amplitudes(cfg, "S")
     pair_cm = _amplitudes(cfg, "CM", prefix="cm_")
     t_grid = np.asarray(cfg.t_grid())
-    try:
-        cmp = parallel_compare(
-            cfg.potential(), cfg.bath(), pair_s, pair_cm,
-            temperature=cfg["state.temperature"], t_grid=t_grid,
-            open_freq_ref=cfg["run.open_freq_ref"],
-            allow_positivity_violation=cfg["run.allow_positivity_violation"],
-            workers=cfg["run.workers"])
-    except MetricsError as exc:
-        print(f"positivity gate: {exc}", file=sys.stderr)
-        return 2
+    cmp = parallel_compare(
+        cfg.potential(), cfg.bath(), pair_s, pair_cm,
+        temperature=cfg["state.temperature"], t_grid=t_grid,
+        open_freq_ref=cfg["run.open_freq_ref"],
+        allow_positivity_violation=cfg["run.allow_positivity_violation"])
     write_decoherence(out / "decoherence_both.csv",
                       [cmp.report_s, cmp.report_cm], digest)
     write_comparison(out / "comparison.csv", cmp, digest)
@@ -202,8 +196,8 @@ def _cmd_oracle(cfg: ScenarioConfig, out: Path, digest: str) -> int:
           f"sign_agrees={report.negativity_sign_agrees}")
     print(f"wrote {out / 'crosscheck.csv'}")
     if not any(row.trusted for row in report.rows):
-        print("no trusted times: truncation leakage above gate everywhere",
-              file=sys.stderr)
+        print("trust gate 'oracle leakage': no trusted times: truncation "
+              "leakage above gate everywhere", file=sys.stderr)
         return 2
     return 0
 
@@ -256,14 +250,18 @@ def main(argv: list[str] | None = None) -> int:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="scenario file")
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--workers", type=int, default=None,
-                        help="parallel branch workers (overrides config)")
         sp.add_argument("--seed", type=int, default=None,
                         help="override run.seed")
         if name == "decohere":
             sp.add_argument("--oracle", action="store_true",
                             help="also write the dense cross-check report")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; 2 is reserved for trust gates
+        if exc.code:
+            return 1
+        raise
     try:
         cfg, out_dir, digest = _load(args)
     except FileNotFoundError as exc:
@@ -289,6 +287,9 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_oracle(cfg, out_dir, digest)
         if args.command == "master-eq":
             return _cmd_master(cfg, out_dir, digest)
+    except TrustGateError as exc:
+        print(f"trust gate {exc.gate!r}: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

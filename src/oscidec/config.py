@@ -76,7 +76,6 @@ _SCHEMA: dict[str, tuple[Any, Any]] = {
     "run.t_max": (float, 2.0),
     "run.t_steps": (int, 101),
     "run.seed": (int, 0),
-    "run.workers": (int, 1),
     "run.allow_positivity_violation": (_parse_bool, False),
     "run.open_freq_ref": (float, 1.0),
     "oracle.dim": (int, 24),
@@ -226,8 +225,6 @@ def _semantic_errors(values: dict[str, Any]) -> list[str]:
         errors.append("run.t_steps: must be >= 1")
     if values["run.t_max"] < 0:
         errors.append("run.t_max: must be >= 0")
-    if values["run.workers"] < 1:
-        errors.append("run.workers: must be >= 1")
     if values["oracle.dim"] < 2:
         errors.append("oracle.dim: must be >= 2")
     try:

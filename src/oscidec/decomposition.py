@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .models import BathParams, SystemPotential, TwoModeParams
+from .models import (BathParams, SystemPotential, TwoModeParams,
+                     build_caldeira_leggett)
 from .phase_space import (FloatArray, GaussianState, PhaseSpaceError,
                           PhaseSpaceLayout, QuadraticHamiltonian,
                           symplectic_form)
@@ -135,10 +136,16 @@ class ManyModeConstants:
     omega_cross: FloatArray       # Omega_{alpha alpha'}
     xx_cross: FloatArray          # full rho_alpha rho_alpha' coefficients
     pp_cross: FloatArray          # mass-polarization momentum couplings
+    xx_min_eig: float             # lambda_min of the chain's position block
+    xx_norm: float                # ||.||_2 of the chain's position block
 
     @property
     def positivity_ok(self) -> bool:
-        return self.m_omega_cm_sq / 2 > 0 and bool(np.all(self.mu_nu_sq / 2 > 0))
+        """Diagonal constants positive and the whole potential block
+        positive semidefinite, up to rounding relative to its norm."""
+        return (self.m_omega_cm_sq / 2 > 0
+                and bool(np.all(self.mu_nu_sq / 2 > 0))
+                and self.xx_min_eig >= -1e-12 * max(self.xx_norm, 1.0))
 
 
 def two_mode_constants(p: TwoModeParams) -> TwoModeConstants:
@@ -187,8 +194,12 @@ def many_mode_constants(pot: SystemPotential, bath: BathParams) -> ManyModeConst
     pp_cross = np.zeros((n, n))
     cum = np.cumsum(masses)
     mu_alpha = cum[:-1] * masses[1:] / cum[1:]
+    # a diagonal test misses cross terms that make the chain unbounded below
+    xx = build_caldeira_leggett(pot, bath).h[:n + 1, :n + 1]
+    xx_eigs = np.linalg.eigvalsh(xx)
     return ManyModeConstants(M, m_omega_cm_sq, mu_alpha, mu_nu_sq, sigma_alpha,
-                             omega_alpha, omega_cross, xx_cross, pp_cross)
+                             omega_alpha, omega_cross, xx_cross, pp_cross,
+                             float(xx_eigs[0]), float(np.abs(xx_eigs).max()))
 
 
 def verify_constants(Hp: QuadraticHamiltonian,

@@ -10,8 +10,9 @@ import numpy as np
 from scipy.linalg import expm
 
 from .phase_space import (CoherentAmplitude, FloatArray, GaussianState,
-                          PhaseSpaceError, QuadraticHamiltonian,
-                          symplectic_form, vacuum_cov)
+                          PhaseSpaceError, PhaseSpaceLayout,
+                          QuadraticHamiltonian, TrustGateError, coherent_state,
+                          layout, product_state, symplectic_form)
 
 # Symplecticity budget holds for t * ||h|| up to this; beyond it the
 # exponential conditioning is no longer certified and the scenario is rejected.
@@ -19,7 +20,37 @@ _T_NORM_CAP = 1e3
 
 
 class DynamicsError(ValueError):
-    """Propagation request outside the certified regime."""
+    """Invalid propagation request."""
+
+
+class DynamicsTrustError(DynamicsError, TrustGateError):
+    """Propagation outside the certified regime, or an evolved state that
+    fails the uncertainty relation."""
+
+
+def _certified_generator(H: QuadraticHamiltonian,
+                         times: Sequence[float]) -> FloatArray:
+    """J h, once every time is checked finite and inside the certified cap."""
+    times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise DynamicsError("time must be finite")
+    reach = float(np.abs(times).max(initial=0.0)) * np.linalg.norm(H.h, 2)
+    if reach > _T_NORM_CAP:
+        raise DynamicsTrustError(
+            "certified-time cap",
+            f"t*||h|| = {reach:.3e} exceeds the certified cap {_T_NORM_CAP:.0e}")
+    return symplectic_form(H.n_modes) @ H.h
+
+
+def _evolved_state(lay: PhaseSpaceLayout, mean: FloatArray, cov: FloatArray,
+                   t: float) -> GaussianState:
+    """The one check an evolved covariance gets; a failure here is a loss of
+    numerical trust in the propagation, not bad input."""
+    try:
+        return GaussianState(lay, mean, cov)
+    except PhaseSpaceError as exc:
+        raise DynamicsTrustError(
+            "uncertainty relation", f"evolved state at t = {t!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -33,21 +64,13 @@ class SymplecticPropagator:
     def apply(self, state: GaussianState) -> GaussianState:
         if state.layout != self.H.layout:
             raise DynamicsError("state layout does not match propagator")
-        return GaussianState(state.layout, self.M @ state.mean,
-                             self.M @ state.cov @ self.M.T)
+        return _evolved_state(state.layout, self.M @ state.mean,
+                              self.M @ state.cov @ self.M.T, self.t)
 
 
 def propagator(H: QuadraticHamiltonian, t: float) -> SymplecticPropagator:
     """Matrix exponential via scaling-and-squaring (no ODE stepping)."""
-    if not np.isfinite(t):
-        raise DynamicsError("time must be finite")
-    hnorm = np.linalg.norm(H.h, 2)
-    if abs(t) * hnorm > _T_NORM_CAP:
-        raise DynamicsError(
-            f"t*||h|| = {abs(t) * hnorm:.3e} exceeds the certified cap {_T_NORM_CAP:.0e}")
-    J = symplectic_form(H.n_modes)
-    M = expm(t * (J @ H.h))
-    return SymplecticPropagator(H, t, M)
+    return SymplecticPropagator(H, t, expm(t * _certified_generator(H, [t])))
 
 
 def symplectic_residual(M: FloatArray) -> float:
@@ -85,26 +108,32 @@ def _displace(state: GaussianState, amp: CoherentAmplitude) -> GaussianState:
     mean = state.mean.copy()
     mean[k] += amp.x0
     mean[k + state.layout.n_modes] += amp.p0
-    return GaussianState(state.layout, mean, state.cov)
+    return GaussianState._prechecked(state.layout, mean, state.cov)
 
 
 def evolve_branches_from(base: GaussianState, alpha: CoherentAmplitude,
                          beta: CoherentAmplitude, H: QuadraticHamiltonian,
                          t_grid: Sequence[float]) -> list[BranchPair]:
     """Displace the base state by alpha / beta on the open mode, then evolve
-    both branches with the shared propagator at each grid time."""
+    both branches with the shared propagator at each grid time.
+
+    Both branches share one covariance M sigma0 M^T, checked once per time
+    on branch a; branch b carries the same array.
+    """
     if alpha.mode != beta.mode:
         raise DynamicsError("branch amplitudes must target the same mode")
+    if base.layout != H.layout:
+        raise DynamicsError("state layout does not match propagator")
+    A = _certified_generator(H, t_grid)
     a0 = _displace(base, alpha)
     b0 = _displace(base, beta)
     out = []
     for t in t_grid:
-        P = propagator(H, float(t))
-        sa = P.apply(a0)
-        sb = P.apply(b0)
-        # enforce the equal-covariance invariant bit-for-bit
-        sb = GaussianState(sb.layout, sb.mean, sa.cov)
-        out.append(BranchPair(float(t), sa, sb, alpha, beta))
+        t = float(t)
+        M = expm(t * A)
+        sa = _evolved_state(base.layout, M @ a0.mean, M @ base.cov @ M.T, t)
+        sb = GaussianState._prechecked(base.layout, M @ b0.mean, sa.cov)
+        out.append(BranchPair(t, sa, sb, alpha, beta))
     return out
 
 
@@ -119,15 +148,7 @@ def evolve_branches(alpha: CoherentAmplitude, beta: CoherentAmplitude,
     env_labels = tuple(lb for lb in lay.mode_labels if lb != alpha.mode)
     if env.layout.mode_labels != env_labels:
         raise DynamicsError("environment state must cover all non-open modes")
-    k = lay.index(alpha.mode)
-    n = lay.n_modes
-    m0, w0 = open_scale
-    mean = np.zeros(2 * n)
-    cov = np.zeros((2 * n, 2 * n))
-    cov[k, k] = 1.0 / (2 * m0 * w0)
-    cov[k + n, k + n] = m0 * w0 / 2
-    env_idx = lay.z_indices(env_labels)
-    mean[env_idx] = env.mean
-    cov[np.ix_(env_idx, env_idx)] = env.cov
-    base = GaussianState(lay, mean, cov)
+    open_vacuum = coherent_state(layout(alpha.mode), [open_scale[0]],
+                                 [open_scale[1]])
+    base = product_state(lay, alpha.mode, open_vacuum, env)
     return evolve_branches_from(base, alpha, beta, H, t_grid)

@@ -12,7 +12,7 @@ from numpy.typing import NDArray
 from ._kernels import backend as kernel_backend
 from ._kernels import rk4_steps
 from .fock import ComplexArray, _hermite_functions, _ladder, validate_density
-from .phase_space import FloatArray
+from .phase_space import FloatArray, TrustGateError
 
 _TRACE_RETRY = 1e-6   # drift triggering a halve-step retry
 _TRACE_KEEP = 1e-8    # conservation demanded of the accepted run
@@ -21,7 +21,11 @@ _EIG_FLOOR = -1e-6
 
 
 class MasterEqError(ValueError):
-    """Invalid dephasing scenario or unstable integration."""
+    """Invalid dephasing scenario."""
+
+
+class MasterEqTrustError(MasterEqError, TrustGateError):
+    """The integration did not conserve the trace at any allowed step."""
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,8 @@ def evolve_master(rho0: ComplexArray, scn: MasterEqScenario,
             return MasterEvolution(t_grid, tuple(states), dt, halving, drift,
                                    min_eig)
         dt = dt / 2
-    raise MasterEqError(
+    raise MasterEqTrustError(
+        "master trace drift",
         f"trace drift persisted above {_TRACE_KEEP} after {_MAX_HALVINGS} halvings")
 
 

@@ -5,7 +5,6 @@ S-vs-CM comparison.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -14,13 +13,13 @@ import numpy as np
 from .decomposition import (LinearCoordinateTransform, cm_relative_transform,
                             many_mode_constants, normal_mode_transform,
                             transform_hamiltonian, transform_state)
-from .dynamics import (BranchPair, DynamicsError, evolve_branches_from,
-                       propagator)
+from .dynamics import BranchPair, evolve_branches_from, propagator
 from .models import BathParams, SystemPotential, build_caldeira_leggett
 from .phase_space import (CoherentAmplitude, FloatArray, GaussianState,
                           PhaseSpaceLayout, QuadraticHamiltonian,
-                          log_gaussian_overlap, purity, reduce_state,
-                          thermal_state, vacuum_cov)
+                          TrustGateError, coherent_state, layout,
+                          log_gaussian_overlap, product_state, purity,
+                          reduce_state, thermal_state)
 
 # ln of the overlap floor: astronomically negative Gamma is clamped, flagged
 _GAMMA_FLOOR = float(np.log(1e-300))
@@ -29,6 +28,10 @@ _TAU_THRESHOLD = -1.0  # overlap fallen to 1/e
 
 class MetricsError(ValueError):
     """Invalid decoherence-metric request."""
+
+
+class PositivityGateError(MetricsError, TrustGateError):
+    """The chain's transformed potential is not confining."""
 
 
 @dataclass(frozen=True)
@@ -146,8 +149,7 @@ def parallel_compare(pot: SystemPotential, bath: BathParams,
                      pair_cm: tuple[CoherentAmplitude, CoherentAmplitude],
                      temperature: float, t_grid: Sequence[float],
                      open_freq_ref: float = 1.0,
-                     allow_positivity_violation: bool = False,
-                     workers: int = 1) -> ParallelComparison:
+                     allow_positivity_violation: bool = False) -> ParallelComparison:
     """Run the S+E and CM+R decoherence pipelines off the same global unitary.
 
     The S+E pipeline evolves directly under the chain Hamiltonian; the CM+R
@@ -164,13 +166,15 @@ def parallel_compare(pot: SystemPotential, bath: BathParams,
 
     consts = many_mode_constants(pot, bath)
     if not consts.positivity_ok and not allow_positivity_violation:
-        raise MetricsError(
+        raise PositivityGateError(
+            "confinement positivity",
             "transformed constants violate confinement positivity; "
             "pass allow_positivity_violation=True to proceed")
 
     env = thermal_state(PhaseSpaceLayout(env_labels), bath.masses, bath.freqs,
                         temperature)
-    base = _product_base(lay, "S", (pot.m_s, w_s), env)
+    base = product_state(lay, "S", coherent_state(layout("S"), [pot.m_s], [w_s]),
+                         env)
 
     masses = np.concatenate([[pot.m_s], bath.masses])
     cm_labels = ("CM",) + tuple(f"R{a}" for a in range(1, n))
@@ -181,21 +185,13 @@ def parallel_compare(pot: SystemPotential, bath: BathParams,
     omega_cm = float(np.sqrt(consts.m_omega_cm_sq / consts.total_mass)) \
         if consts.m_omega_cm_sq > 0 else open_freq_ref
 
-    def run_s() -> DecoherenceReport:
-        branches = evolve_branches_from(base, pair_s[0], pair_s[1], H, t_grid)
-        return build_report("S+E", branches, env_labels, (pot.m_s, w_s), H)
-
-    def run_cm() -> DecoherenceReport:
-        branches = evolve_branches_from(base_cm, pair_cm[0], pair_cm[1], H2, t_grid)
-        return build_report("CM+R", branches, cm_labels[1:],
-                            (consts.total_mass, omega_cm), H2)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            fs, fcm = pool.submit(run_s), pool.submit(run_cm)
-            report_s, report_cm = fs.result(), fcm.result()
-    else:
-        report_s, report_cm = run_s(), run_cm()
+    # each pipeline's branches are freed before the next pipeline evolves
+    report_s = build_report(
+        "S+E", evolve_branches_from(base, pair_s[0], pair_s[1], H, t_grid),
+        env_labels, (pot.m_s, w_s), H)
+    report_cm = build_report(
+        "CM+R", evolve_branches_from(base_cm, pair_cm[0], pair_cm[1], H2, t_grid),
+        cm_labels[1:], (consts.total_mass, omega_cm), H2)
 
     S_tot = T2.S @ T1.S
     S_inv = np.linalg.inv(S_tot)
@@ -208,22 +204,6 @@ def parallel_compare(pot: SystemPotential, bath: BathParams,
     ratio, flag = _ratio_summary(report_s.tau_dec, report_cm.tau_dec)
     return ParallelComparison(report_s, report_cm, ratio, flag, residual,
                               consts.positivity_ok)
-
-
-def _product_base(lay: PhaseSpaceLayout, open_mode: str,
-                  open_scale: tuple[float, float],
-                  env: GaussianState) -> GaussianState:
-    n = lay.n_modes
-    k = lay.index(open_mode)
-    m0, w0 = open_scale
-    mean = np.zeros(2 * n)
-    cov = np.zeros((2 * n, 2 * n))
-    cov[k, k] = 1.0 / (2 * m0 * w0)
-    cov[k + n, k + n] = m0 * w0 / 2
-    env_idx = lay.z_indices([lb for lb in lay.mode_labels if lb != open_mode])
-    mean[env_idx] = env.mean
-    cov[np.ix_(env_idx, env_idx)] = env.cov
-    return GaussianState(lay, mean, cov)
 
 
 def _residual_probe_times(t_grid: Sequence[float]) -> list[float]:
@@ -239,24 +219,12 @@ def pointer_robustness(H: QuadraticHamiltonian, open_mode: str,
                        candidates: Sequence[tuple[str, GaussianState]],
                        env: GaussianState, t: float) -> list[tuple[str, float]]:
     """Rank single-mode candidate states by open-mode purity retained at t."""
-    lay = H.layout
-    n = lay.n_modes
-    k = lay.index(open_mode)
-    env_labels = [lb for lb in lay.mode_labels if lb != open_mode]
     P = propagator(H, t)
     ranking = []
     for label, cand in candidates:
         if cand.layout.n_modes != 1:
             raise MetricsError("pointer candidates live on the open mode only")
-        mean = np.zeros(2 * n)
-        cov = np.zeros((2 * n, 2 * n))
-        mean[k], mean[k + n] = cand.mean[0], cand.mean[1]
-        cov[k, k], cov[k + n, k + n] = cand.cov[0, 0], cand.cov[1, 1]
-        cov[k, k + n] = cov[k + n, k] = cand.cov[0, 1]
-        env_idx = lay.z_indices(env_labels)
-        mean[env_idx] = env.mean
-        cov[np.ix_(env_idx, env_idx)] = env.cov
-        evolved = P.apply(GaussianState(lay, mean, cov))
+        evolved = P.apply(product_state(H.layout, open_mode, cand, env))
         ranking.append((label, purity(reduce_state(evolved, [open_mode]))))
     ranking.sort(key=lambda kv: -kv[1])
     return ranking

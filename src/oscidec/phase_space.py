@@ -25,6 +25,18 @@ class PhaseSpaceError(ValueError):
     """Invalid phase-space object or operation."""
 
 
+class TrustGateError(ValueError):
+    """A numerical-trust gate refused to certify a result.
+
+    Distinct from invalid input: the request was well formed, but the numbers
+    it produced fall outside what the named `gate` can vouch for.
+    """
+
+    def __init__(self, gate: str, message: str):
+        super().__init__(message)
+        self.gate = gate
+
+
 @dataclass(frozen=True)
 class PhaseSpaceLayout:
     """Ordered mode labels fixing the (x-block, p-block) coordinate layout."""
@@ -134,6 +146,21 @@ class GaussianState:
             raise PhaseSpaceError(
                 f"covariance violates the uncertainty relation (min eig {ev.min():.3e})")
 
+    @classmethod
+    def _prechecked(cls, lay: PhaseSpaceLayout, mean: FloatArray,
+                    cov: FloatArray) -> "GaussianState":
+        """Skip the checks for a covariance known to pass them already.
+
+        Only for the covariance of a checked state, unchanged, or one of its
+        principal submatrices: by Cauchy interlacing a principal submatrix of
+        sigma + iJ/2 has no smaller minimum eigenvalue.
+        """
+        state = object.__new__(cls)
+        object.__setattr__(state, "layout", lay)
+        object.__setattr__(state, "mean", mean)
+        object.__setattr__(state, "cov", cov)
+        return state
+
     @property
     def n_modes(self) -> int:
         return self.layout.n_modes
@@ -217,8 +244,27 @@ def reduce_state(state: GaussianState, modes: Sequence[str]) -> GaussianState:
     if len(modes) == 0:
         raise PhaseSpaceError("cannot reduce to an empty mode set")
     idx = state.layout.z_indices(modes)
-    return GaussianState(PhaseSpaceLayout(tuple(modes)),
-                         state.mean[idx], state.cov[np.ix_(idx, idx)])
+    return GaussianState._prechecked(PhaseSpaceLayout(tuple(modes)),
+                                     state.mean[idx], state.cov[np.ix_(idx, idx)])
+
+
+def product_state(lay: PhaseSpaceLayout, open_mode: str,
+                  open_state: GaussianState,
+                  env: GaussianState) -> GaussianState:
+    """One-mode `open_state` on `open_mode` times `env` on the other modes."""
+    if open_state.n_modes != 1:
+        raise PhaseSpaceError("the open-mode factor must be a one-mode state")
+    k = lay.index(open_mode)
+    env_labels = tuple(lb for lb in lay.mode_labels if lb != open_mode)
+    if env.layout.mode_labels != env_labels:
+        raise PhaseSpaceError("environment state must cover all non-open modes")
+    mean = np.zeros(lay.dim)
+    cov = np.zeros((lay.dim, lay.dim))
+    for idx, part in ((np.array([k, k + lay.n_modes]), open_state),
+                      (lay.z_indices(env_labels), env)):
+        mean[idx] = part.mean
+        cov[np.ix_(idx, idx)] = part.cov
+    return GaussianState(lay, mean, cov)
 
 
 def log_negativity(state: GaussianState, part_a: Sequence[str],

@@ -212,7 +212,7 @@ def test_c07_parallel_decoherence():
         pot, bath,
         (CoherentAmplitude("S", 3.0), CoherentAmplitude("S", -3.0)),
         (CoherentAmplitude("CM", 0.25), CoherentAmplitude("CM", -0.25)),
-        temperature=10.0, t_grid=t_grid, workers=2)
+        temperature=10.0, t_grid=t_grid)
     mono = True
     for rep in (cmp.report_s, cmp.report_cm):
         assert rep.tau_dec is not None

@@ -1,4 +1,6 @@
 """Config parsing, manifest round-trips, reporting format, CLI exit codes."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -67,7 +69,6 @@ def test_all_syntax_errors_reported_together():
 def test_semantic_errors_collected():
     text = ("model.coupling = 5.0\n"       # violates the confinement bound
             "run.t_steps = 0\n"
-            "run.workers = 0\n"
             "oracle.dim = 1\n"
             "master.dt = -0.1\n")
     with pytest.raises(ConfigError) as exc:
@@ -75,9 +76,14 @@ def test_semantic_errors_collected():
     joined = "\n".join(exc.value.errors)
     assert "model:" in joined
     assert "run.t_steps" in joined
-    assert "run.workers" in joined
     assert "oracle.dim" in joined
     assert "master:" in joined
+
+
+def test_run_workers_is_an_unknown_key():
+    with pytest.raises(ConfigError) as exc:
+        parse_config("run.workers = 0\n")
+    assert exc.value.errors == ["line 1: unknown key 'run.workers'"]
 
 
 def test_t_grid_shapes():
@@ -220,8 +226,7 @@ def test_cli_compare_requires_chain(tmp_path, capsys):
 def test_cli_compare_chain(tmp_path, capsys):
     cfg = _cfg_file(tmp_path, CHAIN_FAST)
     out = tmp_path / "out"
-    assert main(["compare", "--config", cfg, "--out", str(out),
-                 "--workers", "2"]) == 0
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "comparison.csv").exists()
     assert (out / "decoherence_both.csv").exists()
     assert "frame residual" in capsys.readouterr().out
@@ -240,6 +245,59 @@ def test_cli_compare_positivity_gate_exits_2(tmp_path, capsys):
     override = text + "run.allow_positivity_violation = true\n"
     cfg2 = _cfg_file(tmp_path, override, name="override.cfg")
     assert main(["compare", "--config", cfg2, "--out", str(tmp_path / "o2")]) == 0
+
+
+def test_cli_rejects_workers_key_and_flag(tmp_path, capsys):
+    cfg = _cfg_file(tmp_path, CHAIN_FAST + "run.workers = 2\n")
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "unknown key 'run.workers'" in capsys.readouterr().err
+    # a usage error is invalid input too: exit 1, never the trust-gate 2
+    cfg = _cfg_file(tmp_path, CHAIN_FAST, name="plain.cfg")
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--workers", "2"]) == 1
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _shipped(tmp_path, name, values):
+    """A shipped config with some `key = value` lines replaced."""
+    lines = (CONFIGS / name).read_text().splitlines()
+    for key, value in values.items():
+        hits = [i for i, ln in enumerate(lines) if ln.startswith(key + " =")]
+        assert len(hits) == 1, key
+        lines[hits[0]] = f"{key} = {value}"
+    return _cfg_file(tmp_path, "\n".join(lines) + "\n", name=name)
+
+
+@pytest.mark.parametrize("command, name, values, gate, message", [
+    ("compare", "chain_compare.cfg", {"bath.n": 64, "run.t_steps": 3},
+     "certified-time cap", "exceeds the certified cap"),
+    ("master-eq", "dephasing_master.cfg",
+     {"master.lam": 50, "master.dt": 0.05},
+     "master trace drift", "persisted above 1e-08 after 6 halvings"),
+    ("evolve", "two_mode_oracle.cfg", {"run.t_max": 5000},
+     "uncertainty relation", "violates the uncertainty relation"),
+])
+def test_cli_trust_refusals_exit_2_and_name_the_gate(
+        tmp_path, capsys, command, name, values, gate, message):
+    cfg = _shipped(tmp_path, name, values)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"trust gate '{gate}'" in err and message in err
+
+
+@pytest.mark.parametrize("eta, sign, code", [
+    (0.15, -1, 2), (0.15, 1, 2), (0.1, -1, 0), (0.095, -1, 0)])
+def test_cli_compare_confinement_sees_whole_potential_block(
+        tmp_path, capsys, eta, sign, code):
+    # at eta = 0.15 every diagonal constant is positive, yet the position
+    # block of h has eigenvalue -0.288; eta = 0.1 sits exactly on the edge
+    cfg = _shipped(tmp_path, "chain_compare.cfg", {
+        "bath.eta": eta, "model.coupling_sign": sign, "run.t_steps": 3})
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+    if code == 2:
+        assert "trust gate 'confinement positivity'" in capsys.readouterr().err
 
 
 def test_cli_master_eq(tmp_path, capsys):

@@ -2,10 +2,15 @@
 import numpy as np
 import pytest
 
-from oscidec import (CoherentAmplitude, DynamicsError, GaussianState,
-                     QuadraticHamiltonian, build_two_mode, TwoModeParams,
-                     energy, evolve, evolve_branches, evolve_branches_from,
-                     layout, propagator, symplectic_residual, vacuum_cov)
+from oscidec import (BathParams, CoherentAmplitude, DynamicsError,
+                     DynamicsTrustError, GaussianState, PhaseSpaceError,
+                     PhaseSpaceLayout, QuadraticHamiltonian, SystemPotential,
+                     TrustGateError, build_caldeira_leggett, build_two_mode,
+                     TwoModeParams, coherent_state, decoherence_function,
+                     discretize_ohmic_bath, energy, evolve, evolve_branches,
+                     evolve_branches_from, layout, product_state, propagator,
+                     symplectic_residual, thermal_state, vacuum_cov)
+from oscidec.dynamics import BranchPair
 
 
 def _sho(m: float, w: float) -> QuadraticHamiltonian:
@@ -33,7 +38,7 @@ def test_propagator_free_particle_shear():
 
 def test_propagator_rejects_excessive_time_and_nonfinite():
     H = _sho(1.0, 1.0)
-    with pytest.raises(DynamicsError, match="certified cap"):
+    with pytest.raises(DynamicsTrustError, match="certified cap"):
         propagator(H, 2.0e3)
     with pytest.raises(DynamicsError, match="finite"):
         propagator(H, np.inf)
@@ -148,3 +153,72 @@ def test_evolve_branches_validates_modes():
     with pytest.raises(DynamicsError, match="non-open modes"):
         evolve_branches(CoherentAmplitude("S", 1.0), CoherentAmplitude("S", -1.0),
                         bad_env, H, [0.0], (1.0, 1.0))
+
+
+def _reference_branches(base, alpha, beta, H, t_grid):
+    """Evolve both displaced states with propagator(H, t).apply and rebuild
+    every environment marginal through the checked constructor."""
+    n = base.layout.n_modes
+    states = []
+    for amp in (alpha, beta):
+        k = base.layout.index(amp.mode)
+        mean = base.mean.copy()
+        mean[k] += amp.x0
+        mean[k + n] += amp.p0
+        states.append(GaussianState(base.layout, mean, base.cov))
+    out = []
+    for t in t_grid:
+        P = propagator(H, float(t))
+        out.append(BranchPair(float(t), P.apply(states[0]), P.apply(states[1]),
+                              alpha, beta))
+    return out
+
+
+def test_evolve_branches_from_matches_checked_reference():
+    pot = SystemPotential("harmonic", 1.0, 1.0)
+    bath = discretize_ohmic_bath(4, 3.0, 0.05)
+    bath = BathParams(bath.masses, bath.freqs, bath.couplings, -1)
+    H = build_caldeira_leggett(pot, bath)
+    env_labels = H.layout.mode_labels[1:]
+    env = thermal_state(PhaseSpaceLayout(env_labels), bath.masses, bath.freqs,
+                        2.0)
+    base = product_state(H.layout, "S",
+                         coherent_state(layout("S"), [1.0], [1.0]), env)
+    alpha, beta = CoherentAmplitude("S", 1.2, 0.3), CoherentAmplitude("S", -0.7)
+    t_grid = np.linspace(0.0, 3.0, 13)
+    got = evolve_branches_from(base, alpha, beta, H, t_grid)
+    want = _reference_branches(base, alpha, beta, H, t_grid)
+    idx = H.layout.z_indices(env_labels)
+    for g, w in zip(got, want):
+        assert g.t == w.t
+        for gs, ws in ((g.branch_a, w.branch_a), (g.branch_b, w.branch_b)):
+            np.testing.assert_array_equal(gs.mean, ws.mean)
+            np.testing.assert_array_equal(gs.cov, ws.cov)
+            full = GaussianState(PhaseSpaceLayout(env_labels), ws.mean[idx],
+                                 ws.cov[np.ix_(idx, idx)])
+            np.testing.assert_array_equal(
+                gs.cov[np.ix_(idx, idx)], full.cov)
+    np.testing.assert_array_equal(decoherence_function(got, env_labels),
+                                  decoherence_function(want, env_labels))
+
+
+def test_evolved_covariance_failing_uncertainty_raises_trust_error():
+    # the free open mode leaves h indefinite (min eigenvalue -0.059), so
+    # states grow like e^{0.24 t} until the evolved covariance loses the
+    # uncertainty relation to rounding
+    H = build_two_mode(TwoModeParams(1.0, 1.0, 1.0, 0.25))
+    assert np.linalg.eigvalsh(H.h).min() < -0.05
+    state = GaussianState(H.layout, np.array([0.4, 0.0, 0.0, 0.0]),
+                          vacuum_cov([1.0, 1.0], [1.0, 1.0]))
+    evolve(state, H, 20.0)           # still satisfies it
+    assert 200.0 * np.linalg.norm(H.h, 2) < 1e3   # inside the time cap
+    with pytest.raises(DynamicsTrustError, match="uncertainty relation") as exc:
+        evolve(state, H, 200.0)
+    assert exc.value.gate == "uncertainty relation"
+    with pytest.raises(DynamicsTrustError, match="uncertainty relation"):
+        evolve_branches_from(state, CoherentAmplitude("S", 0.1),
+                             CoherentAmplitude("S", -0.1), H, [0.0, 200.0])
+    # a bad input state is invalid input, not a trust failure
+    with pytest.raises(PhaseSpaceError) as bad:
+        GaussianState(H.layout, np.zeros(4), 0.1 * np.eye(4))
+    assert not isinstance(bad.value, TrustGateError)

@@ -121,18 +121,18 @@ def test_ratio_summary_classification():
     assert _ratio_summary(0.05, 1.0)[1] == "outside"
 
 
-def _small_comparison(workers: int):
+def _small_comparison():
     pot = SystemPotential("harmonic", 1.0, 1.0)
     bath = discretize_ohmic_bath(4, 3.0, 0.05)
     bath = BathParams(bath.masses, bath.freqs, bath.couplings, -1)
     pair_s = (CoherentAmplitude("S", 0.8), CoherentAmplitude("S", -0.8))
     pair_cm = (CoherentAmplitude("CM", 0.2), CoherentAmplitude("CM", -0.2))
     return parallel_compare(pot, bath, pair_s, pair_cm, 2.0,
-                            np.linspace(0.0, 2.0, 21), workers=workers)
+                            np.linspace(0.0, 2.0, 21))
 
 
 def test_parallel_compare_small_chain():
-    cmp = _small_comparison(workers=1)
+    cmp = _small_comparison()
     assert cmp.report_s.decomposition == "S+E"
     assert cmp.report_cm.decomposition == "CM+R"
     assert cmp.report_s.gamma[0] == 0.0 and cmp.report_cm.gamma[0] == 0.0
@@ -144,14 +144,6 @@ def test_parallel_compare_small_chain():
     if cmp.tau_ratio is not None:
         assert cmp.tau_ratio == pytest.approx(
             cmp.report_s.tau_dec / cmp.report_cm.tau_dec)
-
-
-def test_parallel_compare_worker_count_is_immaterial():
-    seq = _small_comparison(workers=1)
-    par = _small_comparison(workers=2)
-    assert np.array_equal(seq.report_s.gamma, par.report_s.gamma)
-    assert np.array_equal(seq.report_cm.gamma, par.report_cm.gamma)
-    assert seq.frame_residual == par.frame_residual
 
 
 def test_parallel_compare_positivity_gate():

@@ -87,6 +87,20 @@ def test_reduce_state_marginal():
     assert red.cov[0, 0] == th.cov[k, k]
     with pytest.raises(PhaseSpaceError):
         reduce_state(th, ())
+    # a correlated state reduced to reordered modes: the exact principal
+    # submatrix and sub-vector, in the requested order
+    lay3 = layout("S", "E1", "E2")
+    rng = np.random.default_rng(5)
+    S = np.linalg.qr(rng.normal(size=(3, 3)))[0]       # orthogonal: symplectic
+    Sz = np.zeros((6, 6))
+    Sz[:3, :3] = Sz[3:, 3:] = S
+    st = GaussianState(lay3, rng.normal(size=6),
+                       Sz @ vacuum_cov([1, 2, 3], [1, 0.5, 2]) @ Sz.T)
+    red = reduce_state(st, ("E2", "S"))
+    idx = np.array([2, 0, 5, 3])
+    assert red.layout.mode_labels == ("E2", "S")
+    assert np.array_equal(red.mean, st.mean[idx])
+    assert np.array_equal(red.cov, st.cov[np.ix_(idx, idx)])
 
 
 def test_log_negativity_zero_for_product_positive_for_entangled():
