@@ -41,8 +41,6 @@ from .reporting import (write_comparison, write_crosscheck, write_csv,
 def _load(args: argparse.Namespace) -> tuple[ScenarioConfig, Path, str]:
     text = Path(args.config).read_text()
     cfg = parse_config(text)
-    if args.seed is not None:
-        cfg = ScenarioConfig({**cfg.values, "run.seed": args.seed})
     out_dir = Path(args.out)
     digest = write_manifest(cfg, out_dir)
     return cfg, out_dir, digest
@@ -250,8 +248,6 @@ def main(argv: list[str] | None = None) -> int:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="scenario file")
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override run.seed")
         if name == "decohere":
             sp.add_argument("--oracle", action="store_true",
                             help="also write the dense cross-check report")

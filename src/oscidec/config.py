@@ -72,10 +72,8 @@ _SCHEMA: dict[str, tuple[Any, Any]] = {
     "state.cm_beta_x": (float, None),
     "state.cm_beta_p": (float, None),
     "state.temperature": (float, 0.0),
-    "run.decompositions": (str, "both"),
     "run.t_max": (float, 2.0),
     "run.t_steps": (int, 101),
-    "run.seed": (int, 0),
     "run.allow_positivity_violation": (_parse_bool, False),
     "run.open_freq_ref": (float, 1.0),
     "oracle.dim": (int, 24),
@@ -94,7 +92,6 @@ _ENUMS = {
     "model.kind": ("two_mode", "caldeira_leggett"),
     "model.potential": ("free", "harmonic"),
     "bath.kind": ("ohmic", "explicit"),
-    "run.decompositions": ("original", "cm_relative", "both"),
     "master.variant": ("none", "free", "harmonic"),
 }
 

@@ -128,9 +128,7 @@ def quadratic_hamiltonian_operator(ops: FockOperators, h: FloatArray,
             term = zops[i] @ zops[j]
             if i != j:
                 term = term + zops[j] @ zops[i]
-                H += 0.5 * hij * term
-            else:
-                H += 0.5 * hij * term
+            H += 0.5 * hij * term
     if linear is not None:
         for i, ci in enumerate(np.asarray(linear, float)):
             if ci != 0.0:
@@ -202,7 +200,9 @@ class Evolver:
         return (self.vectors * phase) @ self.vectors.conj().T
 
     def evolve_pure(self, psi0: ComplexArray, t: float) -> ComplexArray:
-        return self.unitary(t) @ psi0
+        """U(t) psi0 applied in the eigenbasis, without forming U(t)."""
+        phase = np.exp(-1j * self.energies * t)
+        return self.vectors @ (phase * (self.vectors.conj().T @ psi0))
 
     def evolve(self, rho0: ComplexArray, t: float) -> ComplexArray:
         U = self.unitary(t)
@@ -248,7 +248,6 @@ def reduced_density(state: ComplexArray, space: FockSpace, keep: int) -> Complex
     k = len(dims)
     if state.ndim == 1:
         psi = state.reshape(dims)
-        axes = [a for a in range(k) if a != keep]
         m = np.moveaxis(psi, keep, 0).reshape(dims[keep], -1)
         return m @ m.conj().T
     rho = state.reshape(dims + dims)
@@ -265,21 +264,22 @@ def hs_overlap(ra: ComplexArray, rb: ComplexArray) -> float:
 
 
 def moments(state: ComplexArray, ops: FockOperators) -> tuple[FloatArray, FloatArray]:
-    """First moments <z> and symmetrized covariance of a vector/density matrix."""
+    """First moments <z> and symmetrized covariance of a vector/density matrix.
+
+    The truncated x and p matrices are Hermitian, so <{z_i, z_j}>/2 is
+    Re <z_i psi|z_j psi> for a vector and Re tr(z_i z_j rho) for a density
+    matrix; neither needs a product of two operators.
+    """
     zops = list(ops.x) + list(ops.p)
-    m = len(zops)
     if state.ndim == 1:
-        def ev(op):
-            return float(np.real(state.conj() @ (op @ state)))
+        W = np.array([z @ state for z in zops])
+        mean = np.real(W @ state.conj())
+        cov = np.real(W.conj() @ W.T)
     else:
-        def ev(op):
-            return float(np.real(np.trace(op @ state)))
-    mean = np.array([ev(z) for z in zops])
-    cov = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            sym = 0.5 * (zops[i] @ zops[j] + zops[j] @ zops[i])
-            cov[i, j] = cov[j, i] = ev(sym) - mean[i] * mean[j]
+        W = [z @ state for z in zops]
+        mean = np.array([np.real(np.trace(w)) for w in W])
+        cov = np.array([[np.real(np.sum(zi.T * wj)) for wj in W] for zi in zops])
+    cov = 0.5 * (cov + cov.T) - np.outer(mean, mean)
     return mean, cov
 
 

@@ -155,10 +155,9 @@ def _cfg_file(tmp_path, text, name="scenario.cfg"):
 def test_cli_build_and_manifest(tmp_path, capsys):
     cfg = _cfg_file(tmp_path, TWO_MODE_FAST)
     out = tmp_path / "out"
-    assert main(["build", "--config", cfg, "--out", str(out), "--seed", "7"]) == 0
+    assert main(["build", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "hamiltonian.csv").exists()
     manifest = (out / "manifest.txt").read_text()
-    assert "run.seed = 7" in manifest
     assert "model.kind = two_mode" in manifest
     assert "modes=2" in capsys.readouterr().out
 
@@ -255,6 +254,16 @@ def test_cli_rejects_workers_key_and_flag(tmp_path, capsys):
     cfg = _cfg_file(tmp_path, CHAIN_FAST, name="plain.cfg")
     assert main(["compare", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--workers", "2"]) == 1
+
+
+def test_cli_rejects_removed_seed_and_decompositions(tmp_path, capsys):
+    for key, value in (("run.seed", "7"), ("run.decompositions", "both")):
+        cfg = _cfg_file(tmp_path, TWO_MODE_FAST + f"{key} = {value}\n")
+        assert main(["build", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+    cfg = _cfg_file(tmp_path, TWO_MODE_FAST, name="plain.cfg")
+    assert main(["build", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--seed", "7"]) == 1
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"

@@ -74,6 +74,85 @@ def test_coherent_vector_moments():
     assert ground == pytest.approx(np.eye(6)[0])
 
 
+def _moments_reference(state, ops):
+    """Literal <z> and <{z_i, z_j}>/2 - <z_i><z_j> from operator products."""
+    zops = list(ops.x) + list(ops.p)
+    m = len(zops)
+    if state.ndim == 1:
+        def ev(op):
+            return float(np.real(state.conj() @ (op @ state)))
+    else:
+        def ev(op):
+            return float(np.real(np.trace(op @ state)))
+    mean = np.array([ev(z) for z in zops])
+    cov = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i, m):
+            sym = 0.5 * (zops[i] @ zops[j] + zops[j] @ zops[i])
+            cov[i, j] = cov[j, i] = ev(sym) - mean[i] * mean[j]
+    return mean, cov
+
+
+def _three_mode_ops():
+    space = FockSpace(("S", "E1", "E2"), (4, 5, 3), (1.3, 0.7, 2.1),
+                      (0.9, 1.6, 0.5))
+    return space, build_operators(space)
+
+
+def test_moments_match_operator_product_reference():
+    space, ops = _three_mode_ops()
+    D = space.total_dim
+    rng = np.random.default_rng(11)
+    psi = rng.normal(size=D) + 1j * rng.normal(size=D)
+    psi /= np.linalg.norm(psi)
+    vecs = rng.normal(size=(D, 3)) + 1j * rng.normal(size=(D, 3))
+    vecs /= np.linalg.norm(vecs, axis=0)
+    rho = (vecs * np.array([0.5, 0.3, 0.2])) @ vecs.conj().T   # rank-3 mixture
+    validate_density(rho)
+    for state in (psi, rho):
+        mean, cov = moments(state, ops)
+        mean_ref, cov_ref = _moments_reference(state, ops)
+        assert np.abs(mean - mean_ref).max() < 1e-12
+        assert np.abs(cov - cov_ref).max() < 1e-12
+        assert np.array_equal(cov, cov.T)
+    # the vector and density-matrix paths agree on a pure state
+    mean_v, cov_v = moments(psi, ops)
+    mean_r, cov_r = moments(np.outer(psi, psi.conj()), ops)
+    assert np.abs(mean_v - mean_r).max() < 1e-13
+    assert np.abs(cov_v - cov_r).max() < 1e-13
+
+
+def test_thermal_density_moments_match_closed_form():
+    masses, freqs, T = (1.3, 0.7), (1.0, 2.0), 1.0
+    space = FockSpace(("S", "E"), (20, 20), masses, freqs)
+    rho, tail = thermal_density(space, T)
+    mean, cov = moments(rho, build_operators(space))
+    coth = [1.0 / np.tanh(w / (2 * T)) for w in freqs]
+    var = np.array([c / (2 * m * w) for c, m, w in zip(coth, masses, freqs)]
+                   + [m * w * c / 2 for c, m, w in zip(coth, masses, freqs)])
+    assert np.abs(mean).max() < 1e-14
+    assert np.abs(cov - np.diag(np.diag(cov))).max() < 1e-14
+    # Truncating a mode at d levels drops Gibbs weight q^d = e^{-d w/T} and
+    # shifts <z^2> by exactly d (e^{w/T} - 1) q^d / (1 - q^d) relative; tail is
+    # the largest q^d, so it bounds every mode (1% slack covers rounding).
+    bound = [1.01 * d * np.expm1(w / T) * tail / (1 - tail)
+             for d, w in zip(space.dims, freqs)] * 2
+    assert tail < 1e-8
+    assert np.all(np.abs(np.diag(cov) / var - 1.0) <= bound)
+
+
+def test_evolve_pure_matches_unitary():
+    space, ops = _three_mode_ops()
+    pot = SystemPotential("harmonic", 1.3, 0.9)
+    bath = BathParams((0.7, 2.1), (1.6, 0.5), (0.2, -0.1), -1)
+    evo = diagonalize(space, chain_hamiltonian(ops, pot, bath))
+    rng = np.random.default_rng(4)
+    psi0 = rng.normal(size=space.total_dim) + 1j * rng.normal(size=space.total_dim)
+    psi0 /= np.linalg.norm(psi0)
+    for t in (0.0, 0.9, 3.7):
+        assert np.abs(evo.evolve_pure(psi0, t) - evo.unitary(t) @ psi0).max() < 1e-12
+
+
 def test_oracle_trajectory_matches_classical_rotation():
     m, w, x0, p0 = 1.3, 0.7, 0.8, 0.5
     space = FockSpace(("S",), (48,), (m,), (w,))
