@@ -22,9 +22,10 @@ from .decomposition import (LinearCoordinateTransform, ManyModeConstants,
                             normal_mode_transform, transform_hamiltonian,
                             transform_state, two_mode_constants,
                             verify_constants)
-from .dynamics import (BranchPair, DynamicsError, DynamicsTrustError,
+from .dynamics import (BranchTrajectory, DynamicsError, DynamicsTrustError,
                        SymplecticPropagator, energy, evolve, evolve_branches,
-                       evolve_branches_from, propagator, symplectic_residual)
+                       evolve_branches_from, evolve_grid, propagator,
+                       symplectic_residual)
 from .metrics import (DecoherenceReport, MetricsError, ParallelComparison,
                       PositivityGateError, amplitude_distance_sq, build_report,
                       decoherence_function, decoherence_time, fit_lambda,
@@ -63,8 +64,8 @@ __all__ = [
     # dynamics
     "DynamicsError", "DynamicsTrustError", "SymplecticPropagator",
     "propagator",
-    "symplectic_residual", "evolve", "energy", "BranchPair",
-    "evolve_branches", "evolve_branches_from",
+    "symplectic_residual", "evolve", "evolve_grid", "energy",
+    "BranchTrajectory", "evolve_branches", "evolve_branches_from",
     # metrics
     "MetricsError", "PositivityGateError", "DecoherenceReport",
     "ParallelComparison",

@@ -26,7 +26,7 @@ from .config import ConfigError, ScenarioConfig, parse_config
 from .decomposition import (cm_relative_transform, many_mode_constants,
                             normal_mode_transform, transform_hamiltonian,
                             two_mode_constants, verify_constants)
-from .dynamics import energy, evolve, evolve_branches
+from .dynamics import energy, evolve_branches, evolve_grid
 from .fock import gaussian_crosscheck
 from .master import (MasterEqScenario, backend_name, coherence_profile,
                      evolve_master)
@@ -115,8 +115,7 @@ def _cmd_evolve(cfg: ScenarioConfig, out: Path, digest: str) -> int:
         state = type(state)(state.layout, state.mean, therm.cov)
     t_grid = cfg.t_grid()
     means, purities, energies = [], [], []
-    for t in t_grid:
-        st = evolve(state, ham, t)
+    for st in evolve_grid(state, ham, t_grid):
         means.append(st.mean)
         purities.append(purity(st))
         energies.append(energy(st, ham))

@@ -1,22 +1,29 @@
-"""Exact closed-system Gaussian evolution: symplectic propagators and
-branch-pair evolution for coherent-superposition initial states.
+"""Exact closed-system Gaussian evolution: symplectic propagators, stepped
+trajectories over a time grid, and branch-pair evolution for
+coherent-superposition initial states.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
 from .phase_space import (CoherentAmplitude, FloatArray, GaussianState,
-                          PhaseSpaceError, PhaseSpaceLayout,
-                          QuadraticHamiltonian, TrustGateError, coherent_state,
-                          layout, product_state, symplectic_form)
+                          PhaseSpaceLayout, QuadraticHamiltonian,
+                          TrustGateError, coherent_state, layout,
+                          product_state, symplectic_form)
 
 # Symplecticity budget holds for t * ||h|| up to this; beyond it the
 # exponential conditioning is no longer certified and the scenario is rejected.
 _T_NORM_CAP = 1e3
+# Smallest eigenvalue of sigma + iJ/2 an evolved covariance may have: the
+# tolerance GaussianState applies to its input.
+_UNCERTAINTY_TOL = 1e-10
+# Grid steps equal to within this many ulps of max|t| share one step
+# propagator, so the rounding of t_max * i / (n - 1) does not split them.
+_SAME_STEP_ULPS = 4
 
 
 class DynamicsError(ValueError):
@@ -28,29 +35,38 @@ class DynamicsTrustError(DynamicsError, TrustGateError):
     fails the uncertainty relation."""
 
 
-def _certified_generator(H: QuadraticHamiltonian,
-                         times: Sequence[float]) -> FloatArray:
-    """J h, once every time is checked finite and inside the certified cap."""
-    times = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(times)):
+def _certify_time(t: float, h_norm: float) -> None:
+    """Refuse a non-finite time, or one beyond the certified cap."""
+    if not np.isfinite(t):
         raise DynamicsError("time must be finite")
-    reach = float(np.abs(times).max(initial=0.0)) * np.linalg.norm(H.h, 2)
+    reach = abs(t) * h_norm
     if reach > _T_NORM_CAP:
         raise DynamicsTrustError(
             "certified-time cap",
             f"t*||h|| = {reach:.3e} exceeds the certified cap {_T_NORM_CAP:.0e}")
-    return symplectic_form(H.n_modes) @ H.h
 
 
-def _evolved_state(lay: PhaseSpaceLayout, mean: FloatArray, cov: FloatArray,
-                   t: float) -> GaussianState:
-    """The one check an evolved covariance gets; a failure here is a loss of
-    numerical trust in the propagation, not bad input."""
-    try:
-        return GaussianState(lay, mean, cov)
-    except PhaseSpaceError as exc:
+def _evolved_cov(M: FloatArray, cov0: FloatArray, t: float,
+                 half_iJ: np.ndarray) -> FloatArray:
+    """M sigma0 M^T, after the one check an evolved covariance gets:
+    sigma + iJ/2 >= 0, with half_iJ = iJ/2.
+
+    A failure is a loss of numerical trust in the propagation, not bad input.
+    A covariance that overflowed fails too: eigvalsh of a non-finite matrix
+    may return NaN, finite garbage or raise.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = M @ cov0 @ M.T
+    cov = 0.5 * (cov + cov.T)
+    min_eig = np.nan
+    if np.isfinite(cov).all():
+        min_eig = float(np.linalg.eigvalsh(cov + half_iJ).min())
+    if not min_eig >= -_UNCERTAINTY_TOL:
         raise DynamicsTrustError(
-            "uncertainty relation", f"evolved state at t = {t!r}: {exc}") from exc
+            "uncertainty relation",
+            f"evolved state at t = {t!r}: covariance violates the uncertainty "
+            f"relation (min eig {min_eig:.3e})")
+    return cov
 
 
 @dataclass(frozen=True)
@@ -64,13 +80,48 @@ class SymplecticPropagator:
     def apply(self, state: GaussianState) -> GaussianState:
         if state.layout != self.H.layout:
             raise DynamicsError("state layout does not match propagator")
-        return _evolved_state(state.layout, self.M @ state.mean,
-                              self.M @ state.cov @ self.M.T, self.t)
+        return GaussianState._prechecked(
+            state.layout, self.M @ state.mean,
+            _evolved_cov(self.M, state.cov, self.t,
+                         0.5j * symplectic_form(state.n_modes)))
 
 
 def propagator(H: QuadraticHamiltonian, t: float) -> SymplecticPropagator:
     """Matrix exponential via scaling-and-squaring (no ODE stepping)."""
-    return SymplecticPropagator(H, t, expm(t * _certified_generator(H, [t])))
+    _certify_time(t, np.linalg.norm(H.h, 2))
+    return SymplecticPropagator(H, t, expm(t * symplectic_form(H.n_modes) @ H.h))
+
+
+def _stepped_trajectory(H: QuadraticHamiltonian, cov0: FloatArray,
+                        t_grid: Sequence[float]
+                        ) -> Iterator[tuple[float, FloatArray, FloatArray]]:
+    """(t, M(t), checked M sigma0 M^T) at each grid time, in grid order.
+
+    M(t_0) = exp(t_0 A) and M(t_k) = E(t_k - t_{k-1}) M(t_{k-1}) with A = J h,
+    so a grid costs one matrix exponential per distinct step: one in all on
+    a uniform grid.  Each time passes the certified-time cap before its
+    propagator is formed and the uncertainty relation after.
+    """
+    ts = np.asarray(t_grid, dtype=float)
+    if not np.isfinite(ts).all():
+        raise DynamicsError("time must be finite")
+    ts = ts.tolist()
+    h_norm = np.linalg.norm(H.h, 2)
+    A = symplectic_form(H.n_modes) @ H.h
+    half_iJ = 0.5j * symplectic_form(H.n_modes)
+    same_step = _SAME_STEP_ULPS * np.spacing(max(map(abs, ts), default=0.0))
+    M = E = step = t_prev = None
+    for t in ts:
+        _certify_time(t, h_norm)
+        if M is None:
+            M = expm(t * A)
+        else:
+            dt = t - t_prev
+            if step is None or abs(dt - step) > same_step:
+                step, E = dt, expm(dt * A)
+            M = E @ M
+        t_prev = t
+        yield t, M, _evolved_cov(M, cov0, t, half_iJ)
 
 
 def symplectic_residual(M: FloatArray) -> float:
@@ -84,6 +135,15 @@ def evolve(state: GaussianState, H: QuadraticHamiltonian, t: float) -> GaussianS
     return propagator(H, t).apply(state)
 
 
+def evolve_grid(state: GaussianState, H: QuadraticHamiltonian,
+                t_grid: Sequence[float]) -> Iterator[GaussianState]:
+    """The evolved state at each grid time, in order, from one stepped pass."""
+    if state.layout != H.layout:
+        raise DynamicsError("state layout does not match propagator")
+    return (GaussianState._prechecked(state.layout, M @ state.mean, cov)
+            for _, M, cov in _stepped_trajectory(H, state.cov, t_grid))
+
+
 def energy(state: GaussianState, H: QuadraticHamiltonian) -> float:
     """<H> = 1/2 m^T h m + 1/2 tr(h sigma) + linear . m (conserved quantity)."""
     return float(0.5 * state.mean @ H.h @ state.mean
@@ -92,55 +152,73 @@ def energy(state: GaussianState, H: QuadraticHamiltonian) -> float:
 
 
 @dataclass(frozen=True)
-class BranchPair:
-    """Two branches evolved by the same propagator from displaced copies of
-    one base state; their covariances are identical by linearity."""
+class BranchTrajectory:
+    """Two branches evolved by one propagator per time from displaced copies
+    of one base state, stacked over the time grid.
 
-    t: float
-    branch_a: GaussianState
-    branch_b: GaussianState
+    The branches share one covariance by linearity.  Only its block on the
+    environment, every mode but the displaced one, is kept: that and the two
+    means are all Gamma reads.
+    """
+
+    t: FloatArray                  # (T,)
+    layout: PhaseSpaceLayout
+    mean_a: FloatArray             # (T, 2n)
+    mean_b: FloatArray             # (T, 2n)
+    env: PhaseSpaceLayout
+    env_cov: FloatArray            # (T, 2n - 2, 2n - 2)
     alpha: CoherentAmplitude
     beta: CoherentAmplitude
-
-
-def _displace(state: GaussianState, amp: CoherentAmplitude) -> GaussianState:
-    k = state.layout.index(amp.mode)
-    mean = state.mean.copy()
-    mean[k] += amp.x0
-    mean[k + state.layout.n_modes] += amp.p0
-    return GaussianState._prechecked(state.layout, mean, state.cov)
+    # M(t) at the requested probe times, from the same pass
+    propagators: dict[float, FloatArray]
 
 
 def evolve_branches_from(base: GaussianState, alpha: CoherentAmplitude,
                          beta: CoherentAmplitude, H: QuadraticHamiltonian,
-                         t_grid: Sequence[float]) -> list[BranchPair]:
+                         t_grid: Sequence[float],
+                         probe_times: Sequence[float] = ()) -> BranchTrajectory:
     """Displace the base state by alpha / beta on the open mode, then evolve
-    both branches with the shared propagator at each grid time.
+    both branches over the grid in one stepped pass.
 
-    Both branches share one covariance M sigma0 M^T, checked once per time
-    on branch a; branch b carries the same array.
+    Both branches share one covariance M sigma0 M^T, checked once per time.
+    The propagators at `probe_times`, which must be grid times, are kept.
     """
     if alpha.mode != beta.mode:
         raise DynamicsError("branch amplitudes must target the same mode")
     if base.layout != H.layout:
         raise DynamicsError("state layout does not match propagator")
-    A = _certified_generator(H, t_grid)
-    a0 = _displace(base, alpha)
-    b0 = _displace(base, beta)
-    out = []
-    for t in t_grid:
-        t = float(t)
-        M = expm(t * A)
-        sa = _evolved_state(base.layout, M @ a0.mean, M @ base.cov @ M.T, t)
-        sb = GaussianState._prechecked(base.layout, M @ b0.mean, sa.cov)
-        out.append(BranchPair(t, sa, sb, alpha, beta))
-    return out
+    lay = base.layout
+    ts = np.array(t_grid, dtype=float)
+    probes = {float(p) for p in probe_times}
+    missing = probes.difference(ts.tolist())
+    if missing:
+        raise DynamicsError(f"probe times {sorted(missing)} are not grid times")
+    k = lay.index(alpha.mode)
+    m_a, m_b = base.mean.copy(), base.mean.copy()
+    for m, amp in ((m_a, alpha), (m_b, beta)):
+        m[k] += amp.x0
+        m[k + lay.n_modes] += amp.p0
+    env = PhaseSpaceLayout(tuple(lb for lb in lay.mode_labels if lb != alpha.mode))
+    idx = lay.z_indices(env.mode_labels)
+    env_flat = idx[:, None] * lay.dim + idx      # cov.take(env_flat): env block
+    mean_a = np.empty((len(ts), lay.dim))
+    mean_b = np.empty((len(ts), lay.dim))
+    env_cov = np.empty((len(ts), env.dim, env.dim))
+    kept = {}
+    for i, (t, M, cov) in enumerate(_stepped_trajectory(H, base.cov, ts)):
+        mean_a[i] = M @ m_a
+        mean_b[i] = M @ m_b
+        env_cov[i] = cov.take(env_flat)
+        if t in probes:
+            kept[t] = M
+    return BranchTrajectory(ts, lay, mean_a, mean_b, env, env_cov, alpha, beta,
+                            kept)
 
 
 def evolve_branches(alpha: CoherentAmplitude, beta: CoherentAmplitude,
                     env: GaussianState, H: QuadraticHamiltonian,
                     t_grid: Sequence[float],
-                    open_scale: tuple[float, float]) -> list[BranchPair]:
+                    open_scale: tuple[float, float]) -> BranchTrajectory:
     """Product-state convenience: vacuum open mode (at open_scale) times env."""
     lay = H.layout
     if alpha.mode not in lay.mode_labels:

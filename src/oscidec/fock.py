@@ -69,25 +69,23 @@ def _embed(op: np.ndarray, k: int, dims: Sequence[int]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FockOperators:
-    """Position/momentum (and number) matrices on the full space."""
+    """Position and momentum matrices on the full space."""
 
     space: FockSpace
     x: tuple[ComplexArray, ...]
     p: tuple[ComplexArray, ...]
-    number: tuple[ComplexArray, ...]
 
 
 def build_operators(space: FockSpace) -> FockOperators:
     """x_k = (a + a^dag)/sqrt(2 m_k w_k), p_k = i sqrt(m_k w_k/2)(a^dag - a)."""
-    xs, ps, ns = [], [], []
+    xs, ps = [], []
     for k, (d, m, w) in enumerate(zip(space.dims, space.masses, space.freqs)):
         a = _ladder(d)
         x1 = (a + a.T) / np.sqrt(2 * m * w)
         p1 = 1j * np.sqrt(m * w / 2) * (a.T - a)
         xs.append(_embed(x1, k, space.dims).astype(complex))
         ps.append(_embed(p1, k, space.dims).astype(complex))
-        ns.append(_embed(np.diag(np.arange(d, dtype=float)), k, space.dims).astype(complex))
-    return FockOperators(space, tuple(xs), tuple(ps), tuple(ns))
+    return FockOperators(space, tuple(xs), tuple(ps))
 
 
 def two_mode_hamiltonian(ops: FockOperators, p: TwoModeParams) -> ComplexArray:

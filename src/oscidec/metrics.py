@@ -13,13 +13,12 @@ import numpy as np
 from .decomposition import (LinearCoordinateTransform, cm_relative_transform,
                             many_mode_constants, normal_mode_transform,
                             transform_hamiltonian, transform_state)
-from .dynamics import BranchPair, evolve_branches_from, propagator
+from .dynamics import BranchTrajectory, evolve_branches_from, propagator
 from .models import BathParams, SystemPotential, build_caldeira_leggett
 from .phase_space import (CoherentAmplitude, FloatArray, GaussianState,
                           PhaseSpaceLayout, QuadraticHamiltonian,
                           TrustGateError, coherent_state, layout,
-                          log_gaussian_overlap, product_state, purity,
-                          reduce_state, thermal_state)
+                          product_state, purity, reduce_state, thermal_state)
 
 # ln of the overlap floor: astronomically negative Gamma is clamped, flagged
 _GAMMA_FLOOR = float(np.log(1e-300))
@@ -54,25 +53,22 @@ def model_fingerprint(H: QuadraticHamiltonian) -> str:
     return f"{H.tag or 'quadratic'}/{H.n_modes}m/{digest}"
 
 
-def decoherence_function(branches: Sequence[BranchPair],
+def decoherence_function(traj: BranchTrajectory,
                          env_modes: Sequence[str]) -> FloatArray:
     """Gamma(t) = ln overlap of the two branches' environment marginals.
 
     Branch covariances are identical by construction, so the overlap exponent
     is the pure quadratic form -1/4 d^T sigma^-1 d, which scales exactly with
-    the squared amplitude separation.
+    the squared amplitude separation.  One batched solve covers the grid.
     """
-    out = np.empty(len(branches))
-    for i, bp in enumerate(branches):
-        ea = reduce_state(bp.branch_a, env_modes)
-        eb = reduce_state(bp.branch_b, env_modes)
-        if ea.cov is eb.cov or np.array_equal(ea.cov, eb.cov):
-            d = ea.mean - eb.mean
-            g = -0.25 * float(d @ np.linalg.solve(ea.cov, d))
-        else:
-            g = log_gaussian_overlap(ea, eb)
-        out[i] = max(g, _GAMMA_FLOOR)
-    return out
+    if tuple(env_modes) != traj.env.mode_labels:
+        raise MetricsError(
+            f"Gamma is taken on the whole environment {traj.env.mode_labels}, "
+            f"not on {tuple(env_modes)}")
+    idx = traj.layout.z_indices(env_modes)
+    d = traj.mean_a[:, idx] - traj.mean_b[:, idx]
+    x = np.linalg.solve(traj.env_cov, d[:, :, None])[:, :, 0]
+    return np.maximum(-0.25 * np.einsum("ti,ti->t", d, x), _GAMMA_FLOOR)
 
 
 def saturation_flags(gamma: FloatArray) -> np.ndarray:
@@ -112,16 +108,15 @@ def decoherence_time(t_grid: Sequence[float], gamma: FloatArray) -> float | None
     return None
 
 
-def build_report(decomposition: str, branches: Sequence[BranchPair],
+def build_report(decomposition: str, traj: BranchTrajectory,
                  env_modes: Sequence[str], open_scale: tuple[float, float],
                  H: QuadraticHamiltonian) -> DecoherenceReport:
-    t_grid = np.array([bp.t for bp in branches])
-    gamma = decoherence_function(branches, env_modes)
-    alpha, beta = branches[0].alpha, branches[0].beta
+    gamma = decoherence_function(traj, env_modes)
+    alpha, beta = traj.alpha, traj.beta
     lam = fit_lambda(gamma, alpha, beta, open_scale) \
         if (alpha.x0, alpha.p0) != (beta.x0, beta.p0) else np.zeros_like(gamma)
-    return DecoherenceReport(decomposition, t_grid, gamma, lam,
-                             decoherence_time(t_grid, gamma), alpha, beta,
+    return DecoherenceReport(decomposition, traj.t, gamma, lam,
+                             decoherence_time(traj.t, gamma), alpha, beta,
                              saturation_flags(gamma), model_fingerprint(H))
 
 
@@ -185,25 +180,37 @@ def parallel_compare(pot: SystemPotential, bath: BathParams,
     omega_cm = float(np.sqrt(consts.m_omega_cm_sq / consts.total_mass)) \
         if consts.m_omega_cm_sq > 0 else open_freq_ref
 
-    # each pipeline's branches are freed before the next pipeline evolves
-    report_s = build_report(
-        "S+E", evolve_branches_from(base, pair_s[0], pair_s[1], H, t_grid),
-        env_labels, (pot.m_s, w_s), H)
-    report_cm = build_report(
-        "CM+R", evolve_branches_from(base_cm, pair_cm[0], pair_cm[1], H2, t_grid),
-        cm_labels[1:], (consts.total_mass, omega_cm), H2)
+    probes = _residual_probe_times(t_grid)
+    report_s, M1 = _pipeline("S+E", base, pair_s, H, t_grid, env_labels,
+                             (pot.m_s, w_s), probes)
+    report_cm, M2 = _pipeline("CM+R", base_cm, pair_cm, H2, t_grid,
+                              cm_labels[1:], (consts.total_mass, omega_cm),
+                              probes)
 
+    # the propagators that produced Gamma must agree up to the frame change
     S_tot = T2.S @ T1.S
     S_inv = np.linalg.inv(S_tot)
-    residual = 0.0
-    for t in _residual_probe_times(t_grid):
-        M1 = propagator(H, t).M
-        M2 = propagator(H2, t).M
-        residual = max(residual, float(np.abs(M2 - S_tot @ M1 @ S_inv).max()))
+    residual = max((float(np.abs(M2[t] - S_tot @ M1[t] @ S_inv).max())
+                    for t in probes), default=0.0)
 
     ratio, flag = _ratio_summary(report_s.tau_dec, report_cm.tau_dec)
     return ParallelComparison(report_s, report_cm, ratio, flag, residual,
                               consts.positivity_ok)
+
+
+def _pipeline(decomposition: str, base: GaussianState,
+              pair: tuple[CoherentAmplitude, CoherentAmplitude],
+              H: QuadraticHamiltonian, t_grid: Sequence[float],
+              env_modes: Sequence[str], open_scale: tuple[float, float],
+              probes: Sequence[float]
+              ) -> tuple[DecoherenceReport, dict[float, FloatArray]]:
+    """One decomposition's report and its propagators at the probe times.
+
+    The trajectory is freed on return, before the next pipeline evolves.
+    """
+    traj = evolve_branches_from(base, pair[0], pair[1], H, t_grid, probes)
+    return (build_report(decomposition, traj, env_modes, open_scale, H),
+            traj.propagators)
 
 
 def _residual_probe_times(t_grid: Sequence[float]) -> list[float]:

@@ -151,9 +151,10 @@ class GaussianState:
                     cov: FloatArray) -> "GaussianState":
         """Skip the checks for a covariance known to pass them already.
 
-        Only for the covariance of a checked state, unchanged, or one of its
-        principal submatrices: by Cauchy interlacing a principal submatrix of
-        sigma + iJ/2 has no smaller minimum eigenvalue.
+        Only for an evolved covariance that passed the dynamics uncertainty
+        gate, or a principal submatrix of a checked covariance: by Cauchy
+        interlacing a principal submatrix of sigma + iJ/2 has no smaller
+        minimum eigenvalue.
         """
         state = object.__new__(cls)
         object.__setattr__(state, "layout", lay)

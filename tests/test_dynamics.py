@@ -2,15 +2,18 @@
 import numpy as np
 import pytest
 
+import oscidec.dynamics
 from oscidec import (BathParams, CoherentAmplitude, DynamicsError,
                      DynamicsTrustError, GaussianState, PhaseSpaceError,
                      PhaseSpaceLayout, QuadraticHamiltonian, SystemPotential,
                      TrustGateError, build_caldeira_leggett, build_two_mode,
-                     TwoModeParams, coherent_state, decoherence_function,
-                     discretize_ohmic_bath, energy, evolve, evolve_branches,
-                     evolve_branches_from, layout, product_state, propagator,
-                     symplectic_residual, thermal_state, vacuum_cov)
-from oscidec.dynamics import BranchPair
+                     TwoModeParams, cm_relative_transform, coherent_state,
+                     decoherence_function, discretize_ohmic_bath, energy,
+                     evolve, evolve_branches, evolve_branches_from,
+                     evolve_grid, layout, normal_mode_transform,
+                     product_state, propagator, symplectic_form,
+                     symplectic_residual, thermal_state,
+                     transform_hamiltonian, transform_state, vacuum_cov)
 
 
 def _sho(m: float, w: float) -> QuadraticHamiltonian:
@@ -100,12 +103,14 @@ def test_branch_pair_shares_covariance_bitwise():
     env = GaussianState(layout("E"), np.zeros(2), vacuum_cov([1.0], [1.0]))
     a = CoherentAmplitude("S", 0.5)
     b = CoherentAmplitude("S", -0.5)
-    pairs = evolve_branches(a, b, env, H, [0.0, 0.7, 1.9], (1.0, 1.0))
-    for pair in pairs:
-        assert np.array_equal(pair.branch_b.cov, pair.branch_a.cov)
-        assert pair.alpha is a and pair.beta is b
+    traj = evolve_branches(a, b, env, H, [0.0, 0.7, 1.9], (1.0, 1.0))
+    assert traj.alpha is a and traj.beta is b
+    # one covariance serves both branches: swapping them leaves it unchanged
+    swapped = evolve_branches(b, a, env, H, [0.0, 0.7, 1.9], (1.0, 1.0))
+    assert np.array_equal(swapped.env_cov, traj.env_cov)
+    assert np.array_equal(swapped.mean_a, traj.mean_b)
     # covariances genuinely evolve
-    assert np.abs(pairs[2].branch_a.cov - pairs[0].branch_a.cov).max() > 1e-3
+    assert np.abs(traj.env_cov[2] - traj.env_cov[0]).max() > 1e-3
 
 
 def test_branch_displacement_at_t0():
@@ -114,9 +119,9 @@ def test_branch_displacement_at_t0():
                          vacuum_cov([1.0, 1.0], [1.0, 1.0]))
     a = CoherentAmplitude("S", 0.3, 0.9)
     b = CoherentAmplitude("S", -0.3, 0.0)
-    pair = evolve_branches_from(base, a, b, H, [0.0])[0]
-    assert pair.branch_a.mean == pytest.approx([0.3, 0.0, 0.9, 0.0])
-    assert pair.branch_b.mean == pytest.approx([-0.3, 0.0, 0.0, 0.0])
+    traj = evolve_branches_from(base, a, b, H, [0.0])
+    assert traj.mean_a[0] == pytest.approx([0.3, 0.0, 0.9, 0.0])
+    assert traj.mean_b[0] == pytest.approx([-0.3, 0.0, 0.0, 0.0])
 
 
 def test_branch_amplitudes_must_share_mode():
@@ -132,15 +137,18 @@ def test_evolve_branches_product_base():
     H = build_two_mode(TwoModeParams(1.0, 2.0, 1.5, 0.1))
     env = GaussianState(layout("E"), np.array([0.4, -0.1]),
                         vacuum_cov([2.0], [1.5]))
-    pair = evolve_branches(CoherentAmplitude("S", 1.0),
-                           CoherentAmplitude("S", -1.0), env, H,
-                           [0.0], (1.0, 3.0))[0]
-    mean, cov = pair.branch_a.mean, pair.branch_a.cov
-    assert mean == pytest.approx([1.0, 0.4, 0.0, -0.1])
-    assert cov[0, 0] == pytest.approx(1.0 / 6.0)      # 1/(2 m0 w0)
-    assert cov[2, 2] == pytest.approx(1.5)            # m0 w0 / 2
-    assert cov[1, 1] == pytest.approx(1.0 / 6.0)
-    assert cov[0, 1] == 0.0
+    a, b = CoherentAmplitude("S", 1.0), CoherentAmplitude("S", -1.0)
+    traj = evolve_branches(a, b, env, H, [0.0, 0.9], (1.0, 3.0))
+    assert traj.mean_a[0] == pytest.approx([1.0, 0.4, 0.0, -0.1])
+    assert traj.env.mode_labels == ("E",)
+    assert traj.env_cov[0] == pytest.approx(np.diag([1.0 / 6.0, 1.5]))
+    # the open mode is the vacuum at open_scale: 1/(2 m0 w0), m0 w0 / 2
+    base = product_state(H.layout, "S",
+                         GaussianState(layout("S"), np.zeros(2),
+                                       np.diag([1.0 / 6.0, 1.5])), env)
+    want = evolve_branches_from(base, a, b, H, [0.0, 0.9])
+    for field in ("t", "mean_a", "mean_b", "env_cov"):
+        assert np.array_equal(getattr(traj, field), getattr(want, field))
 
 
 def test_evolve_branches_validates_modes():
@@ -156,8 +164,8 @@ def test_evolve_branches_validates_modes():
 
 
 def _reference_branches(base, alpha, beta, H, t_grid):
-    """Evolve both displaced states with propagator(H, t).apply and rebuild
-    every environment marginal through the checked constructor."""
+    """Evolve both displaced states with propagator(H, t).apply, one matrix
+    exponential per time: the slow reference for the stepped pass."""
     n = base.layout.n_modes
     states = []
     for amp in (alpha, beta):
@@ -169,9 +177,49 @@ def _reference_branches(base, alpha, beta, H, t_grid):
     out = []
     for t in t_grid:
         P = propagator(H, float(t))
-        out.append(BranchPair(float(t), P.apply(states[0]), P.apply(states[1]),
-                              alpha, beta))
+        out.append((float(t), P.apply(states[0]), P.apply(states[1])))
     return out
+
+
+def _chain_frames(n_bath, temperature):
+    """(base, H, alpha, beta) of the chain in the S+E frame and in the CM+R
+    frame, built as parallel_compare builds them."""
+    pot = SystemPotential("harmonic", 1.0, 1.0)
+    b = discretize_ohmic_bath(n_bath, 5.0, 0.1)
+    bath = BathParams(b.masses, b.freqs, b.couplings, -1)
+    H = build_caldeira_leggett(pot, bath)
+    env = thermal_state(PhaseSpaceLayout(H.layout.mode_labels[1:]),
+                        bath.masses, bath.freqs, temperature)
+    base = product_state(H.layout, "S",
+                         coherent_state(layout("S"), [1.0], [1.0]), env)
+    labels = ("CM",) + tuple(f"R{a}" for a in range(1, n_bath + 1))
+    T1 = cm_relative_transform(np.concatenate([[1.0], bath.masses]),
+                               labels=labels, source=H.layout)
+    T2, H2 = normal_mode_transform(transform_hamiltonian(H, T1), labels[1:])
+    base_cm = transform_state(transform_state(base, T1), T2)
+    return [(base, H, CoherentAmplitude("S", 3.0), CoherentAmplitude("S", -3.0)),
+            (base_cm, H2, CoherentAmplitude("CM", 0.25, 0.1),
+             CoherentAmplitude("CM", -0.25))]
+
+
+def _assert_matches_reference(base, alpha, beta, H, t_grid):
+    """Means, environment covariances and Gamma of the stepped pass agree
+    with the per-time reference to 1e-12 relative."""
+    got = evolve_branches_from(base, alpha, beta, H, t_grid)
+    want = _reference_branches(base, alpha, beta, H, t_grid)
+    env = got.env.mode_labels
+    idx = H.layout.z_indices(env)
+    assert got.t.tolist() == [t for t, _, _ in want]
+    gamma = []
+    for i, (_, wa, wb) in enumerate(want):
+        for g, w in ((got.mean_a[i], wa.mean), (got.mean_b[i], wb.mean),
+                     (got.env_cov[i], wa.cov[np.ix_(idx, idx)])):
+            np.testing.assert_allclose(g, w, rtol=0,
+                                       atol=1e-12 * np.abs(w).max())
+        d = wa.mean[idx] - wb.mean[idx]
+        gamma.append(-0.25 * d @ np.linalg.solve(wa.cov[np.ix_(idx, idx)], d))
+    np.testing.assert_allclose(decoherence_function(got, env), gamma,
+                               rtol=1e-12, atol=0)
 
 
 def test_evolve_branches_from_matches_checked_reference():
@@ -185,21 +233,67 @@ def test_evolve_branches_from_matches_checked_reference():
     base = product_state(H.layout, "S",
                          coherent_state(layout("S"), [1.0], [1.0]), env)
     alpha, beta = CoherentAmplitude("S", 1.2, 0.3), CoherentAmplitude("S", -0.7)
-    t_grid = np.linspace(0.0, 3.0, 13)
-    got = evolve_branches_from(base, alpha, beta, H, t_grid)
-    want = _reference_branches(base, alpha, beta, H, t_grid)
-    idx = H.layout.z_indices(env_labels)
-    for g, w in zip(got, want):
-        assert g.t == w.t
-        for gs, ws in ((g.branch_a, w.branch_a), (g.branch_b, w.branch_b)):
-            np.testing.assert_array_equal(gs.mean, ws.mean)
-            np.testing.assert_array_equal(gs.cov, ws.cov)
-            full = GaussianState(PhaseSpaceLayout(env_labels), ws.mean[idx],
-                                 ws.cov[np.ix_(idx, idx)])
-            np.testing.assert_array_equal(
-                gs.cov[np.ix_(idx, idx)], full.cov)
-    np.testing.assert_array_equal(decoherence_function(got, env_labels),
-                                  decoherence_function(want, env_labels))
+    for t_grid in (np.linspace(0.0, 3.0, 13),   # uniform
+                   [0.0, 0.7, 1.9],             # every step new
+                   [0.4, 0.9, 1.4, 2.6]):       # t0 != 0, then a new step
+        _assert_matches_reference(base, alpha, beta, H, t_grid)
+
+
+@pytest.mark.parametrize("frame", [0, 1], ids=["S+E", "CM+R"])
+def test_stepped_reference_chain_matches_per_time_reference(frame):
+    base, H, alpha, beta = _chain_frames(32, 10.0)[frame]
+    _assert_matches_reference(base, alpha, beta, H, np.linspace(0.0, 2.0, 201))
+
+
+def test_stepped_pass_takes_one_exponential_per_distinct_step(monkeypatch):
+    calls = []
+
+    def counting_expm(a):
+        calls.append(a)
+        return expm(a)
+
+    expm = oscidec.dynamics.expm
+    monkeypatch.setattr(oscidec.dynamics, "expm", counting_expm)
+    base, H, alpha, beta = _chain_frames(4, 1.0)[0]
+    grid = [2.0 * i / 200 for i in range(201)]   # the config grid's rounding
+    evolve_branches_from(base, alpha, beta, H, grid)
+    assert len(calls) == 2                       # M(t0) and one step
+    calls.clear()
+    evolve_branches_from(base, alpha, beta, H, [0.0, 0.7, 1.9, 3.1])
+    assert len(calls) == 3                       # M(t0), steps 0.7 and 1.2
+
+
+def test_branch_probes_are_the_pass_propagators():
+    base, H, alpha, beta = _chain_frames(4, 1.0)[1]
+    grid = np.linspace(0.0, 2.0, 21)
+    traj = evolve_branches_from(base, alpha, beta, H, grid, [grid[1], 2.0])
+    assert sorted(traj.propagators) == [grid[1], 2.0]
+    idx = H.layout.z_indices(traj.env.mode_labels)
+    for t, M in traj.propagators.items():
+        assert np.abs(M - propagator(H, t).M).max() < 1e-12
+        # the kept matrix is the one that produced the stored covariance
+        cov = M @ base.cov @ M.T
+        cov = 0.5 * (cov + cov.T)
+        assert np.array_equal(cov[np.ix_(idx, idx)],
+                              traj.env_cov[grid.tolist().index(t)])
+    with pytest.raises(DynamicsError, match="not grid times"):
+        evolve_branches_from(base, alpha, beta, H, grid, [0.05])
+
+
+def test_evolve_grid_matches_per_time_evolve():
+    H = build_two_mode(TwoModeParams(1.0, 1.0, 1.0, 0.25))
+    state = GaussianState(H.layout, np.array([0.4, 0.0, 0.1, 0.0]),
+                          vacuum_cov([1.0, 1.0], [1.0, 1.0]))
+    grid = [0.3, 0.8, 1.3, 1.8, 4.0, 4.5]
+    for t, got in zip(grid, evolve_grid(state, H, grid), strict=True):
+        want = evolve(state, H, t)
+        np.testing.assert_allclose(got.mean, want.mean, rtol=0,
+                                   atol=1e-12 * np.abs(want.mean).max())
+        np.testing.assert_allclose(got.cov, want.cov, rtol=0,
+                                   atol=1e-12 * np.abs(want.cov).max())
+    with pytest.raises(DynamicsError, match="layout"):
+        evolve_grid(GaussianState(layout("E"), np.zeros(2), np.eye(2) / 2),
+                    H, grid)
 
 
 def test_evolved_covariance_failing_uncertainty_raises_trust_error():
@@ -222,3 +316,38 @@ def test_evolved_covariance_failing_uncertainty_raises_trust_error():
     with pytest.raises(PhaseSpaceError) as bad:
         GaussianState(H.layout, np.zeros(4), 0.1 * np.eye(4))
     assert not isinstance(bad.value, TrustGateError)
+
+
+def test_stepped_pass_refuses_long_uniform_grid_of_free_model():
+    # the free open mode's growth breaks the uncertainty relation inside
+    # [0, 200]; stepping must not carry the pass past it
+    H = build_two_mode(TwoModeParams(1.0, 1.0, 1.0, 0.25))
+    state = GaussianState(H.layout, np.array([0.4, 0.0, 0.0, 0.0]),
+                          vacuum_cov([1.0, 1.0], [1.0, 1.0]))
+    grid = np.linspace(0.0, 200.0, 201)
+    with pytest.raises(DynamicsTrustError, match="uncertainty relation") as exc:
+        evolve_branches_from(state, CoherentAmplitude("S", 0.1),
+                             CoherentAmplitude("S", -0.1), H, grid)
+    assert exc.value.gate == "uncertainty relation"
+    with pytest.raises(DynamicsTrustError, match="uncertainty relation"):
+        list(evolve_grid(state, H, grid))
+
+
+def test_non_finite_evolved_covariance_fails_the_uncertainty_gate():
+    # an inverted oscillator grows like e^t: at t = 400, inside the time cap,
+    # M is finite but M sigma M^T overflows, and eigvalsh of it returns NaN
+    lay = layout("S")
+    H = QuadraticHamiltonian(lay, np.diag([-1.0, 1.0]))
+    state = GaussianState(lay, np.zeros(2), np.eye(2) / 2)
+    assert np.isfinite(propagator(H, 400.0).M).all()
+    with pytest.raises(DynamicsTrustError, match="min eig nan") as exc:
+        evolve(state, H, 400.0)
+    assert exc.value.gate == "uncertainty relation"
+    with pytest.raises(DynamicsTrustError, match="uncertainty relation"):
+        list(evolve_grid(state, H, [0.0, 400.0]))
+    # NaN entries can make eigvalsh raise instead of returning NaN
+    cov = np.eye(4) / 2
+    cov[0, 1] = cov[1, 0] = np.nan
+    with pytest.raises(DynamicsTrustError, match="min eig nan"):
+        oscidec.dynamics._evolved_cov(np.eye(4), cov, 1.0,
+                                      0.5j * symplectic_form(2))

@@ -8,7 +8,6 @@ from oscidec import (BathParams, CoherentAmplitude, GaussianState, MetricsError,
                      decoherence_time, discretize_ohmic_bath, evolve_branches,
                      fit_lambda, layout, model_fingerprint, parallel_compare,
                      pointer_robustness, thermal_state, vacuum_cov)
-from oscidec.dynamics import BranchPair
 from oscidec.metrics import _ratio_summary, saturation_flags
 
 
@@ -34,6 +33,12 @@ def test_gamma_nonpositive_and_zero_at_t0():
     assert gamma.min() < -1e-3
 
 
+def test_gamma_needs_the_whole_environment():
+    branches, _ = _two_mode_branches(0.3, 1.0, [0.0, 0.5])
+    with pytest.raises(MetricsError, match="whole environment"):
+        decoherence_function(branches, ["S"])
+
+
 def test_gamma_scales_exactly_with_squared_separation():
     t_grid = np.linspace(0.0, 2.0, 9)
     b1, _ = _two_mode_branches(0.3, 0.4, t_grid)
@@ -41,20 +46,6 @@ def test_gamma_scales_exactly_with_squared_separation():
     g1 = decoherence_function(b1, ["E"])
     g2 = decoherence_function(b2, ["E"])
     assert np.array_equal(g2, 4.0 * g1)
-
-
-def test_gamma_general_covariance_path():
-    lay = layout("S", "E")
-    cov_a = vacuum_cov([1.0, 1.0], [1.0, 1.0])
-    cov_b = vacuum_cov([1.0, 1.0], [1.0, 2.0])
-    a = GaussianState(lay, np.array([0.2, 0.5, 0.0, 0.0]), cov_a)
-    b = GaussianState(lay, np.array([-0.2, -0.1, 0.0, 0.0]), cov_b)
-    amp = CoherentAmplitude("S", 0.2)
-    bp = BranchPair(0.0, a, b, amp, amp)
-    from oscidec import log_gaussian_overlap, reduce_state
-    want = log_gaussian_overlap(reduce_state(a, ["E"]), reduce_state(b, ["E"]))
-    got = decoherence_function([bp], ["E"])[0]
-    assert got == pytest.approx(want, rel=1e-14)
 
 
 def test_amplitude_distance_sq():
