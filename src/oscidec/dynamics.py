@@ -46,20 +46,54 @@ def _certify_time(t: float, h_norm: float) -> None:
             f"t*||h|| = {reach:.3e} exceeds the certified cap {_T_NORM_CAP:.0e}")
 
 
+def _uncertainty_deficit(cov0: FloatArray, half_iJ: np.ndarray) -> float:
+    """eps0 = max(0, -lambda_min(sigma0 + iJ/2)): how far the initial state
+    falls short of the uncertainty relation, taken once per pass."""
+    return max(0.0, -float(np.linalg.eigvalsh(cov0 + half_iJ).min()))
+
+
+def _uncertainty_floor(M: FloatArray, cov: FloatArray, eps0: float) -> float:
+    """A lower bound on lambda_min(sigma + iJ/2) for cov = M sigma0 M^T,
+    without an eigendecomposition.
+
+    sigma + iJ/2 = M (sigma0 + iJ/2) M^T + (i/2)(J - M J M^T).  The congruence
+    keeps the first term >= -eps0 ||M||_2^2, and by Weyl's inequality the
+    second shifts no eigenvalue by more than its spectral norm, at most
+    1/2 ||M J M^T - J||_F.  Those two terms hold for the exact product; the
+    last, 2n u ||sigma||_F with u the machine epsilon, pads for the rounding
+    of the stored cov and of eigvalsh, the check the bound stands in for.
+    Without it the bound clears a covariance of the free two-mode model that
+    eigvalsh refuses (-8.1e-11 against -1.9e-10 at t = 31.3, vacuum state).
+    """
+    n = M.shape[0] // 2
+    defect = np.hstack([-M[:, n:], M[:, :n]]) @ M.T    # M J M^T; MJ swaps columns
+    k = np.arange(n)
+    defect[k, k + n] -= 1.0
+    defect[k + n, k] += 1.0
+    return -(eps0 * float(np.vdot(M, M)) + 0.5 * np.linalg.norm(defect)
+             + 2 * n * np.finfo(float).eps * np.linalg.norm(cov))
+
+
 def _evolved_cov(M: FloatArray, cov0: FloatArray, t: float,
-                 half_iJ: np.ndarray) -> FloatArray:
+                 half_iJ: np.ndarray, eps0: float | None = None) -> FloatArray:
     """M sigma0 M^T, after the one check an evolved covariance gets:
     sigma + iJ/2 >= 0, with half_iJ = iJ/2.
 
-    A failure is a loss of numerical trust in the propagation, not bad input.
-    A covariance that overflowed fails too: eigvalsh of a non-finite matrix
-    may return NaN, finite garbage or raise.
+    The covariance passes at once when `_uncertainty_floor` clears the
+    tolerance, given eps0 = `_uncertainty_deficit(cov0, half_iJ)`; otherwise,
+    or with no eps0, eigvalsh decides.  A failure is a loss of numerical
+    trust in the propagation, not bad input.  A covariance that overflowed
+    fails too: eigvalsh of a non-finite matrix may return NaN, finite
+    garbage or raise.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         cov = M @ cov0 @ M.T
     cov = 0.5 * (cov + cov.T)
     min_eig = np.nan
     if np.isfinite(cov).all():
+        if (eps0 is not None
+                and _uncertainty_floor(M, cov, eps0) >= -_UNCERTAINTY_TOL):
+            return cov
         min_eig = float(np.linalg.eigvalsh(cov + half_iJ).min())
     if not min_eig >= -_UNCERTAINTY_TOL:
         raise DynamicsTrustError(
@@ -100,7 +134,8 @@ def _stepped_trajectory(H: QuadraticHamiltonian, cov0: FloatArray,
     M(t_0) = exp(t_0 A) and M(t_k) = E(t_k - t_{k-1}) M(t_{k-1}) with A = J h,
     so a grid costs one matrix exponential per distinct step: one in all on
     a uniform grid.  Each time passes the certified-time cap before its
-    propagator is formed and the uncertainty relation after.
+    propagator is formed and the uncertainty relation after, through the
+    symplectic-defect bound of `_uncertainty_floor` wherever it clears.
     """
     ts = np.asarray(t_grid, dtype=float)
     if not np.isfinite(ts).all():
@@ -109,6 +144,7 @@ def _stepped_trajectory(H: QuadraticHamiltonian, cov0: FloatArray,
     h_norm = np.linalg.norm(H.h, 2)
     A = symplectic_form(H.n_modes) @ H.h
     half_iJ = 0.5j * symplectic_form(H.n_modes)
+    eps0 = _uncertainty_deficit(cov0, half_iJ)
     same_step = _SAME_STEP_ULPS * np.spacing(max(map(abs, ts), default=0.0))
     M = E = step = t_prev = None
     for t in ts:
@@ -121,7 +157,7 @@ def _stepped_trajectory(H: QuadraticHamiltonian, cov0: FloatArray,
                 step, E = dt, expm(dt * A)
             M = E @ M
         t_prev = t
-        yield t, M, _evolved_cov(M, cov0, t, half_iJ)
+        yield t, M, _evolved_cov(M, cov0, t, half_iJ, eps0)
 
 
 def symplectic_residual(M: FloatArray) -> float:

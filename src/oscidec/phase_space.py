@@ -134,6 +134,10 @@ class GaussianState:
         d = self.layout.dim
         if mean.shape != (d,) or cov.shape != (d, d):
             raise PhaseSpaceError("mean/covariance shape does not match layout")
+        # before eigvalsh, which may raise LinAlgError or return finite
+        # eigenvalues on NaN input
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise PhaseSpaceError("mean and covariance must be finite")
         if np.abs(cov - cov.T).max() > 1e-10 * max(np.abs(cov).max(), 1.0):
             raise PhaseSpaceError("covariance must be symmetric")
         cov = 0.5 * (cov + cov.T)

@@ -11,7 +11,7 @@ from oscidec import (BathParams, CoherentAmplitude, DynamicsError,
                      decoherence_function, discretize_ohmic_bath, energy,
                      evolve, evolve_branches, evolve_branches_from,
                      evolve_grid, layout, normal_mode_transform,
-                     product_state, propagator, symplectic_form,
+                     parallel_compare, product_state, propagator, symplectic_form,
                      symplectic_residual, thermal_state,
                      transform_hamiltonian, transform_state, vacuum_cov)
 
@@ -351,3 +351,151 @@ def test_non_finite_evolved_covariance_fails_the_uncertainty_gate():
     with pytest.raises(DynamicsTrustError, match="min eig nan"):
         oscidec.dynamics._evolved_cov(np.eye(4), cov, 1.0,
                                       0.5j * symplectic_form(2))
+
+
+def _eigvalsh_gate(M, cov0, t, half_iJ, eps0=None):
+    """The uncertainty gate without the symplectic-defect bound: one eigvalsh
+    of sigma + iJ/2 per time, refusing a minimum below -1e-10.  The
+    reference the bounded gate must agree with."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = M @ cov0 @ M.T
+    cov = 0.5 * (cov + cov.T)
+    min_eig = np.nan
+    if np.isfinite(cov).all():
+        min_eig = float(np.linalg.eigvalsh(cov + half_iJ).min())
+    if not min_eig >= -1e-10:
+        raise DynamicsTrustError("uncertainty relation",
+                                 f"min eig {min_eig:.3e}")
+    return cov
+
+
+def _count_eigvalsh(patcher):
+    """Patch np.linalg.eigvalsh through `patcher` (a monkeypatch) to record
+    the shape of each call; returns the record."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    patcher.setattr(np.linalg, "eigvalsh",
+                    lambda a: calls.append(a.shape) or eigvalsh(a))
+    return calls
+
+
+def _gated_pass(H, cov0, grid):
+    """(covariances the stepped pass accepts, in grid order; the gate that
+    refused the next time, or None)."""
+    covs = []
+    try:
+        for _, _, cov in oscidec.dynamics._stepped_trajectory(H, cov0, grid):
+            covs.append(cov)
+    except DynamicsTrustError as exc:
+        return covs, exc.gate
+    return covs, None
+
+
+def _assert_gate_matches_eigvalsh(monkeypatch, H, cov0, grid):
+    """Run the pass with the bounded gate and with the eigvalsh reference on
+    the same M stack: both must accept the same covariances, bit for bit,
+    and refuse at the same first time with the same gate.  Returns (times
+    accepted, refusing gate, eigvalsh calls made by the bounded pass)."""
+    with monkeypatch.context() as m:
+        calls = _count_eigvalsh(m)
+        got, got_gate = _gated_pass(H, cov0, grid)
+    with monkeypatch.context() as m:
+        m.setattr(oscidec.dynamics, "_evolved_cov", _eigvalsh_gate)
+        want, want_gate = _gated_pass(H, cov0, grid)
+    assert (len(got), got_gate) == (len(want), want_gate)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    return len(got), got_gate, len(calls)
+
+
+def _floor_and_min_eig(monkeypatch, H, cov0, grid):
+    """The bound and the eigvalsh minimum at every time of the stepped pass,
+    with no gate stopping it."""
+    half_iJ = 0.5j * symplectic_form(H.n_modes)
+    eps0 = oscidec.dynamics._uncertainty_deficit(cov0, half_iJ)
+    out = []
+
+    def recording_gate(M, cov0, t, half_iJ, _eps0=None):
+        cov = M @ cov0 @ M.T
+        cov = 0.5 * (cov + cov.T)
+        out.append((oscidec.dynamics._uncertainty_floor(M, cov, eps0),
+                    np.linalg.eigvalsh(cov + half_iJ).min()))
+        return cov
+
+    with monkeypatch.context() as m:
+        m.setattr(oscidec.dynamics, "_evolved_cov", recording_gate)
+        for _ in oscidec.dynamics._stepped_trajectory(H, cov0, grid):
+            pass
+    return np.array(out).T
+
+
+@pytest.mark.parametrize("temperature", [0.0, 1.0], ids=["vacuum", "thermal"])
+def test_uncertainty_bound_refuses_where_eigvalsh_refuses_on_two_mode_model(
+        monkeypatch, temperature):
+    # configs/two_mode_oracle.cfg physics: h is indefinite, so the evolved
+    # covariance grows until rounding breaks the uncertainty relation inside
+    # [0, 45] (near t = 28 from vacuum, t = 36 from the thermal state)
+    H = build_two_mode(TwoModeParams(1.0, 1.0, 1.0, 0.25))
+    state = thermal_state(H.layout, [1.0, 1.0], [1.0, 1.0], temperature)
+    grid = np.linspace(0.0, 45.0, 901)
+    accepted, gate, calls = _assert_gate_matches_eigvalsh(
+        monkeypatch, H, state.cov, grid)
+    assert gate == "uncertainty relation" and accepted < len(grid)
+    # the bound decides some times and eigvalsh the rest
+    assert 1 < calls < accepted
+    # past the first refusal too, the bound clears no time eigvalsh refuses
+    floor, min_eig = _floor_and_min_eig(monkeypatch, H, state.cov, grid)
+    assert np.any(min_eig < -1e-10)
+    assert not np.any((floor >= -1e-10) & (min_eig < -1e-10))
+
+
+@pytest.mark.parametrize("frame", [0, 1], ids=["S+E", "CM+R"])
+def test_uncertainty_bound_refuses_where_eigvalsh_refuses_on_chain(
+        monkeypatch, frame):
+    # the grid runs just past the certified-time cap (t = 39.9 in S+E, 3.84
+    # in CM+R), so both gates must refuse there, at the cap
+    base, H, _, _ = _chain_frames(32, 10.0)[frame]
+    t_cap = oscidec.dynamics._T_NORM_CAP / np.linalg.norm(H.h, 2)
+    grid = np.linspace(0.0, 1.01 * t_cap, 400)
+    accepted, gate, calls = _assert_gate_matches_eigvalsh(
+        monkeypatch, H, base.cov, grid)
+    assert gate == "certified-time cap" and accepted == np.sum(grid <= t_cap)
+    assert calls < accepted
+
+
+def test_compare_makes_no_per_time_eigvalsh_call(monkeypatch):
+    calls = _count_eigvalsh(monkeypatch)
+    counts = []
+    for n_times in (21, 201):
+        calls.clear()
+        parallel_compare(SystemPotential("harmonic", 1.0, 1.0),
+                         discretize_ohmic_bath(32, 5.0, 0.1),
+                         (CoherentAmplitude("S", 3.0), CoherentAmplitude("S", -3.0)),
+                         (CoherentAmplitude("CM", 0.25),
+                          CoherentAmplitude("CM", -0.25)),
+                         10.0, np.linspace(0.0, 2.0, n_times))
+        counts.append(len(calls))
+    # the reference chain's 201-point pipeline costs what a 21-point one does
+    assert counts[0] == counts[1] < 21
+
+
+def test_uncertainty_bound_reads_the_defect_and_the_initial_deficit(
+        monkeypatch):
+    M = propagator(build_two_mode(TwoModeParams(1.0, 1.0, 1.0, 0.25)), 3.0).M
+    calls = _count_eigvalsh(monkeypatch)
+    half_iJ = 0.5j * symplectic_form(2)
+    gate = oscidec.dynamics._evolved_cov
+    vac = np.eye(4) / 2
+    # a symplectic M and a valid state: the bound decides, eigvalsh never runs
+    gate(M, vac, 3.0, half_iJ, 0.0)
+    assert calls == []
+    # M J M^T = 0.81 J: sigma = 0.405 I, min eig -0.095, seen only through
+    # the symplectic defect
+    with pytest.raises(DynamicsTrustError, match="uncertainty relation"):
+        gate(0.9 * np.eye(4), vac, 1.0, half_iJ, 0.0)
+    # an exact symplectic M carries an initial deficit of 1e-6 forward
+    bad = vac - 1e-6 * np.eye(4)
+    eps0 = oscidec.dynamics._uncertainty_deficit(bad, half_iJ)
+    assert eps0 == pytest.approx(1e-6)
+    with pytest.raises(DynamicsTrustError, match="uncertainty relation"):
+        gate(np.eye(4), bad, 1.0, half_iJ, eps0)

@@ -54,6 +54,22 @@ def test_state_rejects_uncertainty_violation():
         GaussianState(lay, np.zeros(2), 0.1 * np.eye(2))  # below vacuum
 
 
+@pytest.mark.parametrize("where", ["mean", "off-diagonal", "diagonal"])
+def test_state_rejects_non_finite_input(where):
+    # without the check a NaN mean passes, and a NaN covariance entry makes
+    # eigvalsh raise LinAlgError or return finite eigenvalues
+    lay = layout("S", "E")
+    mean, cov = np.zeros(4), np.eye(4) / 2
+    if where == "mean":
+        mean[0] = np.nan
+    elif where == "off-diagonal":
+        cov[0, 1] = cov[1, 0] = np.nan
+    else:
+        cov[2, 2] = np.nan
+    with pytest.raises(PhaseSpaceError, match="finite"):
+        GaussianState(lay, mean, cov)
+
+
 def test_vacuum_is_pure_and_thermal_is_mixed():
     lay = layout("S", "E")
     vac = GaussianState(lay, np.zeros(4), vacuum_cov([1.0, 2.0], [1.0, 0.5]))
