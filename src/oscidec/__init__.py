@@ -36,7 +36,7 @@ from .fock import (CrosscheckReport, CrosscheckRow, FockSpace, OracleError,
                    gaussian_crosscheck, leakage, pt_log_negativity_pure,
                    schmidt_log_negativity_pure)
 from .master import (MasterEqError, MasterEqScenario, MasterEqTrustError,
-                     MasterEvolution, backend_name, coherence_profile, evolve_master,
+                     MasterEvolution, coherence_profile, evolve_master,
                      position_kernel)
 from .config import ConfigError, ScenarioConfig, manifest_text, parse_config
 
@@ -80,7 +80,7 @@ __all__ = [
     # master equation
     "MasterEqError", "MasterEqTrustError", "MasterEqScenario",
     "MasterEvolution", "evolve_master",
-    "position_kernel", "coherence_profile", "backend_name",
+    "position_kernel", "coherence_profile",
     # config
     "ConfigError", "ScenarioConfig", "parse_config", "manifest_text",
 ]

@@ -10,8 +10,8 @@ A trust failure names its gate on stderr: oracle leakage (dense-solver
 leakage above gate at every grid time), confinement positivity (the chain's
 potential is not confining and the override is off), certified-time cap
 (t*||h|| beyond the certified propagation range), uncertainty relation (an
-evolved covariance violates it) or master trace drift (no step size kept
-the trace).
+evolved covariance violates it) or master trace drift (an evolved density
+matrix is not finite or its trace left 1).
 """
 from __future__ import annotations
 
@@ -28,8 +28,7 @@ from .decomposition import (cm_relative_transform, many_mode_constants,
                             two_mode_constants, verify_constants)
 from .dynamics import energy, evolve_branches, evolve_grid
 from .fock import gaussian_crosscheck
-from .master import (MasterEqScenario, backend_name, coherence_profile,
-                     evolve_master)
+from .master import MasterEqScenario, coherence_profile, evolve_master
 from .metrics import build_report, parallel_compare
 from .phase_space import (CoherentAmplitude, PhaseSpaceLayout, TrustGateError,
                           coherent_state, purity, thermal_state)
@@ -201,8 +200,8 @@ def _cmd_oracle(cfg: ScenarioConfig, out: Path, digest: str) -> int:
 
 def _cmd_master(cfg: ScenarioConfig, out: Path, digest: str) -> int:
     scen = MasterEqScenario(cfg["master.variant"], cfg["master.lam"],
-                            cfg["master.dim"], cfg["master.dt"],
-                            cfg["model.m_s"], cfg["model.omega_s"])
+                            cfg["master.dim"], cfg["model.m_s"],
+                            cfg["model.omega_s"])
     t_grid = cfg.master_t_grid()
     x0 = cfg["master.x0"]
     from .fock import coherent_vector
@@ -219,8 +218,6 @@ def _cmd_master(cfg: ScenarioConfig, out: Path, digest: str) -> int:
                             scen.basis_freq)
     rows = [[float(t), float(v)] for t, v in zip(t_grid, vis)]
     write_csv(out / "visibility.csv", ["t", "visibility"], rows, digest)
-    print(f"backend={backend_name()} dt_used={result.dt_used!r} "
-          f"halvings={result.halvings}")
     print(f"trace drift={result.max_trace_drift:.3e} "
           f"min eig={result.min_eigenvalue:.3e} "
           f"positivity_ok={result.positivity_ok}")

@@ -82,7 +82,6 @@ _SCHEMA: dict[str, tuple[Any, Any]] = {
     "master.variant": (str, "harmonic"),
     "master.lam": (float, 0.25),
     "master.dim": (int, 40),
-    "master.dt": (float, 0.001),
     "master.t_max": (float, 0.5),
     "master.t_steps": (int, 11),
     "master.x0": (float, 1.5),
@@ -227,8 +226,8 @@ def _semantic_errors(values: dict[str, Any]) -> list[str]:
     try:
         from .master import MasterEqScenario
         MasterEqScenario(values["master.variant"], values["master.lam"],
-                         values["master.dim"], values["master.dt"],
-                         values["model.m_s"], values["model.omega_s"])
+                         values["master.dim"], values["model.m_s"],
+                         values["model.omega_s"])
     except Exception as exc:
         errors.append(f"master: {exc}")
     return errors

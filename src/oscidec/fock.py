@@ -8,13 +8,13 @@ partial-transpose entanglement check.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.typing import NDArray
-from scipy.special import gammaln
 
 from .models import BathParams, SystemPotential, TwoModeParams
 from .phase_space import FloatArray
@@ -143,7 +143,8 @@ def coherent_vector(d: int, mass: float, freq: float, x0: float,
         v = np.zeros(d, complex)
         v[0] = 1.0
         return v
-    v = np.exp(-0.5 * abs(alpha) ** 2) * alpha ** nn / np.sqrt(np.exp(gammaln(nn + 1)))
+    log_sqrt_fact = np.array([0.5 * math.lgamma(n + 1.0) for n in range(d)])
+    v = alpha ** nn * np.exp(-0.5 * abs(alpha) ** 2 - log_sqrt_fact)
     return v / np.linalg.norm(v)
 
 

@@ -259,7 +259,7 @@ def test_c09_dephasing_law():
     psi /= np.linalg.norm(psi)
     rho0 = np.outer(psi, psi.conj())
     horizon = 2.0 / (lam * (2 * x0) ** 2)
-    res = evolve_master(rho0, MasterEqScenario("none", lam, d, horizon / 200),
+    res = evolve_master(rho0, MasterEqScenario("none", lam, d),
                         [0.0, horizon])
     grid = np.linspace(-3.2, 3.2, 33)
     R0 = position_kernel(res.states[0], grid, 1.0, 1.0)
@@ -278,7 +278,7 @@ def test_c09_dephasing_law():
     rate_target = 4 * lamb * x0b ** 2
     t1 = 0.05 / rate_target
     resb = evolve_master(np.outer(psib, psib.conj()),
-                         MasterEqScenario("harmonic", lamb, d, t1 / 20),
+                         MasterEqScenario("harmonic", lamb, d),
                          [0.0, t1])
     vis = coherence_profile(resb, np.linspace(-4.0, 4.0, 81),
                             (x0b - 0.8, x0b + 0.8), (-x0b - 0.8, -x0b + 0.8),
@@ -311,7 +311,7 @@ def test_c10_conservation_suite():
             stt = evolve(st, H, t)
             worst_p = max(worst_p, abs(log_purity(stt) - lp0))
             worst_e = max(worst_e, abs(energy(stt, H) - e0) / max(1.0, abs(e0)))
-    scn = MasterEqScenario("harmonic", 0.5, 40, 1e-3)
+    scn = MasterEqScenario("harmonic", 0.5, 40)
     v = coherent_vector(40, 1.0, 1.0, 2.0)
     res = evolve_master(np.outer(v, v.conj()), scn, [0.0, 0.1])
     ok = worst_p < 1e-8 and worst_e < 1e-8 and res.max_trace_drift < 1e-8

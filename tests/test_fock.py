@@ -74,6 +74,19 @@ def test_coherent_vector_moments():
     assert ground == pytest.approx(np.eye(6)[0])
 
 
+def test_coherent_vector_matches_recursion():
+    # c_n = c_{n-1} alpha / sqrt(n), normalised; d = 200 passes 170!, where
+    # a factorial computed in floating point overflows
+    for d, m, w, x0, p0 in ((40, 1.0, 1.0, 1.5, 0.0), (64, 1.3, 0.7, -2.0, 0.4),
+                            (200, 1.0, 1.0, 4.0, 2.0)):
+        alpha = np.sqrt(m * w / 2) * x0 + 1j * p0 / np.sqrt(2 * m * w)
+        want = np.ones(d, complex)
+        for n in range(1, d):
+            want[n] = want[n - 1] * alpha / np.sqrt(n)
+        want /= np.linalg.norm(want)
+        assert np.abs(coherent_vector(d, m, w, x0, p0) - want).max() < 1e-14
+
+
 def _moments_reference(state, ops):
     """Literal <z> and <{z_i, z_j}>/2 - <z_i><z_j> from operator products."""
     zops = list(ops.x) + list(ops.p)
