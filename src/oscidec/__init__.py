@@ -8,14 +8,13 @@ is cross-checked against a dense truncated number-basis solver.
 """
 from .phase_space import (CoherentAmplitude, GaussianState, PhaseSpaceError,
                           PhaseSpaceLayout, QuadraticHamiltonian,
-                          TrustGateError, coherent_state, gaussian_overlap,
-                          layout, log_gaussian_overlap, log_negativity,
-                          log_purity, product_state, purity, reduce_state,
-                          symplectic_form, thermal_occupation, thermal_state,
-                          vacuum_cov)
+                          TrustGateError, coherent_state, layout,
+                          log_negativity, log_purity, product_state, purity,
+                          reduce_state, symplectic_form, thermal_occupation,
+                          thermal_state, vacuum_cov)
 from .models import (BathParams, ModelError, SystemPotential, TwoModeParams,
                      build_caldeira_leggett, build_two_mode,
-                     coupling_spectrum, discretize_ohmic_bath)
+                     discretize_ohmic_bath)
 from .decomposition import (LinearCoordinateTransform, ManyModeConstants,
                             TransformError, TwoModeConstants,
                             cm_relative_transform, many_mode_constants,
@@ -29,12 +28,10 @@ from .dynamics import (BranchTrajectory, DynamicsError, DynamicsTrustError,
 from .metrics import (DecoherenceReport, MetricsError, ParallelComparison,
                       PositivityGateError, amplitude_distance_sq, build_report,
                       decoherence_function, decoherence_time, fit_lambda,
-                      model_fingerprint, parallel_compare,
-                      pointer_robustness)
+                      model_fingerprint, parallel_compare)
 from .fock import (CrosscheckReport, CrosscheckRow, FockSpace, OracleError,
-                   cm_relative_log_negativity, evolve_exact,
-                   gaussian_crosscheck, leakage, pt_log_negativity_pure,
-                   schmidt_log_negativity_pure)
+                   cm_relative_log_negativity, gaussian_crosscheck, leakage,
+                   pt_log_negativity_pure)
 from .master import (MasterEqError, MasterEqScenario, MasterEqTrustError,
                      MasterEvolution, coherence_profile, evolve_master,
                      position_kernel)
@@ -51,11 +48,9 @@ __all__ = [
     "vacuum_cov", "coherent_state", "thermal_occupation", "thermal_state",
     "purity", "log_purity", "reduce_state", "product_state",
     "log_negativity",
-    "log_gaussian_overlap", "gaussian_overlap",
     # models
     "ModelError", "TwoModeParams", "BathParams", "SystemPotential",
     "build_two_mode", "build_caldeira_leggett", "discretize_ohmic_bath",
-    "coupling_spectrum",
     # decomposition
     "TransformError", "LinearCoordinateTransform", "TwoModeConstants",
     "ManyModeConstants", "cm_relative_transform", "transform_hamiltonian",
@@ -71,12 +66,10 @@ __all__ = [
     "ParallelComparison",
     "model_fingerprint", "decoherence_function", "amplitude_distance_sq",
     "fit_lambda", "decoherence_time", "build_report", "parallel_compare",
-    "pointer_robustness",
     # oracle
     "OracleError", "FockSpace", "CrosscheckRow", "CrosscheckReport",
-    "evolve_exact", "leakage", "gaussian_crosscheck",
+    "leakage", "gaussian_crosscheck",
     "cm_relative_log_negativity", "pt_log_negativity_pure",
-    "schmidt_log_negativity_pure",
     # master equation
     "MasterEqError", "MasterEqTrustError", "MasterEqScenario",
     "MasterEvolution", "evolve_master",

@@ -27,7 +27,7 @@ from .decomposition import (cm_relative_transform, many_mode_constants,
                             normal_mode_transform, transform_hamiltonian,
                             two_mode_constants, verify_constants)
 from .dynamics import energy, evolve_branches, evolve_grid
-from .fock import gaussian_crosscheck
+from .fock import coherent_vector, gaussian_crosscheck
 from .master import MasterEqScenario, coherence_profile, evolve_master
 from .metrics import build_report, parallel_compare
 from .phase_space import (CoherentAmplitude, PhaseSpaceLayout, TrustGateError,
@@ -128,8 +128,7 @@ def _cmd_evolve(cfg: ScenarioConfig, out: Path, digest: str) -> int:
     return 0
 
 
-def _cmd_decohere(cfg: ScenarioConfig, out: Path, digest: str,
-                  with_oracle: bool) -> int:
+def _cmd_decohere(cfg: ScenarioConfig, out: Path, digest: str) -> int:
     ham = cfg.hamiltonian()
     masses, freqs = _scales(cfg)
     alpha, beta = _amplitudes(cfg, "S")
@@ -143,11 +142,6 @@ def _cmd_decohere(cfg: ScenarioConfig, out: Path, digest: str,
     write_decoherence(out / "decoherence.csv", [report], digest)
     print(f"tau={report.tau_dec!r} lambda(t_end)={float(report.lambda_fit[-1])!r}")
     print(f"wrote {out / 'decoherence.csv'}")
-    if with_oracle:
-        if cfg["model.kind"] != "two_mode":
-            print("--oracle needs model.kind = two_mode", file=sys.stderr)
-            return 1
-        return _cmd_oracle(cfg, out, digest)
     return 0
 
 
@@ -204,7 +198,6 @@ def _cmd_master(cfg: ScenarioConfig, out: Path, digest: str) -> int:
                             cfg["model.omega_s"])
     t_grid = cfg.master_t_grid()
     x0 = cfg["master.x0"]
-    from .fock import coherent_vector
     a = coherent_vector(scen.dim, scen.mass, scen.basis_freq, x0)
     b = coherent_vector(scen.dim, scen.mass, scen.basis_freq, -x0)
     psi = a + b
@@ -225,6 +218,25 @@ def _cmd_master(cfg: ScenarioConfig, out: Path, digest: str) -> int:
     return 0
 
 
+# subcommand -> (handler, help); every handler takes (cfg, out_dir, digest)
+_COMMANDS = {
+    "build": (_cmd_build,
+              "assemble the model and dump its Hamiltonian matrix"),
+    "transform": (_cmd_transform,
+                  "emit CM/relative and normal-mode transforms"),
+    "evolve": (_cmd_evolve,
+               "propagate first/second moments on the time grid"),
+    "decohere": (_cmd_decohere,
+                 "branch overlap decay in the original coordinates"),
+    "compare": (_cmd_compare,
+                "run both decompositions and compare timescales"),
+    "oracle": (_cmd_oracle,
+               "cross-check against the dense number-basis solver"),
+    "master-eq": (_cmd_master,
+                  "evolve the position-coupling master equation"),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="oscidec",
@@ -233,20 +245,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-            ("build", "assemble the model and dump its Hamiltonian matrix"),
-            ("transform", "emit CM/relative and normal-mode transforms"),
-            ("evolve", "propagate first/second moments on the time grid"),
-            ("decohere", "branch overlap decay in the original coordinates"),
-            ("compare", "run both decompositions and compare timescales"),
-            ("oracle", "cross-check against the dense number-basis solver"),
-            ("master-eq", "evolve the position-coupling master equation")]:
+    for name, (_, help_text) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="scenario file")
         sp.add_argument("--out", default="out", help="output directory")
-        if name == "decohere":
-            sp.add_argument("--oracle", action="store_true",
-                            help="also write the dense cross-check report")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -264,28 +266,13 @@ def main(argv: list[str] | None = None) -> int:
             print(f"config error: {err}", file=sys.stderr)
         return 1
     try:
-        if args.command == "build":
-            return _cmd_build(cfg, out_dir, digest)
-        if args.command == "transform":
-            return _cmd_transform(cfg, out_dir, digest)
-        if args.command == "evolve":
-            return _cmd_evolve(cfg, out_dir, digest)
-        if args.command == "decohere":
-            return _cmd_decohere(cfg, out_dir, digest,
-                                 getattr(args, "oracle", False))
-        if args.command == "compare":
-            return _cmd_compare(cfg, out_dir, digest)
-        if args.command == "oracle":
-            return _cmd_oracle(cfg, out_dir, digest)
-        if args.command == "master-eq":
-            return _cmd_master(cfg, out_dir, digest)
+        return _COMMANDS[args.command][0](cfg, out_dir, digest)
     except TrustGateError as exc:
         print(f"trust gate {exc.gate!r}: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 1
 
 
 if __name__ == "__main__":

@@ -45,6 +45,11 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
+def _uniform_grid(tmax: float, n: int) -> list[float]:
+    """n equally spaced times on [0, tmax]; [0.0] for n = 1."""
+    return [tmax * i / (n - 1) for i in range(n)] if n > 1 else [0.0]
+
+
 # key -> (parser, default); None default means required-if-relevant is
 # checked separately, "" means no default (key optional)
 _SCHEMA: dict[str, tuple[Any, Any]] = {
@@ -123,14 +128,10 @@ class ScenarioConfig:
         return out
 
     def t_grid(self) -> list[float]:
-        n = self["run.t_steps"]
-        tmax = self["run.t_max"]
-        return [tmax * i / (n - 1) for i in range(n)] if n > 1 else [0.0]
+        return _uniform_grid(self["run.t_max"], self["run.t_steps"])
 
     def master_t_grid(self) -> list[float]:
-        n = self["master.t_steps"]
-        tmax = self["master.t_max"]
-        return [tmax * i / (n - 1) for i in range(n)] if n > 1 else [0.0]
+        return _uniform_grid(self["master.t_max"], self["master.t_steps"])
 
     def bath(self) -> BathParams:
         sign = self["model.coupling_sign"]

@@ -11,13 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .models import (BathParams, SystemPotential, TwoModeParams,
                      build_caldeira_leggett)
-from .phase_space import (FloatArray, GaussianState, PhaseSpaceError,
-                          PhaseSpaceLayout, QuadraticHamiltonian,
-                          symplectic_form)
+from .phase_space import (FloatArray, GaussianState, PhaseSpaceLayout,
+                          QuadraticHamiltonian, symplectic_form)
 
 
 class TransformError(ValueError):
@@ -56,10 +54,6 @@ class LinearCoordinateTransform:
         S[:n, :n] = self.A
         S[n:, n:] = np.linalg.inv(self.A).T
         return S
-
-    def inverse(self) -> "LinearCoordinateTransform":
-        return LinearCoordinateTransform(self.target, self.source,
-                                         np.linalg.inv(self.A))
 
 
 def cm_relative_transform(masses, labels: tuple[str, ...] | None = None,

@@ -1,4 +1,4 @@
-"""Brute-force truncated-Fock-space oracle for up to three modes.
+"""Brute-force truncated-Fock-space oracle for pure states of up to 3 modes.
 
 Everything here is built independently of the Gaussian engine: ladder-operator
 matrices, dense eigendecomposition evolution, reduced density matrices,
@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.typing import NDArray
 
-from .models import BathParams, SystemPotential, TwoModeParams
+from .models import TwoModeParams
 from .phase_space import FloatArray
 
 ComplexArray = NDArray[np.complex128]
@@ -76,13 +76,20 @@ class FockOperators:
     p: tuple[ComplexArray, ...]
 
 
+def _quadratures(d: int, mass: float,
+                 freq: float) -> tuple[FloatArray, ComplexArray]:
+    """One mode's x = (a + a^dag)/sqrt(2 m w), p = i sqrt(m w/2)(a^dag - a)."""
+    a = _ladder(d)
+    x = (a + a.T) / np.sqrt(2 * mass * freq)
+    p = 1j * np.sqrt(mass * freq / 2) * (a.T - a)
+    return x, p
+
+
 def build_operators(space: FockSpace) -> FockOperators:
-    """x_k = (a + a^dag)/sqrt(2 m_k w_k), p_k = i sqrt(m_k w_k/2)(a^dag - a)."""
+    """Every mode's quadratures embedded in the full space."""
     xs, ps = [], []
     for k, (d, m, w) in enumerate(zip(space.dims, space.masses, space.freqs)):
-        a = _ladder(d)
-        x1 = (a + a.T) / np.sqrt(2 * m * w)
-        p1 = 1j * np.sqrt(m * w / 2) * (a.T - a)
+        x1, p1 = _quadratures(d, m, w)
         xs.append(_embed(x1, k, space.dims).astype(complex))
         ps.append(_embed(p1, k, space.dims).astype(complex))
     return FockOperators(space, tuple(xs), tuple(ps))
@@ -94,43 +101,6 @@ def two_mode_hamiltonian(ops: FockOperators, p: TwoModeParams) -> ComplexArray:
     pS, pE = ops.p
     H = (pS @ pS / (2 * p.m_s) + pE @ pE / (2 * p.m_e)
          + p.m_e * p.omega ** 2 / 2 * (xE @ xE) - p.coupling * (xS @ xE))
-    return 0.5 * (H + H.conj().T)
-
-
-def chain_hamiltonian(ops: FockOperators, pot: SystemPotential,
-                      bath: BathParams) -> ComplexArray:
-    """Open mode + small bath, assembled directly from operator products."""
-    if len(ops.space.labels) != bath.n + 1:
-        raise OracleError("operator space does not match the bath size")
-    H = ops.p[0] @ ops.p[0] / (2 * pot.m_s) + pot.spring / 2 * (ops.x[0] @ ops.x[0])
-    for i in range(bath.n):
-        xi, pi = ops.x[i + 1], ops.p[i + 1]
-        H = H + pi @ pi / (2 * bath.masses[i]) \
-            + bath.masses[i] * bath.freqs[i] ** 2 / 2 * (xi @ xi) \
-            + bath.coupling_sign * bath.couplings[i] * (ops.x[0] @ xi)
-    return 0.5 * (H + H.conj().T)
-
-
-def quadratic_hamiltonian_operator(ops: FockOperators, h: FloatArray,
-                                   linear: FloatArray | None = None) -> ComplexArray:
-    """Generic 1/2 z^T h z + c^T z with symmetrized operator products."""
-    n = len(ops.space.labels)
-    zops = list(ops.x) + list(ops.p)
-    D = ops.space.total_dim
-    H = np.zeros((D, D), dtype=complex)
-    for i in range(2 * n):
-        for j in range(i, 2 * n):
-            hij = h[i, j]
-            if hij == 0.0:
-                continue
-            term = zops[i] @ zops[j]
-            if i != j:
-                term = term + zops[j] @ zops[i]
-            H += 0.5 * hij * term
-    if linear is not None:
-        for i, ci in enumerate(np.asarray(linear, float)):
-            if ci != 0.0:
-                H += ci * zops[i]
     return 0.5 * (H + H.conj().T)
 
 
@@ -155,28 +125,6 @@ def product_pure_state(space: FockSpace, vectors: Sequence[ComplexArray]) -> Com
     return psi
 
 
-def thermal_density(space: FockSpace, temperature: float) -> tuple[ComplexArray, float]:
-    """Product Gibbs state via truncated, renormalized spectral weights.
-
-    Returns (rho, tail_error) with tail_error the largest per-mode weight lost
-    to truncation before renormalization.
-    """
-    rho = np.array([[1.0 + 0j]])
-    tail = 0.0
-    for d, w in zip(space.dims, space.freqs):
-        if temperature <= 0:
-            g = np.zeros(d)
-            g[0] = 1.0
-        else:
-            expo = -w * np.arange(d) / temperature
-            g = np.exp(expo - expo.max())
-            z_full = 1.0 / -np.expm1(-w / temperature)  # geometric series sum
-            tail = max(tail, 1.0 - g.sum() * np.exp(expo.max()) / z_full)
-            g = g / g.sum()
-        rho = np.kron(rho, np.diag(g).astype(complex))
-    return rho, tail
-
-
 def validate_density(rho: ComplexArray) -> None:
     if np.abs(rho - rho.conj().T).max() > 1e-10:
         raise OracleError("density matrix is not Hermitian")
@@ -194,18 +142,10 @@ class Evolver:
     energies: FloatArray
     vectors: ComplexArray
 
-    def unitary(self, t: float) -> ComplexArray:
-        phase = np.exp(-1j * self.energies * t)
-        return (self.vectors * phase) @ self.vectors.conj().T
-
     def evolve_pure(self, psi0: ComplexArray, t: float) -> ComplexArray:
         """U(t) psi0 applied in the eigenbasis, without forming U(t)."""
         phase = np.exp(-1j * self.energies * t)
         return self.vectors @ (phase * (self.vectors.conj().T @ psi0))
-
-    def evolve(self, rho0: ComplexArray, t: float) -> ComplexArray:
-        U = self.unitary(t)
-        return U @ rho0 @ U.conj().T
 
 
 def diagonalize(space: FockSpace, H: ComplexArray) -> Evolver:
@@ -215,44 +155,20 @@ def diagonalize(space: FockSpace, H: ComplexArray) -> Evolver:
     return Evolver(space, E, V)
 
 
-def evolve_exact(rho0: ComplexArray, space: FockSpace, H: ComplexArray,
-                 t: float) -> tuple[ComplexArray, bool]:
-    """rho(t) = U rho0 U^dag; returns (rho, trusted) per the leakage monitor."""
-    validate_density(rho0)
-    rho = diagonalize(space, H).evolve(rho0, t)
-    return rho, leakage(rho, space) < _LEAK_TRUST
-
-
-def populations(state: ComplexArray, space: FockSpace) -> FloatArray:
-    """Per-basis-state occupation probabilities for a vector or density matrix."""
-    if state.ndim == 1:
-        pops = np.abs(state) ** 2
-    else:
-        pops = np.real(np.diag(state))
-    return pops.reshape(space.dims)
-
-
-def leakage(state: ComplexArray, space: FockSpace) -> float:
+def leakage(psi: ComplexArray, space: FockSpace) -> float:
     """Total population in the top two Fock levels of any mode."""
-    pops = populations(state, space)
+    pops = (np.abs(psi) ** 2).reshape(space.dims)
     total = 0.0
     for k, d in enumerate(space.dims):
         total += float(np.take(pops, [d - 2, d - 1], axis=k).sum())
     return total
 
 
-def reduced_density(state: ComplexArray, space: FockSpace, keep: int) -> ComplexArray:
-    """Partial trace keeping one mode (vector or density-matrix input)."""
+def reduced_density(psi: ComplexArray, space: FockSpace, keep: int) -> ComplexArray:
+    """Partial trace of |psi><psi| keeping one mode."""
     dims = space.dims
-    k = len(dims)
-    if state.ndim == 1:
-        psi = state.reshape(dims)
-        m = np.moveaxis(psi, keep, 0).reshape(dims[keep], -1)
-        return m @ m.conj().T
-    rho = state.reshape(dims + dims)
-    for a in sorted((a for a in range(k) if a != keep), reverse=True):
-        rho = np.trace(rho, axis1=a, axis2=a + len(rho.shape) // 2)
-    return rho
+    m = np.moveaxis(psi.reshape(dims), keep, 0).reshape(dims[keep], -1)
+    return m @ m.conj().T
 
 
 def hs_overlap(ra: ComplexArray, rb: ComplexArray) -> float:
@@ -262,22 +178,15 @@ def hs_overlap(ra: ComplexArray, rb: ComplexArray) -> float:
     return float(num / den)
 
 
-def moments(state: ComplexArray, ops: FockOperators) -> tuple[FloatArray, FloatArray]:
-    """First moments <z> and symmetrized covariance of a vector/density matrix.
+def moments(psi: ComplexArray, ops: FockOperators) -> tuple[FloatArray, FloatArray]:
+    """First moments <z> and symmetrized covariance of a state vector.
 
     The truncated x and p matrices are Hermitian, so <{z_i, z_j}>/2 is
-    Re <z_i psi|z_j psi> for a vector and Re tr(z_i z_j rho) for a density
-    matrix; neither needs a product of two operators.
+    Re <z_i psi|z_j psi>, with no product of two operators.
     """
-    zops = list(ops.x) + list(ops.p)
-    if state.ndim == 1:
-        W = np.array([z @ state for z in zops])
-        mean = np.real(W @ state.conj())
-        cov = np.real(W.conj() @ W.T)
-    else:
-        W = [z @ state for z in zops]
-        mean = np.array([np.real(np.trace(w)) for w in W])
-        cov = np.array([[np.real(np.sum(zi.T * wj)) for wj in W] for zi in zops])
+    W = np.array([z @ psi for z in list(ops.x) + list(ops.p)])
+    mean = np.real(W @ psi.conj())
+    cov = np.real(W.conj() @ W.T)
     cov = 0.5 * (cov + cov.T) - np.outer(mean, mean)
     return mean, cov
 
@@ -350,16 +259,9 @@ def pt_log_negativity_pure(amp: ComplexArray) -> float:
     return float(np.log(np.abs(ev).sum()))
 
 
-def schmidt_log_negativity_pure(amp: ComplexArray) -> float:
-    """Pure-state shortcut: E_N = 2 ln sum of Schmidt coefficients."""
-    a = amp / np.linalg.norm(amp)
-    sv = np.linalg.svd(a, compute_uv=False)
-    return float(2.0 * np.log(sv.sum()))
-
-
 def cm_relative_log_negativity(psi: ComplexArray, space: FockSpace,
-                               d_out: int = 24, n_quad: int = 140,
-                               literal_pt: bool = True) -> tuple[float, float]:
+                               d_out: int = 24,
+                               n_quad: int = 140) -> tuple[float, float]:
     """CM|relative entanglement of a pure two-mode state.
 
     Returns (log_negativity, projection_norm); the projection norm should be
@@ -376,8 +278,7 @@ def cm_relative_log_negativity(psi: ComplexArray, space: FockSpace,
         c, list(zip(space.masses, space.freqs)), [(M, 1.0), (mu, 1.0)], A, d_out,
         n_quad)
     norm = float(np.linalg.norm(amp))
-    en = pt_log_negativity_pure(amp) if literal_pt else schmidt_log_negativity_pure(amp)
-    return en, norm
+    return pt_log_negativity_pure(amp), norm
 
 
 # ---------------------------------------------------------------------------

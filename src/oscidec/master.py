@@ -10,7 +10,8 @@ from typing import TYPE_CHECKING, Literal, Sequence
 
 import numpy as np
 
-from .fock import ComplexArray, _hermite_functions, _ladder, validate_density
+from .fock import (ComplexArray, _mode_wavefunctions, _quadratures,
+                   validate_density)
 from .phase_space import FloatArray, TrustGateError
 
 if TYPE_CHECKING:
@@ -62,10 +63,8 @@ class MasterEqScenario:
 
 def scenario_operators(scn: MasterEqScenario) -> tuple[ComplexArray, ComplexArray]:
     """(x, H) matrices in the scenario's oscillator basis."""
-    a = _ladder(scn.dim)
-    s = scn.mass * scn.basis_freq
-    x = ((a + a.T) / np.sqrt(2 * s)).astype(complex)
-    p = (1j * np.sqrt(s / 2) * (a.T - a)).astype(complex)
+    x, p = _quadratures(scn.dim, scn.mass, scn.basis_freq)
+    x = x.astype(complex)
     if scn.variant == "none":
         H = np.zeros((scn.dim, scn.dim), dtype=complex)
     elif scn.variant == "free":
@@ -133,8 +132,10 @@ def _propagate(L: csr_array, v0: ComplexArray,
     v, prev = v0, 0.0
     for k, t in enumerate(t_grid):
         steps = math.ceil((t - prev) * norm / _STEP_NORM)
-        for _ in range(steps):
-            v = expm_multiply((t - prev) / steps * L, v)
+        if steps:
+            hL = (t - prev) / steps * L
+            for _ in range(steps):
+                v = expm_multiply(hL, v)
         out[k] = v
         prev = t
     return out
@@ -173,8 +174,8 @@ def evolve_master(rho0: ComplexArray, scn: MasterEqScenario,
 def position_kernel(rho: ComplexArray, xs: FloatArray, mass: float,
                     basis_freq: float) -> ComplexArray:
     """rho(x, x') on the given grid from the Fock-basis density matrix."""
-    s = np.sqrt(mass * basis_freq)
-    phi = np.sqrt(s) * _hermite_functions(s * np.asarray(xs, float), rho.shape[0])
+    phi = _mode_wavefunctions(np.asarray(xs, float), rho.shape[0], mass,
+                              basis_freq)
     return phi.T @ rho @ phi
 
 

@@ -1,6 +1,5 @@
 """Decoherence metrics per decomposition: the decoherence function Gamma(t),
-fitted Lambda(t), decoherence times, pointer robustness, and the parallel
-S-vs-CM comparison.
+fitted Lambda(t), decoherence times, and the parallel S-vs-CM comparison.
 """
 from __future__ import annotations
 
@@ -10,15 +9,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .decomposition import (LinearCoordinateTransform, cm_relative_transform,
-                            many_mode_constants, normal_mode_transform,
-                            transform_hamiltonian, transform_state)
-from .dynamics import BranchTrajectory, evolve_branches_from, propagator
+from .decomposition import (cm_relative_transform, many_mode_constants,
+                            normal_mode_transform, transform_hamiltonian,
+                            transform_state)
+from .dynamics import BranchTrajectory, evolve_branches_from
 from .models import BathParams, SystemPotential, build_caldeira_leggett
 from .phase_space import (CoherentAmplitude, FloatArray, GaussianState,
                           PhaseSpaceLayout, QuadraticHamiltonian,
                           TrustGateError, coherent_state, layout,
-                          product_state, purity, reduce_state, thermal_state)
+                          product_state, thermal_state)
 
 # ln of the overlap floor: astronomically negative Gamma is clamped, flagged
 _GAMMA_FLOOR = float(np.log(1e-300))
@@ -220,18 +219,3 @@ def _residual_probe_times(t_grid: Sequence[float]) -> list[float]:
         return []
     probes = {ts[0], ts[len(ts) // 2], ts[-1]}
     return sorted(probes)
-
-
-def pointer_robustness(H: QuadraticHamiltonian, open_mode: str,
-                       candidates: Sequence[tuple[str, GaussianState]],
-                       env: GaussianState, t: float) -> list[tuple[str, float]]:
-    """Rank single-mode candidate states by open-mode purity retained at t."""
-    P = propagator(H, t)
-    ranking = []
-    for label, cand in candidates:
-        if cand.layout.n_modes != 1:
-            raise MetricsError("pointer candidates live on the open mode only")
-        evolved = P.apply(product_state(H.layout, open_mode, cand, env))
-        ranking.append((label, purity(reduce_state(evolved, [open_mode]))))
-    ranking.sort(key=lambda kv: -kv[1])
-    return ranking

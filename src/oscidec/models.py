@@ -3,14 +3,12 @@ and discretized Ohmic baths.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from numpy.typing import NDArray
 
-from .phase_space import (FloatArray, PhaseSpaceError, PhaseSpaceLayout,
-                          QuadraticHamiltonian)
+from .phase_space import PhaseSpaceLayout, QuadraticHamiltonian
 
 
 class ModelError(ValueError):
@@ -127,27 +125,3 @@ def discretize_ohmic_bath(n: int, omega_cutoff: float, eta: float) -> BathParams
     m = np.ones(n)
     kappa = np.sqrt(2.0 * m * w * eta * w * delta)
     return BathParams(tuple(m), tuple(w), tuple(kappa))
-
-
-def coupling_spectrum(H: QuadraticHamiltonian, open_mode: str) -> list[tuple[float, float]]:
-    """(frequency, linear coupling) pairs after normal-mode diagonalization
-    of the environment block; for an already-diagonal bath this returns the
-    bare (omega_i, coupling entry) list.
-    """
-    from .decomposition import normal_mode_transform  # deferred: cyclic import
-
-    lay = H.layout
-    n = lay.n_modes
-    k = lay.index(open_mode)
-    env = [lb for lb in lay.mode_labels if lb != open_mode]
-    # momentum coupling from the open mode is out of scope for the spectrum
-    if np.any(np.delete(H.h[k + n, n:], k) != 0.0):
-        raise ModelError("open mode couples through momenta; spectrum undefined")
-    _, Hn = normal_mode_transform(H, env)
-    nlay = Hn.layout
-    freqs = []
-    for lb in env:
-        j = nlay.index(lb)
-        freqs.append(np.sqrt(Hn.h[j, j] * Hn.h[j + n, j + n]))
-    lam = [Hn.h[nlay.index(open_mode), nlay.index(lb)] for lb in env]
-    return list(zip(freqs, lam))

@@ -18,7 +18,6 @@ FloatArray = NDArray[np.float64]
 # Pure-state determinant floor: det(2 sigma) >= 1, degeneracy below this is an
 # invalid construction, not something to regularize.
 _DET_FLOOR = 1e-12
-_LOG_OVERLAP_FLOOR = np.log(1e-300)
 
 
 class PhaseSpaceError(ValueError):
@@ -113,11 +112,6 @@ class QuadraticHamiltonian:
     @property
     def n_modes(self) -> int:
         return self.layout.n_modes
-
-    def energy_at(self, z: FloatArray) -> float:
-        """Classical energy functional at the phase-space point z."""
-        z = np.asarray(z, float)
-        return float(0.5 * z @ self.h @ z + self.linear @ z)
 
 
 @dataclass(frozen=True)
@@ -290,29 +284,3 @@ def log_negativity(state: GaussianState, part_a: Sequence[str],
     ev = np.linalg.eigvals(symplectic_form(n) @ cov_pt)
     nu = np.sort(np.abs(ev))[::2]  # eigenvalues come in +-i nu pairs
     return float(np.sum(np.maximum(0.0, -np.log(2.0 * nu))))
-
-
-def log_gaussian_overlap(a: GaussianState, b: GaussianState) -> float:
-    """ln of the normalized Hilbert-Schmidt overlap tr(ra rb)/sqrt(tr ra^2 tr rb^2).
-
-    ln Ov = -1/2 d^T (sa+sb)^-1 d + 1/4 ln det(2 sa) + 1/4 ln det(2 sb)
-            - 1/2 ln det(sa+sb);
-    for equal covariances this reduces to -1/4 d^T sigma^-1 d.  Evaluated in
-    log space so long-time values stay finite.
-    """
-    if a.layout != b.layout:
-        raise PhaseSpaceError("overlap requires matching layouts")
-    d = a.mean - b.mean
-    ssum = a.cov + b.cov
-    quad = 0.5 * d @ np.linalg.solve(ssum, d)
-    sa, la = np.linalg.slogdet(2.0 * a.cov)
-    sb, lb = np.linalg.slogdet(2.0 * b.cov)
-    ss, ls = np.linalg.slogdet(ssum)
-    if min(sa, sb, ss) <= 0:
-        raise PhaseSpaceError("degenerate covariance in overlap")
-    return float(-quad + 0.25 * (la + lb) - 0.5 * ls)
-
-
-def gaussian_overlap(a: GaussianState, b: GaussianState) -> float:
-    """Normalized Hilbert-Schmidt overlap in (0, 1], clamped at 1e-300."""
-    return float(np.exp(max(log_gaussian_overlap(a, b), _LOG_OVERLAP_FLOOR)))

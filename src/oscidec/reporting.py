@@ -17,10 +17,6 @@ from .fock import CrosscheckReport
 from .metrics import DecoherenceReport, ParallelComparison
 
 
-def manifest_sha256(cfg: ScenarioConfig) -> str:
-    return hashlib.sha256(manifest_text(cfg).encode()).hexdigest()
-
-
 def write_manifest(cfg: ScenarioConfig, out_dir: Path) -> str:
     out_dir.mkdir(parents=True, exist_ok=True)
     text = manifest_text(cfg)

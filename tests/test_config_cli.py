@@ -9,7 +9,7 @@ import pytest
 
 from oscidec import ConfigError, manifest_text, parse_config
 from oscidec.cli import main
-from oscidec.reporting import manifest_sha256, write_csv
+from oscidec.reporting import write_csv
 
 
 # ---------------------------------------------------------------- config ----
@@ -48,7 +48,7 @@ def test_manifest_round_trip():
     cfg = parse_config(text)
     again = parse_config(manifest_text(cfg))
     assert again.values == cfg.values
-    assert manifest_sha256(again) == manifest_sha256(cfg)
+    assert manifest_text(again) == manifest_text(cfg)
 
 
 def test_all_syntax_errors_reported_together():
@@ -268,6 +268,8 @@ def test_cli_rejects_removed_seed_and_decompositions(tmp_path, capsys):
     cfg = _cfg_file(tmp_path, TWO_MODE_FAST, name="plain.cfg")
     assert main(["build", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--seed", "7"]) == 1
+    assert main(["decohere", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--oracle"]) == 1
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"

@@ -2,12 +2,12 @@
 import numpy as np
 import pytest
 
-from oscidec import (BathParams, CoherentAmplitude, GaussianState, MetricsError,
+from oscidec import (BathParams, CoherentAmplitude, MetricsError,
                      SystemPotential, TwoModeParams, amplitude_distance_sq,
                      build_report, build_two_mode, decoherence_function,
                      decoherence_time, discretize_ohmic_bath, evolve_branches,
                      fit_lambda, layout, model_fingerprint, parallel_compare,
-                     pointer_robustness, thermal_state, vacuum_cov)
+                     thermal_state)
 from oscidec.metrics import _ratio_summary, saturation_flags
 
 
@@ -148,25 +148,3 @@ def test_parallel_compare_positivity_gate():
     cmp = parallel_compare(pot, bath, pair_s, pair_cm, 0.0, grid,
                            allow_positivity_violation=True)
     assert not cmp.positivity_ok
-
-
-def test_pointer_robustness_prefers_matched_coherent():
-    H = build_two_mode(TwoModeParams(1.0, 1.0, 1.0, 0.45))
-    env = thermal_state(layout("E"), [1.0], [1.0], 0.0)
-    s = layout("S")
-    vac = GaussianState(s, np.zeros(2), np.eye(2) / 2)
-    broad = GaussianState(s, np.zeros(2), np.diag([2.5, 0.1]))
-    ranking = pointer_robustness(H, "S", [("broad", broad), ("vacuum", vac)],
-                                 env, 1.0)
-    assert [label for label, _ in ranking] == ["vacuum", "broad"]
-    assert ranking[0][1] > ranking[1][1]
-    assert ranking[0][1] <= 1.0 + 1e-9
-
-
-def test_pointer_candidates_must_be_single_mode():
-    H = build_two_mode(TwoModeParams(1.0, 1.0, 1.0, 0.2))
-    env = thermal_state(layout("E"), [1.0], [1.0], 0.0)
-    two = GaussianState(layout("A", "B"), np.zeros(4),
-                        vacuum_cov([1.0, 1.0], [1.0, 1.0]))
-    with pytest.raises(MetricsError, match="open mode only"):
-        pointer_robustness(H, "S", [("two", two)], env, 0.5)

@@ -3,8 +3,7 @@ import pytest
 
 from oscidec.models import (BathParams, ModelError, SystemPotential,
                             TwoModeParams, build_caldeira_leggett,
-                            build_two_mode, coupling_spectrum,
-                            discretize_ohmic_bath)
+                            build_two_mode, discretize_ohmic_bath)
 
 
 def test_two_mode_params_constraint():
@@ -93,15 +92,3 @@ def test_ohmic_validation():
         discretize_ohmic_bath(4, -1.0, 0.1)
     with pytest.raises(ModelError):
         discretize_ohmic_bath(4, 5.0, -0.1)
-
-
-def test_coupling_spectrum_recovers_bare_bath():
-    bath = BathParams((1.0, 1.5), (0.7, 1.3), (0.2, 0.1), coupling_sign=-1)
-    H = build_caldeira_leggett(SystemPotential("free", 1.0), bath)
-    pairs = sorted(coupling_spectrum(H, "S"))
-    freqs = np.array([f for f, _ in pairs])
-    lams = np.array([l for _, l in pairs])
-    np.testing.assert_allclose(freqs, bath.freqs, rtol=1e-10)
-    # normal modes carry unit mass, so couplings rescale by 1/sqrt(m_i)
-    expect = np.asarray(bath.couplings) / np.sqrt(bath.masses)
-    np.testing.assert_allclose(np.abs(lams), expect, rtol=1e-10)

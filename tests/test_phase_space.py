@@ -3,12 +3,11 @@ import pytest
 
 from oscidec.phase_space import (CoherentAmplitude, GaussianState,
                                  PhaseSpaceError, PhaseSpaceLayout,
-                                 QuadraticHamiltonian, coherent_state,
-                                 gaussian_overlap, layout,
-                                 log_gaussian_overlap, log_negativity,
-                                 log_purity, purity, reduce_state,
-                                 symplectic_form, thermal_occupation,
-                                 thermal_state, vacuum_cov)
+                                 QuadraticHamiltonian, coherent_state, layout,
+                                 log_negativity, log_purity, purity,
+                                 reduce_state, symplectic_form,
+                                 thermal_occupation, thermal_state,
+                                 vacuum_cov)
 
 
 def test_layout_basics():
@@ -40,12 +39,6 @@ def test_hamiltonian_rejects_asymmetric_and_bad_momentum_block():
     h_bad = np.diag([1.0, -1.0])
     with pytest.raises(PhaseSpaceError):
         QuadraticHamiltonian(lay, h_bad)
-
-
-def test_hamiltonian_energy_at_point():
-    lay = layout("S")
-    H = QuadraticHamiltonian(lay, np.diag([1.0, 1.0]), linear=[0.5, 0.0])
-    assert H.energy_at(np.array([2.0, 0.0])) == pytest.approx(2.0 + 1.0)
 
 
 def test_state_rejects_uncertainty_violation():
@@ -132,54 +125,3 @@ def test_log_negativity_zero_for_product_positive_for_entangled():
     assert log_negativity(tms, ("A",), ("B",)) == pytest.approx(2 * r, rel=1e-10)
     with pytest.raises(PhaseSpaceError):
         log_negativity(vac, ("A",), ("A",))
-
-
-def test_overlap_normalization_and_symmetry():
-    rng = np.random.default_rng(11)
-    lay = layout("A", "B")
-    for _ in range(10):
-        m1, m2 = rng.normal(size=4), rng.normal(size=4)
-        t1, t2 = rng.uniform(0.0, 2.0, 2)
-        a = GaussianState(lay, m1, thermal_state(lay, [1, 1], [1, 2], t1).cov)
-        b = GaussianState(lay, m2, thermal_state(lay, [1, 1], [1, 2], t2).cov)
-        assert log_gaussian_overlap(a, a) == pytest.approx(0.0, abs=1e-10)
-        assert log_gaussian_overlap(a, b) == pytest.approx(
-            log_gaussian_overlap(b, a), rel=1e-12)
-        assert 0.0 < gaussian_overlap(a, b) <= 1.0
-
-
-def test_overlap_equal_cov_closed_form():
-    lay = layout("A",)
-    cov = vacuum_cov([1.0], [1.0])
-    a = GaussianState(lay, np.array([1.0, 0.0]), cov)
-    b = GaussianState(lay, np.array([-1.0, 0.0]), cov)
-    d = a.mean - b.mean
-    expected = -0.25 * d @ np.linalg.solve(cov, d)
-    assert log_gaussian_overlap(a, b) == pytest.approx(expected, rel=1e-12)
-
-
-def test_overlap_coherent_states_match_fock_formula():
-    # |<b|a>|^2 = exp(-|alpha-beta|^2); HS overlap of pure states equals it
-    lay = layout("A",)
-    cov = vacuum_cov([1.0], [1.0])
-    x0 = 0.9
-    a = GaussianState(lay, np.array([x0, 0.0]), cov)
-    b = GaussianState(lay, np.array([-x0, 0.0]), cov)
-    alpha = np.sqrt(0.5) * x0
-    assert gaussian_overlap(a, b) == pytest.approx(
-        np.exp(-abs(2 * alpha) ** 2), rel=1e-12)
-
-
-def test_overlap_clamp_far_apart():
-    lay = layout("A",)
-    cov = vacuum_cov([1.0], [1.0])
-    a = GaussianState(lay, np.array([1e4, 0.0]), cov)
-    b = GaussianState(lay, np.array([-1e4, 0.0]), cov)
-    assert gaussian_overlap(a, b) == pytest.approx(1e-300, rel=1e-6)
-
-
-def test_overlap_layout_mismatch():
-    a = GaussianState(layout("A"), np.zeros(2), vacuum_cov([1], [1]))
-    b = GaussianState(layout("B"), np.zeros(2), vacuum_cov([1], [1]))
-    with pytest.raises(PhaseSpaceError):
-        log_gaussian_overlap(a, b)
