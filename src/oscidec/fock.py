@@ -96,12 +96,21 @@ def build_operators(space: FockSpace) -> FockOperators:
 
 
 def two_mode_hamiltonian(ops: FockOperators, p: TwoModeParams) -> ComplexArray:
-    """Operator expression of the two-mode model (independent of any h matrix)."""
-    xS, xE = ops.x
-    pS, pE = ops.p
-    H = (pS @ pS / (2 * p.m_s) + pE @ pE / (2 * p.m_e)
-         + p.m_e * p.omega ** 2 / 2 * (xE @ xE) - p.coupling * (xS @ xE))
-    return 0.5 * (H + H.conj().T)
+    """Operator expression of the two-mode model (independent of any h matrix).
+
+    H = hS kron I + I kron hE - C xS kron xE, with every operator product
+    taken on one mode's d x d matrices rather than on the full space.  The
+    Kronecker products of Hermitian factors are exactly Hermitian, so the
+    single-mode terms are symmetrized instead of H.
+    """
+    space = ops.space
+    (xS, pS), (xE, pE) = (_quadratures(d, m, w) for d, m, w in
+                          zip(space.dims, space.masses, space.freqs))
+    hS = pS @ pS / (2 * p.m_s)
+    hE = pE @ pE / (2 * p.m_e) + p.m_e * p.omega ** 2 / 2 * (xE @ xE)
+    return (_embed(0.5 * (hS + hS.conj().T), 0, space.dims)
+            + _embed(0.5 * (hE + hE.conj().T), 1, space.dims)
+            - p.coupling * np.kron(xS, xE))
 
 
 def coherent_vector(d: int, mass: float, freq: float, x0: float,

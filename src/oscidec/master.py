@@ -1,6 +1,10 @@
 """Dephasing master equation drho/dt = -i[H, rho] - Lambda [x, [x, rho]],
-solved exactly in a truncated oscillator basis by the action of the sparse
-Lindblad superoperator's exponential.
+solved exactly in a truncated oscillator basis.
+
+With the Hamiltonian off (variant "none") the flow is diagonal in the
+eigenbasis of the truncated x and is evaluated in closed form, at a cost that
+does not depend on Lambda.  With a Hamiltonian ("free", "harmonic") the
+sparse Lindblad superoperator's exponential acts on vec rho.
 """
 from __future__ import annotations
 
@@ -37,8 +41,9 @@ class MasterEqScenario:
     """One-mode dephasing scenario.
 
     variant "none" switches the Hamiltonian off entirely (the pure-dephasing
-    analytic case); "free" keeps only the kinetic term; "harmonic" adds the
-    oscillator potential.  The Fock basis is scaled by (mass, basis_freq).
+    case, solved in closed form in the eigenbasis of x); "free" keeps only
+    the kinetic term; "harmonic" adds the oscillator potential.  The Fock
+    basis is scaled by (mass, basis_freq).
     """
 
     variant: Literal["none", "free", "harmonic"]
@@ -76,8 +81,10 @@ def scenario_operators(scn: MasterEqScenario) -> tuple[ComplexArray, ComplexArra
 
 @dataclass(frozen=True)
 class MasterEvolution:
+    """The sampled solve: states[k] is rho at t_grid[k], shape (T, d, d)."""
+
     t_grid: FloatArray
-    states: tuple[ComplexArray, ...]
+    states: ComplexArray
     max_trace_drift: float
     min_eigenvalue: float
 
@@ -141,12 +148,30 @@ def _propagate(L: csr_array, v0: ComplexArray,
     return out
 
 
+def _dephase(rho0: ComplexArray, scn: MasterEqScenario,
+             t_grid: FloatArray) -> ComplexArray:
+    """Exact H = 0 flow at every grid time, shape (T, d, d).
+
+    With the truncated x = U diag(xi) U^T, each element of U^T rho U decays
+    by exp(-Lambda t (xi_i - xi_j)^2).  Adding only the expm1 change to rho0
+    returns rho(0) = rho0 exactly.
+    """
+    x, _ = _quadratures(scn.dim, scn.mass, scn.basis_freq)
+    xi, U = np.linalg.eigh(x)
+    tilde = U.T @ rho0 @ U
+    gap2 = (xi[:, None] - xi[None, :]) ** 2
+    decay = np.expm1(-scn.lam * t_grid[:, None, None] * gap2)
+    return rho0 + U @ (tilde * decay) @ U.T
+
+
 def evolve_master(rho0: ComplexArray, scn: MasterEqScenario,
                   t_grid: Sequence[float]) -> MasterEvolution:
     """Exact solve of the truncated equation, sampled at the grid times.
 
-    The truncated generator conserves the trace, so the trace-drift gate
-    (1e-8, and every state finite) measures only solver error.
+    Variant "none" takes the closed form of `_dephase`; the others step the
+    superoperator exponential with `_propagate`.  The truncated generator
+    conserves the trace, so the trace-drift gate (1e-8, and every state
+    finite) measures only solver error.
     """
     validate_density(rho0)
     t_grid = np.asarray(t_grid, float)
@@ -155,20 +180,24 @@ def evolve_master(rho0: ComplexArray, scn: MasterEqScenario,
         raise MasterEqError("grid times must be a non-empty run of finite, "
                             "non-negative, ascending times")
     d = scn.dim
-    vecs = _propagate(_superoperator(scn), np.asarray(rho0, complex).ravel(),
-                      t_grid)
-    if not np.isfinite(vecs).all():
+    rho0 = np.asarray(rho0, complex)
+    if scn.variant == "none":
+        states = _dephase(rho0, scn, t_grid)
+    else:
+        states = _propagate(_superoperator(scn), rho0.ravel(),
+                            t_grid).reshape(-1, d, d)
+    if not np.isfinite(states).all():
         raise MasterEqTrustError("master trace drift",
                                  "an evolved density matrix is not finite")
-    drift = float(np.abs(vecs[:, :: d + 1].sum(axis=1) - 1.0).max())
+    diag = states.reshape(len(t_grid), d * d)[:, :: d + 1]
+    drift = float(np.abs(diag.sum(axis=1) - 1.0).max())
     if drift > _TRACE_KEEP:
         raise MasterEqTrustError(
             "master trace drift",
             f"trace drift {drift:.3e} exceeds the bound {_TRACE_KEEP}")
-    states = vecs.reshape(-1, d, d)
     herm = 0.5 * (states + states.conj().transpose(0, 2, 1))
     min_eig = float(np.linalg.eigvalsh(herm).min())
-    return MasterEvolution(t_grid, tuple(states), drift, min_eig)
+    return MasterEvolution(t_grid, states, drift, min_eig)
 
 
 def position_kernel(rho: ComplexArray, xs: FloatArray, mass: float,
@@ -182,19 +211,21 @@ def position_kernel(rho: ComplexArray, xs: FloatArray, mass: float,
 def coherence_profile(result: MasterEvolution, xs: FloatArray,
                       patch_a: tuple[float, float], patch_b: tuple[float, float],
                       mass: float, basis_freq: float) -> FloatArray:
-    """Visibility(t) = |off-diagonal patch mass| / sqrt(diag_A * diag_B)."""
+    """Visibility(t) = |off-diagonal patch mass| / sqrt(diag_A * diag_B).
+
+    A patch sum of the position kernel R = phi^T rho phi is a bilinear form:
+    summing R over A x B is a^T rho b with a = phi 1_A and b = phi 1_B, so
+    one product [a b]^T rho(t) [a b] gives all three sums at every time.
+    """
     xs = np.asarray(xs, float)
     in_a = (xs >= patch_a[0]) & (xs <= patch_a[1])
     in_b = (xs >= patch_b[0]) & (xs <= patch_b[1])
     if not in_a.any() or not in_b.any():
         raise MasterEqError("patches select no grid points")
-    out = np.empty(len(result.states))
-    for i, rho in enumerate(result.states):
-        R = position_kernel(rho, xs, mass, basis_freq)
-        off = abs(R[np.ix_(in_a, in_b)].sum())
-        da = float(R[np.ix_(in_a, in_a)].sum().real)
-        db = float(R[np.ix_(in_b, in_b)].sum().real)
-        if da <= 0 or db <= 0:
-            raise MasterEqError("vanishing diagonal patch weight")
-        out[i] = off / np.sqrt(da * db)
-    return out
+    phi = _mode_wavefunctions(xs, result.states.shape[-1], mass, basis_freq)
+    ab = np.stack([phi[:, in_a].sum(axis=1), phi[:, in_b].sum(axis=1)])
+    gram = ab @ result.states @ ab.T
+    da, db = gram[:, 0, 0].real, gram[:, 1, 1].real
+    if (da <= 0).any() or (db <= 0).any():
+        raise MasterEqError("vanishing diagonal patch weight")
+    return np.abs(gram[:, 0, 1]) / np.sqrt(da * db)

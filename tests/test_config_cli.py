@@ -294,6 +294,14 @@ def _drifting_master_solver(monkeypatch):
                         lambda *args: exact(*args) * (1 + 1e-6))
 
 
+def _drifting_dephasing(monkeypatch):
+    """The same fault in the closed-form solve of variant `none`."""
+    import oscidec.master as master
+    exact = master._dephase
+    monkeypatch.setattr(master, "_dephase",
+                        lambda *args: exact(*args) * (1 + 1e-6))
+
+
 @pytest.mark.parametrize("command, name, values, gate, message, rig", [
     ("compare", "chain_compare.cfg", {"bath.n": 64, "run.t_steps": 3},
      "certified-time cap", "exceeds the certified cap", None),
@@ -301,6 +309,8 @@ def _drifting_master_solver(monkeypatch):
      "master trace drift", "exceeds the bound 1e-08", _drifting_master_solver),
     ("evolve", "two_mode_oracle.cfg", {"run.t_max": 5000},
      "uncertainty relation", "violates the uncertainty relation", None),
+    ("master-eq", "dephasing_master.cfg", {"master.variant": "none"},
+     "master trace drift", "exceeds the bound 1e-08", _drifting_dephasing),
 ])
 def test_cli_trust_refusals_exit_2_and_name_the_gate(
         tmp_path, capsys, monkeypatch, command, name, values, gate, message, rig):
@@ -363,6 +373,24 @@ def test_cli_import_leaves_out_unused_scipy_modules():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("variant, loaded", [
+    ("none", []), ("harmonic", ["scipy.sparse", "scipy.sparse.linalg"])],
+    ids=["none", "harmonic"])
+def test_cli_master_eq_none_leaves_out_sparse_solver(tmp_path, variant, loaded):
+    # variant none is solved in closed form, so scipy.sparse never loads;
+    # the stepped solver of the other variants loads it
+    cfg = _shipped(tmp_path, "dephasing_master.cfg", {"master.variant": variant})
+    argv = ["master-eq", "--config", cfg, "--out", str(tmp_path / "o")]
+    code = ("import sys; from oscidec.cli import main; "
+            f"code = main({argv!r}); "
+            "print(code, [m for m in ('scipy.sparse', 'scipy.sparse.linalg') "
+            "if m in sys.modules])")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip().splitlines()[-1] == f"0 {loaded}"
 
 
 def test_cli_missing_config_exits_1(tmp_path, capsys):

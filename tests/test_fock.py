@@ -73,11 +73,12 @@ def test_canonical_commutator_below_truncation():
 
 def test_two_mode_operator_matches_generic_builder():
     p = TwoModeParams(1.0, 2.0, 1.5, 0.4)
-    space = FockSpace(("S", "E"), (8, 8), (p.m_s, p.m_e), (1.0, p.omega))
-    ops = build_operators(space)
-    direct = two_mode_hamiltonian(ops, p)
-    generic = quadratic_hamiltonian_operator(ops, build_two_mode(p).h)
-    assert np.abs(direct - generic).max() < 1e-12
+    for dims in ((8, 8), (8, 5)):    # unequal cutoffs fix the Kronecker order
+        space = FockSpace(("S", "E"), dims, (p.m_s, p.m_e), (1.0, p.omega))
+        ops = build_operators(space)
+        direct = two_mode_hamiltonian(ops, p)
+        generic = quadratic_hamiltonian_operator(ops, build_two_mode(p).h)
+        assert np.abs(direct - generic).max() < 1e-12
 
 
 def test_coherent_vector_moments():

@@ -5,7 +5,8 @@ import pytest
 from oscidec import (MasterEqError, MasterEqScenario, coherence_profile,
                      evolve_master, position_kernel)
 from oscidec.fock import coherent_vector
-from oscidec.master import scenario_operators
+from oscidec.master import (MasterEvolution, _dephase, _propagate,
+                            _superoperator, scenario_operators)
 
 
 def _cat_density(d: int, x0: float) -> np.ndarray:
@@ -21,12 +22,28 @@ def _random_pure_density(d: int, seed: int) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def _harmonic_operators(d: int):
-    """x and H = p^2/2 + x^2/2 (m = omega = 1) built here, not by the module."""
+def _operators(d: int, variant: str = "harmonic"):
+    """x and H = p^2/2 (free) or p^2/2 + x^2/2 (harmonic), m = omega = 1,
+    built here, not by the module."""
     a = np.diag(np.sqrt(np.arange(1, d)), 1)
     x = ((a + a.T) / np.sqrt(2)).astype(complex)
     p = (1j / np.sqrt(2) * (a.T - a)).astype(complex)
-    return x, p @ p / 2 + x @ x / 2
+    H = p @ p / 2
+    return x, H + x @ x / 2 if variant == "harmonic" else H
+
+
+def _profile_reference(res, xs, patch_a, patch_b):
+    """Visibility from each time's full position kernel, patch by patch."""
+    in_a = (xs >= patch_a[0]) & (xs <= patch_a[1])
+    in_b = (xs >= patch_b[0]) & (xs <= patch_b[1])
+    out = []
+    for rho in res.states:
+        R = position_kernel(rho, xs, 1.0, 1.0)
+        off = abs(R[np.ix_(in_a, in_b)].sum())
+        da = float(R[np.ix_(in_a, in_a)].sum().real)
+        db = float(R[np.ix_(in_b, in_b)].sum().real)
+        out.append(off / np.sqrt(da * db))
+    return np.array(out)
 
 
 def _loop_reference(rho, K, Kd, X, two_lam, dt, n_steps):
@@ -104,12 +121,25 @@ def test_pure_dephasing_matches_closed_form(grid):
         assert np.abs(rho - want).max() < 1e-12
 
 
+@pytest.mark.parametrize("lam", [0.1, 0.5])
+def test_closed_form_dephasing_matches_stepped_solver(lam):
+    # the "none" closed form against the stepped superoperator solve,
+    # at the benchmark's basis size and grid
+    d = 64
+    scn = MasterEqScenario("none", lam, d)
+    rho0 = _cat_density(d, 1.5)
+    grid = np.linspace(0.0, 0.5, 11)
+    fast = _dephase(rho0, scn, grid)
+    slow = _propagate(_superoperator(scn), rho0.ravel(), grid).reshape(-1, d, d)
+    assert np.abs(fast - slow).max() < 1e-12
+
+
 def test_evolve_master_matches_naive_rk4_reference():
     lam = 0.35
     # random pure state, small basis, small step: RK4's own error is ~1e-12
     d = 8
     rho = _random_pure_density(d, 1)
-    x, H = _harmonic_operators(d)
+    x, H = _operators(d)
     K = 1j * H + lam * (x @ x)
     want = _loop_reference(rho, K, K.conj().T, x, 2 * lam, 1e-3, 100)
     got = evolve_master(rho, MasterEqScenario("harmonic", lam, d), [0.1])
@@ -117,20 +147,21 @@ def test_evolve_master_matches_naive_rk4_reference():
     # the benchmark's basis size at the old default step dt = 1e-3
     d, lam = 64, 0.3
     rho = _cat_density(d, 1.5)
-    x, H = _harmonic_operators(d)
+    x, H = _operators(d)
     K = 1j * H + lam * (x @ x)
     want = _loop_reference(rho, K, K.conj().T, x, 2 * lam, 1e-3, 200)
     got = evolve_master(rho, MasterEqScenario("harmonic", lam, d), [0.0, 0.2])
     assert np.abs(got.states[1] - want).max() < 1e-11
 
 
-def test_zero_dephasing_is_unitary():
+@pytest.mark.parametrize("variant", ["free", "harmonic"])
+def test_zero_dephasing_is_unitary(variant):
     d, t = 10, 0.7
     rho = _random_pure_density(d, 5)
-    _, H = _harmonic_operators(d)
+    _, H = _operators(d, variant)
     E, W = np.linalg.eigh(H)
     U = (W * np.exp(-1j * E * t)) @ W.conj().T
-    res = evolve_master(rho, MasterEqScenario("harmonic", 0.0, d), [t])
+    res = evolve_master(rho, MasterEqScenario(variant, 0.0, d), [t])
     assert np.abs(res.states[0] - U @ rho @ U.conj().T).max() < 1e-12
     assert abs(np.trace(res.states[0]).real - 1.0) < 1e-12
 
@@ -157,8 +188,9 @@ def test_long_interval_is_stepped():
     assert np.abs(coarse - fine).max() < 1e-12
 
 
-def test_evolve_master_clean_run():
-    scn = MasterEqScenario("harmonic", 0.25, 20)
+@pytest.mark.parametrize("variant", ["none", "harmonic"])
+def test_evolve_master_clean_run(variant):
+    scn = MasterEqScenario(variant, 0.25, 20)
     grid = [0.0, 0.1, 0.3]
     res = evolve_master(_cat_density(20, 1.0), scn, grid)
     assert res.halvings == 0
@@ -197,3 +229,23 @@ def test_coherence_profile_visibility():
     assert 0.4 < vis[2] / vis[0] < 0.75
     with pytest.raises(MasterEqError, match="no grid points"):
         coherence_profile(res, xs, (10.0, 11.0), (-2.0, -1.0), 1.0, 1.0)
+    # |1> has a node at x = 0, so a patch holding only that point has no weight
+    one = np.zeros((1, 30, 30), complex)
+    one[0, 1, 1] = 1.0
+    with pytest.raises(MasterEqError, match="vanishing diagonal"):
+        coherence_profile(MasterEvolution(np.zeros(1), one, 0.0, 0.0),
+                          np.array([0.0, 1.0]), (-0.5, 0.5), (0.5, 1.5),
+                          1.0, 1.0)
+
+
+@pytest.mark.parametrize("variant", ["none", "harmonic"])
+def test_coherence_profile_matches_kernel_patch_sums(variant):
+    # the batched bilinear forms against the per-time position kernel, on
+    # the shipped master-eq scenario and its profile grid
+    x0 = 1.5
+    res = evolve_master(_cat_density(40, x0), MasterEqScenario(variant, 0.25, 40),
+                        np.linspace(0.0, 0.5, 11))
+    xs = np.linspace(-(2.5 * x0 + 2.0), 2.5 * x0 + 2.0, 121)
+    patches = (x0 - 0.8, x0 + 0.8), (-x0 - 0.8, -x0 + 0.8)
+    got = coherence_profile(res, xs, *patches, 1.0, 1.0)
+    assert np.abs(got - _profile_reference(res, xs, *patches)).max() < 1e-12
