@@ -22,9 +22,8 @@ from .decomposition import (LinearCoordinateTransform, ManyModeConstants,
                             transform_state, two_mode_constants,
                             verify_constants)
 from .dynamics import (BranchTrajectory, DynamicsError, DynamicsTrustError,
-                       SymplecticPropagator, energy, evolve, evolve_branches,
-                       evolve_branches_from, evolve_grid, propagator,
-                       symplectic_residual)
+                       energy, evolve_branches, evolve_branches_from,
+                       evolve_grid, symplectic_residual)
 from .metrics import (DecoherenceReport, MetricsError, ParallelComparison,
                       PositivityGateError, amplitude_distance_sq, build_report,
                       decoherence_function, decoherence_time, fit_lambda,
@@ -57,9 +56,8 @@ __all__ = [
     "transform_state", "two_mode_constants", "many_mode_constants",
     "verify_constants", "normal_mode_transform",
     # dynamics
-    "DynamicsError", "DynamicsTrustError", "SymplecticPropagator",
-    "propagator",
-    "symplectic_residual", "evolve", "evolve_grid", "energy",
+    "DynamicsError", "DynamicsTrustError",
+    "symplectic_residual", "evolve_grid", "energy",
     "BranchTrajectory", "evolve_branches", "evolve_branches_from",
     # metrics
     "MetricsError", "PositivityGateError", "DecoherenceReport",

@@ -211,9 +211,7 @@ def _cmd_master(cfg: ScenarioConfig, out: Path, digest: str) -> int:
                             scen.basis_freq)
     rows = [[float(t), float(v)] for t, v in zip(t_grid, vis)]
     write_csv(out / "visibility.csv", ["t", "visibility"], rows, digest)
-    print(f"trace drift={result.max_trace_drift:.3e} "
-          f"min eig={result.min_eigenvalue:.3e} "
-          f"positivity_ok={result.positivity_ok}")
+    print(f"trace drift={result.max_trace_drift:.3e}")
     print(f"wrote {out / 'visibility.csv'}")
     return 0
 

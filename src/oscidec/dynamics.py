@@ -1,6 +1,8 @@
-"""Exact closed-system Gaussian evolution: symplectic propagators, stepped
-trajectories over a time grid, and branch-pair evolution for
-coherent-superposition initial states.
+"""Exact closed-system Gaussian evolution: stepped trajectories over a time
+grid, and branch-pair evolution for coherent-superposition initial states.
+
+Every evolved state comes from one stepped pass, `_stepped_trajectory`, the
+only place the symplectic map M(t) = exp(t J h) is formed.
 """
 from __future__ import annotations
 
@@ -75,24 +77,22 @@ def _uncertainty_floor(M: FloatArray, cov: FloatArray, eps0: float) -> float:
 
 
 def _evolved_cov(M: FloatArray, cov0: FloatArray, t: float,
-                 half_iJ: np.ndarray, eps0: float | None = None) -> FloatArray:
+                 half_iJ: np.ndarray, eps0: float) -> FloatArray:
     """M sigma0 M^T, after the one check an evolved covariance gets:
     sigma + iJ/2 >= 0, with half_iJ = iJ/2.
 
     The covariance passes at once when `_uncertainty_floor` clears the
-    tolerance, given eps0 = `_uncertainty_deficit(cov0, half_iJ)`; otherwise,
-    or with no eps0, eigvalsh decides.  A failure is a loss of numerical
-    trust in the propagation, not bad input.  A covariance that overflowed
-    fails too: eigvalsh of a non-finite matrix may return NaN, finite
-    garbage or raise.
+    tolerance, given eps0 = `_uncertainty_deficit(cov0, half_iJ)`; otherwise
+    eigvalsh decides.  A failure is a loss of numerical trust in the
+    propagation, not bad input.  A covariance that overflowed fails too:
+    eigvalsh of a non-finite matrix may return NaN, finite garbage or raise.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         cov = M @ cov0 @ M.T
     cov = 0.5 * (cov + cov.T)
     min_eig = np.nan
     if np.isfinite(cov).all():
-        if (eps0 is not None
-                and _uncertainty_floor(M, cov, eps0) >= -_UNCERTAINTY_TOL):
+        if _uncertainty_floor(M, cov, eps0) >= -_UNCERTAINTY_TOL:
             return cov
         min_eig = float(np.linalg.eigvalsh(cov + half_iJ).min())
     if not min_eig >= -_UNCERTAINTY_TOL:
@@ -101,29 +101,6 @@ def _evolved_cov(M: FloatArray, cov0: FloatArray, t: float,
             f"evolved state at t = {t!r}: covariance violates the uncertainty "
             f"relation (min eig {min_eig:.3e})")
     return cov
-
-
-@dataclass(frozen=True)
-class SymplecticPropagator:
-    """M(t) = exp(t J h); means map as M m, covariances as M sigma M^T."""
-
-    H: QuadraticHamiltonian
-    t: float
-    M: FloatArray
-
-    def apply(self, state: GaussianState) -> GaussianState:
-        if state.layout != self.H.layout:
-            raise DynamicsError("state layout does not match propagator")
-        return GaussianState._prechecked(
-            state.layout, self.M @ state.mean,
-            _evolved_cov(self.M, state.cov, self.t,
-                         0.5j * symplectic_form(state.n_modes)))
-
-
-def propagator(H: QuadraticHamiltonian, t: float) -> SymplecticPropagator:
-    """Matrix exponential via scaling-and-squaring (no ODE stepping)."""
-    _certify_time(t, np.linalg.norm(H.h, 2))
-    return SymplecticPropagator(H, t, expm(t * symplectic_form(H.n_modes) @ H.h))
 
 
 def _stepped_trajectory(H: QuadraticHamiltonian, cov0: FloatArray,
@@ -165,10 +142,6 @@ def symplectic_residual(M: FloatArray) -> float:
     n = M.shape[0] // 2
     J = symplectic_form(n)
     return float(np.abs(M.T @ J @ M - J).max())
-
-
-def evolve(state: GaussianState, H: QuadraticHamiltonian, t: float) -> GaussianState:
-    return propagator(H, t).apply(state)
 
 
 def evolve_grid(state: GaussianState, H: QuadraticHamiltonian,

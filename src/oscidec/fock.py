@@ -1,4 +1,5 @@
-"""Brute-force truncated-Fock-space oracle for pure states of up to 3 modes.
+"""Brute-force truncated-Fock-space oracle for pure states of one or two
+modes.
 
 Everything here is built independently of the Gaussian engine: ladder-operator
 matrices, dense eigendecomposition evolution, reduced density matrices,
@@ -31,7 +32,7 @@ class OracleError(ValueError):
 
 @dataclass(frozen=True)
 class FockSpace:
-    """Truncated multimode Fock space with per-mode ladder scalings."""
+    """Truncated one- or two-mode Fock space with per-mode ladder scalings."""
 
     labels: tuple[str, ...]
     dims: tuple[int, ...]
@@ -40,8 +41,8 @@ class FockSpace:
 
     def __post_init__(self) -> None:
         k = len(self.labels)
-        if not (1 <= k <= 3):
-            raise OracleError("oracle supports 1 to 3 modes")
+        if not (1 <= k <= 2):
+            raise OracleError("oracle supports 1 or 2 modes")
         if len(self.dims) != k or len(self.masses) != k or len(self.freqs) != k:
             raise OracleError("per-mode parameter lists must align")
         if any(d < 2 for d in self.dims):
@@ -58,13 +59,6 @@ class FockSpace:
 
 def _ladder(d: int) -> FloatArray:
     return np.diag(np.sqrt(np.arange(1, d)), 1)
-
-
-def _embed(op: np.ndarray, k: int, dims: Sequence[int]) -> np.ndarray:
-    full = np.array([[1.0]])
-    for j, d in enumerate(dims):
-        full = np.kron(full, op if j == k else np.eye(d))
-    return full
 
 
 @dataclass(frozen=True)
@@ -86,12 +80,14 @@ def _quadratures(d: int, mass: float,
 
 
 def build_operators(space: FockSpace) -> FockOperators:
-    """Every mode's quadratures embedded in the full space."""
+    """Every mode's quadratures on the full space: op kron I on the first
+    mode, I kron op on the second."""
     xs, ps = [], []
     for k, (d, m, w) in enumerate(zip(space.dims, space.masses, space.freqs)):
-        x1, p1 = _quadratures(d, m, w)
-        xs.append(_embed(x1, k, space.dims).astype(complex))
-        ps.append(_embed(p1, k, space.dims).astype(complex))
+        eye = np.eye(space.total_dim // d)
+        for ops, op in zip((xs, ps), _quadratures(d, m, w)):
+            ops.append((np.kron(op, eye) if k == 0
+                        else np.kron(eye, op)).astype(complex))
     return FockOperators(space, tuple(xs), tuple(ps))
 
 
@@ -108,8 +104,8 @@ def two_mode_hamiltonian(ops: FockOperators, p: TwoModeParams) -> ComplexArray:
                           zip(space.dims, space.masses, space.freqs))
     hS = pS @ pS / (2 * p.m_s)
     hE = pE @ pE / (2 * p.m_e) + p.m_e * p.omega ** 2 / 2 * (xE @ xE)
-    return (_embed(0.5 * (hS + hS.conj().T), 0, space.dims)
-            + _embed(0.5 * (hE + hE.conj().T), 1, space.dims)
+    return (np.kron(0.5 * (hS + hS.conj().T), np.eye(space.dims[1]))
+            + np.kron(np.eye(space.dims[0]), 0.5 * (hE + hE.conj().T))
             - p.coupling * np.kron(xS, xE))
 
 
@@ -329,9 +325,16 @@ def gaussian_crosscheck(p: TwoModeParams, x0: float, t_grid: Sequence[float],
 
     Branches are coherent displacements +-x0 of the open mode over the E
     vacuum (T = 0).  Deviations are tabulated per grid time together with the
-    leakage trust flag; the max columns aggregate trusted times only.
+    leakage trust flag; the max columns aggregate trusted times only.  The
+    Gaussian side is the +x0 branch from one stepped pass over the grid; the
+    -x0 branch is its mirror image, so the branches differ by twice its mean.
     """
-    from . import dynamics, phase_space  # deferred: keeps the oracle standalone
+    # deferred: keeps the oracle standalone
+    from .decomposition import cm_relative_transform, transform_state
+    from .dynamics import evolve_grid
+    from .models import build_two_mode
+    from .phase_space import (GaussianState, log_negativity, purity,
+                              reduce_state, vacuum_cov)
 
     space = FockSpace(("S", "E"), dims, (p.m_s, p.m_e), (1.0, p.omega))
     ops = build_operators(space)
@@ -343,36 +346,31 @@ def gaussian_crosscheck(p: TwoModeParams, x0: float, t_grid: Sequence[float],
     psi_a0 = product_pure_state(space, [va, ve])
     psi_b0 = product_pure_state(space, [vb, ve])
 
-    from .models import build_two_mode
     Hg = build_two_mode(p)
     lay = Hg.layout
-    base_cov = phase_space.vacuum_cov([p.m_s, p.m_e], [1.0, p.omega])
+    state0 = GaussianState(lay, np.array([x0, 0.0, 0.0, 0.0]),
+                           vacuum_cov([p.m_s, p.m_e], [1.0, p.omega]))
+    ts = [float(t) for t in t_grid]
 
     rows = []
     horizon = 0.0
     worst = dict(mean=0.0, cov=0.0, pur=0.0, ov=0.0)
-    for t in t_grid:
-        t = float(t)
+    for t, st in zip(ts, evolve_grid(state0, Hg, ts), strict=True):
         pa = evo.evolve_pure(psi_a0, t)
         pb = evo.evolve_pure(psi_b0, t)
         leak = leakage(pa, space)
         trusted = leak < _LEAK_TRUST
         mean_o, cov_o = moments(pa, ops)
-        M = dynamics.propagator(Hg, t).M
-        mean_g = M @ np.array([x0, 0, 0, 0])
-        cov_g = M @ base_cov @ M.T
-        dev_mean = float(np.abs(mean_o - mean_g).max())
-        dev_cov = float(np.abs(cov_o - cov_g).max())
+        dev_mean = float(np.abs(mean_o - st.mean).max())
+        dev_cov = float(np.abs(cov_o - st.cov).max())
         rs_o = reduced_density(pa, space, keep=0)
         pur_o = float(np.real(np.trace(rs_o @ rs_o)))
-        state_g = phase_space.GaussianState(lay, mean_g, cov_g)
-        pur_g = phase_space.purity(phase_space.reduce_state(state_g, ["S"]))
-        dev_pur = abs(pur_o - pur_g)
+        dev_pur = abs(pur_o - purity(reduce_state(st, ["S"])))
         re_a = reduced_density(pa, space, keep=1)
         re_b = reduced_density(pb, space, keep=1)
         ov_o = hs_overlap(re_a, re_b)
-        d_env = (M @ np.array([2 * x0, 0, 0, 0]))[[1, 3]]
-        cov_env = cov_g[np.ix_([1, 3], [1, 3])]
+        d_env = 2 * st.mean[[1, 3]]
+        cov_env = st.cov[np.ix_([1, 3], [1, 3])]
         ov_g = float(np.exp(-0.25 * d_env @ np.linalg.solve(cov_env, d_env)))
         dev_ov = abs(ov_o - ov_g)
         if trusted:
@@ -387,12 +385,8 @@ def gaussian_crosscheck(p: TwoModeParams, x0: float, t_grid: Sequence[float],
     t_neg = negativity_time if negativity_time is not None else horizon
     pa = evo.evolve_pure(psi_a0, t_neg)
     en_o, _ = cm_relative_log_negativity(pa, space)
-    M = dynamics.propagator(Hg, t_neg).M
-    cov_g = M @ base_cov @ M.T
-    mean_g = M @ np.array([x0, 0, 0, 0])
-    from .decomposition import cm_relative_transform, transform_state
+    (st,) = evolve_grid(state0, Hg, [t_neg])
     T = cm_relative_transform([p.m_s, p.m_e], labels=("CM", "R1"), source=lay)
-    st_cm = transform_state(phase_space.GaussianState(lay, mean_g, cov_g), T)
-    en_g = phase_space.log_negativity(st_cm, ["CM"], ["R1"])
+    en_g = log_negativity(transform_state(st, T), ["CM"], ["R1"])
     return CrosscheckReport(tuple(rows), horizon, worst["mean"], worst["cov"],
                             worst["pur"], worst["ov"], en_g, en_o, float(t_neg))

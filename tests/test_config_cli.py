@@ -311,6 +311,9 @@ def _drifting_dephasing(monkeypatch):
      "uncertainty relation", "violates the uncertainty relation", None),
     ("master-eq", "dephasing_master.cfg", {"master.variant": "none"},
      "master trace drift", "exceeds the bound 1e-08", _drifting_dephasing),
+    ("oracle", "two_mode_oracle.cfg",
+     {"run.t_max": 60.0, "run.t_steps": 61, "oracle.dim": 8},
+     "uncertainty relation", "violates the uncertainty relation", None),
 ])
 def test_cli_trust_refusals_exit_2_and_name_the_gate(
         tmp_path, capsys, monkeypatch, command, name, values, gate, message, rig):
@@ -343,7 +346,7 @@ def test_cli_master_eq(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["master-eq", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "visibility.csv").exists()
-    assert "positivity_ok" in capsys.readouterr().out
+    assert "trace drift" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("values", [{}, {"master.t_max": 5.0, "master.t_steps": 2}])

@@ -1,6 +1,7 @@
 """Symplectic propagation: analytic rotations, invariants, branch pairs."""
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import oscidec.dynamics
 from oscidec import (BathParams, CoherentAmplitude, DynamicsError,
@@ -9,9 +10,9 @@ from oscidec import (BathParams, CoherentAmplitude, DynamicsError,
                      TrustGateError, build_caldeira_leggett, build_two_mode,
                      TwoModeParams, cm_relative_transform, coherent_state,
                      decoherence_function, discretize_ohmic_bath, energy,
-                     evolve, evolve_branches, evolve_branches_from,
+                     evolve_branches, evolve_branches_from,
                      evolve_grid, layout, normal_mode_transform,
-                     parallel_compare, product_state, propagator, symplectic_form,
+                     parallel_compare, product_state, symplectic_form,
                      symplectic_residual, thermal_state,
                      transform_hamiltonian, transform_state, vacuum_cov)
 
@@ -22,11 +23,24 @@ def _sho(m: float, w: float) -> QuadraticHamiltonian:
     return QuadraticHamiltonian(lay, h)
 
 
+def _expm_propagator(H, t):
+    """M(t) = expm(t J h), one exponential per time: the slow reference for
+    the stepped pass."""
+    return expm(t * symplectic_form(H.n_modes) @ H.h)
+
+
+def _pass_propagators(H, t_grid):
+    """M(t) of the stepped pass at each grid time, from the vacuum I/2."""
+    cov0 = np.eye(2 * H.n_modes) / 2
+    return [M for _, M, _ in
+            oscidec.dynamics._stepped_trajectory(H, cov0, t_grid)]
+
+
 def test_propagator_matches_oscillator_rotation():
     m, w = 1.7, 0.6
     H = _sho(m, w)
-    for t in (0.0, 0.3, 2.1, 7.9):
-        M = propagator(H, t).M
+    grid = (0.0, 0.3, 2.1, 7.9)
+    for t, M in zip(grid, _pass_propagators(H, grid), strict=True):
         c, s = np.cos(w * t), np.sin(w * t)
         expected = np.array([[c, s / (m * w)], [-m * w * s, c]])
         assert np.abs(M - expected).max() < 1e-12
@@ -35,25 +49,27 @@ def test_propagator_matches_oscillator_rotation():
 def test_propagator_free_particle_shear():
     lay = layout("S")
     H = QuadraticHamiltonian(lay, np.diag([0.0, 1.0 / 2.5]))
-    M = propagator(H, 3.0).M
+    (M,) = _pass_propagators(H, [3.0])
     assert np.abs(M - np.array([[1.0, 3.0 / 2.5], [0.0, 1.0]])).max() < 1e-14
 
 
 def test_propagator_rejects_excessive_time_and_nonfinite():
     H = _sho(1.0, 1.0)
-    with pytest.raises(DynamicsTrustError, match="certified cap"):
-        propagator(H, 2.0e3)
+    state = GaussianState(layout("S"), np.zeros(2), np.eye(2) / 2)
+    with pytest.raises(DynamicsTrustError, match="certified cap") as exc:
+        list(evolve_grid(state, H, [2.0e3]))
+    assert exc.value.gate == "certified-time cap"
     with pytest.raises(DynamicsError, match="finite"):
-        propagator(H, np.inf)
+        list(evolve_grid(state, H, [np.inf]))
     # just below the cap still works
-    propagator(H, 0.99e3)
+    list(evolve_grid(state, H, [0.99e3]))
 
 
 def test_propagator_layout_mismatch():
     H = _sho(1.0, 1.0)
     other = GaussianState(layout("E"), np.zeros(2), np.eye(2) / 2)
     with pytest.raises(DynamicsError, match="layout"):
-        propagator(H, 0.5).apply(other)
+        evolve_grid(other, H, [0.5])
 
 
 def test_symplectic_residual_of_propagators():
@@ -65,7 +81,7 @@ def test_symplectic_residual_of_propagators():
         h[:3, :3] = xx @ xx.T + 0.1 * np.eye(3)
         h[3:, 3:] = np.diag(rng.uniform(0.3, 2.0, 3))
         H = QuadraticHamiltonian(lay, h)
-        M = propagator(H, 1.3).M
+        (M,) = _pass_propagators(H, [1.3])
         assert symplectic_residual(M) < 1e-11
     assert symplectic_residual(np.eye(6)) == 0.0
 
@@ -74,7 +90,7 @@ def test_matched_vacuum_is_stationary():
     m, w = 0.8, 1.9
     H = _sho(m, w)
     state = GaussianState(layout("S"), np.zeros(2), vacuum_cov([m], [w]))
-    out = evolve(state, H, 2.7)
+    (out,) = evolve_grid(state, H, [2.7])
     assert np.abs(out.cov - state.cov).max() < 1e-13
     assert np.abs(out.mean).max() == 0.0
 
@@ -87,8 +103,8 @@ def test_energy_value_and_conservation():
     e0 = energy(state, H)
     # 1/2 (x^2 + p^2) + vacuum 1/2
     assert e0 == pytest.approx(0.5 * (0.49 + 0.04) + 0.5, rel=1e-13)
-    for t in (0.4, 1.1, 4.3):
-        assert energy(evolve(state, H, t), H) == pytest.approx(e0, rel=1e-12)
+    for st in evolve_grid(state, H, (0.4, 1.1, 4.3)):
+        assert energy(st, H) == pytest.approx(e0, rel=1e-12)
 
 
 def test_energy_includes_linear_term():
@@ -163,21 +179,28 @@ def test_evolve_branches_validates_modes():
                         bad_env, H, [0.0], (1.0, 1.0))
 
 
+def _reference_moments(M, mean, cov):
+    """M m and the symmetrised M sigma M^T."""
+    cov = M @ cov @ M.T
+    return M @ mean, 0.5 * (cov + cov.T)
+
+
 def _reference_branches(base, alpha, beta, H, t_grid):
-    """Evolve both displaced states with propagator(H, t).apply, one matrix
+    """(t, mean_a, mean_b, cov) of both displaced states, one matrix
     exponential per time: the slow reference for the stepped pass."""
     n = base.layout.n_modes
-    states = []
+    means = []
     for amp in (alpha, beta):
         k = base.layout.index(amp.mode)
         mean = base.mean.copy()
         mean[k] += amp.x0
         mean[k + n] += amp.p0
-        states.append(GaussianState(base.layout, mean, base.cov))
+        means.append(mean)
     out = []
     for t in t_grid:
-        P = propagator(H, float(t))
-        out.append((float(t), P.apply(states[0]), P.apply(states[1])))
+        M = _expm_propagator(H, float(t))
+        mean_a, cov = _reference_moments(M, means[0], base.cov)
+        out.append((float(t), mean_a, M @ means[1], cov))
     return out
 
 
@@ -209,15 +232,16 @@ def _assert_matches_reference(base, alpha, beta, H, t_grid):
     want = _reference_branches(base, alpha, beta, H, t_grid)
     env = got.env.mode_labels
     idx = H.layout.z_indices(env)
-    assert got.t.tolist() == [t for t, _, _ in want]
+    assert got.t.tolist() == [t for t, *_ in want]
     gamma = []
-    for i, (_, wa, wb) in enumerate(want):
-        for g, w in ((got.mean_a[i], wa.mean), (got.mean_b[i], wb.mean),
-                     (got.env_cov[i], wa.cov[np.ix_(idx, idx)])):
+    for i, (_, wa, wb, wcov) in enumerate(want):
+        env_cov = wcov[np.ix_(idx, idx)]
+        for g, w in ((got.mean_a[i], wa), (got.mean_b[i], wb),
+                     (got.env_cov[i], env_cov)):
             np.testing.assert_allclose(g, w, rtol=0,
                                        atol=1e-12 * np.abs(w).max())
-        d = wa.mean[idx] - wb.mean[idx]
-        gamma.append(-0.25 * d @ np.linalg.solve(wa.cov[np.ix_(idx, idx)], d))
+        d = wa[idx] - wb[idx]
+        gamma.append(-0.25 * d @ np.linalg.solve(env_cov, d))
     np.testing.assert_allclose(decoherence_function(got, env), gamma,
                                rtol=1e-12, atol=0)
 
@@ -252,7 +276,6 @@ def test_stepped_pass_takes_one_exponential_per_distinct_step(monkeypatch):
         calls.append(a)
         return expm(a)
 
-    expm = oscidec.dynamics.expm
     monkeypatch.setattr(oscidec.dynamics, "expm", counting_expm)
     base, H, alpha, beta = _chain_frames(4, 1.0)[0]
     grid = [2.0 * i / 200 for i in range(201)]   # the config grid's rounding
@@ -270,7 +293,7 @@ def test_branch_probes_are_the_pass_propagators():
     assert sorted(traj.propagators) == [grid[1], 2.0]
     idx = H.layout.z_indices(traj.env.mode_labels)
     for t, M in traj.propagators.items():
-        assert np.abs(M - propagator(H, t).M).max() < 1e-12
+        assert np.abs(M - _expm_propagator(H, t)).max() < 1e-12
         # the kept matrix is the one that produced the stored covariance
         cov = M @ base.cov @ M.T
         cov = 0.5 * (cov + cov.T)
@@ -284,13 +307,18 @@ def test_evolve_grid_matches_per_time_evolve():
     H = build_two_mode(TwoModeParams(1.0, 1.0, 1.0, 0.25))
     state = GaussianState(H.layout, np.array([0.4, 0.0, 0.1, 0.0]),
                           vacuum_cov([1.0, 1.0], [1.0, 1.0]))
+    # the oracle's branch and 26-point grid on [0, 5], as the config rounds it
+    oracle = GaussianState(H.layout, np.array([0.4, 0.0, 0.0, 0.0]),
+                           vacuum_cov([1.0, 1.0], [1.0, 1.0]))
     grid = [0.3, 0.8, 1.3, 1.8, 4.0, 4.5]
-    for t, got in zip(grid, evolve_grid(state, H, grid), strict=True):
-        want = evolve(state, H, t)
-        np.testing.assert_allclose(got.mean, want.mean, rtol=0,
-                                   atol=1e-12 * np.abs(want.mean).max())
-        np.testing.assert_allclose(got.cov, want.cov, rtol=0,
-                                   atol=1e-12 * np.abs(want.cov).max())
+    for st, ts in ((state, grid), (oracle, [5.0 * i / 25 for i in range(26)])):
+        for t, got in zip(ts, evolve_grid(st, H, ts), strict=True):
+            mean, cov = _reference_moments(_expm_propagator(H, t), st.mean,
+                                           st.cov)
+            np.testing.assert_allclose(got.mean, mean, rtol=0,
+                                       atol=1e-12 * np.abs(mean).max())
+            np.testing.assert_allclose(got.cov, cov, rtol=0,
+                                       atol=1e-12 * np.abs(cov).max())
     with pytest.raises(DynamicsError, match="layout"):
         evolve_grid(GaussianState(layout("E"), np.zeros(2), np.eye(2) / 2),
                     H, grid)
@@ -304,10 +332,10 @@ def test_evolved_covariance_failing_uncertainty_raises_trust_error():
     assert np.linalg.eigvalsh(H.h).min() < -0.05
     state = GaussianState(H.layout, np.array([0.4, 0.0, 0.0, 0.0]),
                           vacuum_cov([1.0, 1.0], [1.0, 1.0]))
-    evolve(state, H, 20.0)           # still satisfies it
+    list(evolve_grid(state, H, [20.0]))           # still satisfies it
     assert 200.0 * np.linalg.norm(H.h, 2) < 1e3   # inside the time cap
     with pytest.raises(DynamicsTrustError, match="uncertainty relation") as exc:
-        evolve(state, H, 200.0)
+        list(evolve_grid(state, H, [200.0]))
     assert exc.value.gate == "uncertainty relation"
     with pytest.raises(DynamicsTrustError, match="uncertainty relation"):
         evolve_branches_from(state, CoherentAmplitude("S", 0.1),
@@ -339,9 +367,9 @@ def test_non_finite_evolved_covariance_fails_the_uncertainty_gate():
     lay = layout("S")
     H = QuadraticHamiltonian(lay, np.diag([-1.0, 1.0]))
     state = GaussianState(lay, np.zeros(2), np.eye(2) / 2)
-    assert np.isfinite(propagator(H, 400.0).M).all()
+    assert np.isfinite(_expm_propagator(H, 400.0)).all()
     with pytest.raises(DynamicsTrustError, match="min eig nan") as exc:
-        evolve(state, H, 400.0)
+        list(evolve_grid(state, H, [400.0]))
     assert exc.value.gate == "uncertainty relation"
     with pytest.raises(DynamicsTrustError, match="uncertainty relation"):
         list(evolve_grid(state, H, [0.0, 400.0]))
@@ -350,10 +378,10 @@ def test_non_finite_evolved_covariance_fails_the_uncertainty_gate():
     cov[0, 1] = cov[1, 0] = np.nan
     with pytest.raises(DynamicsTrustError, match="min eig nan"):
         oscidec.dynamics._evolved_cov(np.eye(4), cov, 1.0,
-                                      0.5j * symplectic_form(2))
+                                      0.5j * symplectic_form(2), 0.0)
 
 
-def _eigvalsh_gate(M, cov0, t, half_iJ, eps0=None):
+def _eigvalsh_gate(M, cov0, t, half_iJ, eps0):
     """The uncertainty gate without the symplectic-defect bound: one eigvalsh
     of sigma + iJ/2 per time, refusing a minimum below -1e-10.  The
     reference the bounded gate must agree with."""
@@ -415,7 +443,7 @@ def _floor_and_min_eig(monkeypatch, H, cov0, grid):
     eps0 = oscidec.dynamics._uncertainty_deficit(cov0, half_iJ)
     out = []
 
-    def recording_gate(M, cov0, t, half_iJ, _eps0=None):
+    def recording_gate(M, cov0, t, half_iJ, _eps0):
         cov = M @ cov0 @ M.T
         cov = 0.5 * (cov + cov.T)
         out.append((oscidec.dynamics._uncertainty_floor(M, cov, eps0),
@@ -481,7 +509,8 @@ def test_compare_makes_no_per_time_eigvalsh_call(monkeypatch):
 
 def test_uncertainty_bound_reads_the_defect_and_the_initial_deficit(
         monkeypatch):
-    M = propagator(build_two_mode(TwoModeParams(1.0, 1.0, 1.0, 0.25)), 3.0).M
+    M = _expm_propagator(build_two_mode(TwoModeParams(1.0, 1.0, 1.0, 0.25)),
+                         3.0)
     calls = _count_eigvalsh(monkeypatch)
     half_iJ = 0.5j * symplectic_form(2)
     gate = oscidec.dynamics._evolved_cov

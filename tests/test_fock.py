@@ -51,12 +51,12 @@ def schmidt_log_negativity_pure(amp):
 
 
 def test_space_validation():
-    with pytest.raises(OracleError, match="1 to 3 modes"):
-        FockSpace(("A", "B", "C", "D"), (2, 2, 2, 2), (1,) * 4, (1,) * 4)
+    with pytest.raises(OracleError, match="1 or 2 modes"):
+        FockSpace(("A", "B", "C"), (2, 2, 2), (1,) * 3, (1,) * 3)
     with pytest.raises(OracleError, match="at least 2"):
         FockSpace(("A",), (1,), (1.0,), (1.0,))
     with pytest.raises(OracleError, match="cap"):
-        FockSpace(("A", "B", "C"), (30, 30, 30), (1,) * 3, (1,) * 3)
+        FockSpace(("A", "B"), (150, 150), (1,) * 2, (1,) * 2)
     with pytest.raises(OracleError, match="align"):
         FockSpace(("A", "B"), (4,), (1.0, 1.0), (1.0, 1.0))
     with pytest.raises(OracleError, match="positive"):
@@ -124,14 +124,13 @@ def _moments_reference(psi, ops):
     return mean, cov
 
 
-def _three_mode_ops():
-    space = FockSpace(("S", "E1", "E2"), (4, 5, 3), (1.3, 0.7, 2.1),
-                      (0.9, 1.6, 0.5))
+def _unequal_two_mode_ops():
+    space = FockSpace(("S", "E1"), (4, 5), (1.3, 0.7), (0.9, 1.6))
     return space, build_operators(space)
 
 
 def test_moments_match_operator_product_reference():
-    space, ops = _three_mode_ops()
+    space, ops = _unequal_two_mode_ops()
     D = space.total_dim
     rng = np.random.default_rng(11)
     psi = rng.normal(size=D) + 1j * rng.normal(size=D)
@@ -144,9 +143,9 @@ def test_moments_match_operator_product_reference():
 
 
 def test_evolve_pure_matches_unitary():
-    space, ops = _three_mode_ops()
+    space, ops = _unequal_two_mode_ops()
     pot = SystemPotential("harmonic", 1.3, 0.9)
-    bath = BathParams((0.7, 2.1), (1.6, 0.5), (0.2, -0.1), -1)
+    bath = BathParams((0.7,), (1.6,), (0.2,), -1)
     evo = diagonalize(space, quadratic_hamiltonian_operator(
         ops, build_caldeira_leggett(pot, bath).h))
     rng = np.random.default_rng(4)

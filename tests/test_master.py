@@ -195,7 +195,8 @@ def test_evolve_master_clean_run(variant):
     res = evolve_master(_cat_density(20, 1.0), scn, grid)
     assert res.halvings == 0
     assert res.max_trace_drift <= 1e-8
-    assert res.positivity_ok
+    # the exact flow of a Lindblad generator keeps every state positive
+    assert np.linalg.eigvalsh(res.states).min() >= -1e-12
     assert len(res.states) == len(grid)
     assert np.array_equal(res.states[0], _cat_density(20, 1.0))
     rho = res.states[-1]
@@ -233,7 +234,7 @@ def test_coherence_profile_visibility():
     one = np.zeros((1, 30, 30), complex)
     one[0, 1, 1] = 1.0
     with pytest.raises(MasterEqError, match="vanishing diagonal"):
-        coherence_profile(MasterEvolution(np.zeros(1), one, 0.0, 0.0),
+        coherence_profile(MasterEvolution(np.zeros(1), one, 0.0),
                           np.array([0.0, 1.0]), (-0.5, 0.5), (0.5, 1.5),
                           1.0, 1.0)
 

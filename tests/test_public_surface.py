@@ -11,5 +11,6 @@ def test_all_names_resolve_once():
 def test_removed_names_stay_removed():
     for name in ("pointer_robustness", "coupling_spectrum", "gaussian_overlap",
                  "log_gaussian_overlap", "evolve_exact",
-                 "schmidt_log_negativity_pure"):
+                 "schmidt_log_negativity_pure", "SymplecticPropagator",
+                 "propagator", "evolve"):
         assert not hasattr(oscidec, name), name
