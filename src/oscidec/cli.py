@@ -183,7 +183,8 @@ def _cmd_oracle(cfg: ScenarioConfig, out: Path, digest: str) -> int:
           f"cov={report.max_dev_cov:.3e} overlap={report.max_dev_overlap:.3e}")
     print(f"negativity dense={report.negativity_oracle!r} "
           f"gaussian={report.negativity_gauss!r} "
-          f"sign_agrees={report.negativity_sign_agrees}")
+          f"sign_agrees={report.negativity_sign_agrees} "
+          f"projection_norm={report.negativity_projection_norm!r}")
     print(f"wrote {out / 'crosscheck.csv'}")
     if not any(row.trusted for row in report.rows):
         print("trust gate 'oracle leakage': no trusted times: truncation "

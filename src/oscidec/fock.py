@@ -5,7 +5,10 @@ Everything here is built independently of the Gaussian engine: ladder-operator
 matrices, dense eigendecomposition evolution, reduced density matrices,
 Hilbert-Schmidt overlaps, and a quadrature-based re-expression of pure
 two-mode wavefunctions in CM/relative coordinates for an independent
-partial-transpose entanglement check.
+entanglement check.  The log-negativity of that pure state is read from its
+Schmidt coefficients, which fix the spectrum of the partial transpose
+exactly; the tests keep the literal partial-transpose eigendecomposition as
+the reference it is checked against.
 """
 from __future__ import annotations
 
@@ -231,12 +234,11 @@ def project_to_transformed_basis(c: ComplexArray,
     """
     (m1, w1), (m2, w2) = scales_in
     (M1, W1), (M2, W2) = scales_out
-    y1, q1 = hermgauss(n_quad)
-    y2, q2 = hermgauss(n_quad)
+    y, q = hermgauss(n_quad)
     s1 = np.sqrt(M1 * W1)
     s2 = np.sqrt(M2 * W2)
-    g1 = y1 / s1
-    g2 = y2 / s2
+    g1 = y / s1
+    g2 = y / s2
     Ai = np.linalg.inv(A)
     X1 = Ai[0, 0] * g1[:, None] + Ai[0, 1] * g2[None, :]
     X2 = Ai[1, 0] * g1[:, None] + Ai[1, 1] * g2[None, :]
@@ -244,8 +246,8 @@ def project_to_transformed_basis(c: ComplexArray,
     phi1 = _mode_wavefunctions(X1.ravel(), d1, m1, w1).reshape(d1, n_quad, n_quad)
     phi2 = _mode_wavefunctions(X2.ravel(), d2, m2, w2).reshape(d2, n_quad, n_quad)
     psi = np.einsum("jk,jab,kab->ab", c, phi1, phi2, optimize=True)
-    out1 = _mode_wavefunctions(g1, d_out, M1, W1) * (q1 * np.exp(y1 ** 2)) / s1
-    out2 = _mode_wavefunctions(g2, d_out, M2, W2) * (q2 * np.exp(y2 ** 2)) / s2
+    out1 = _mode_wavefunctions(g1, d_out, M1, W1) * (q * np.exp(y ** 2)) / s1
+    out2 = _mode_wavefunctions(g2, d_out, M2, W2) * (q * np.exp(y ** 2)) / s2
     jac = abs(np.linalg.det(Ai))
     return np.sqrt(jac) * np.einsum("ma,nb,ab->mn", out1, out2, psi, optimize=True)
 
@@ -253,15 +255,15 @@ def project_to_transformed_basis(c: ComplexArray,
 def pt_log_negativity_pure(amp: ComplexArray) -> float:
     """ln || rho^T_B ||_1 for the pure state with amplitude matrix amp.
 
-    The partial transpose of |psi><psi| has entries
-    (rho^T_B)_{(m n),(m' n')} = amp[m, n'] conj(amp[m', n]); its trace norm is
-    evaluated literally from the eigenvalues of that Hermitian matrix.
+    With the Schmidt decomposition amp / ||amp|| = U diag(s) V^T,
+    rho^T_B = (U kron conj(V)) (sum_ij s_i s_j |i j><j i|) (U kron conj(V))^dag:
+    a unitary conjugate of a swap-like matrix whose eigenvalues are s_i^2 and
+    +-s_i s_j (i < j).  Hence ||rho^T_B||_1 = (sum_i s_i)^2 and
+    E_N = 2 ln sum_i s_i (Vidal & Werner, PRA 65, 032314, 2002), found from
+    one d1 x d2 SVD instead of a (d1 d2) x (d1 d2) eigendecomposition.
     """
-    a = amp / np.linalg.norm(amp)
-    d1, d2 = a.shape
-    rho_pt = np.einsum("mq,pn->mnpq", a, a.conj()).reshape(d1 * d2, d1 * d2)
-    ev = np.linalg.eigvalsh(rho_pt)
-    return float(np.log(np.abs(ev).sum()))
+    s = np.linalg.svd(amp / np.linalg.norm(amp), compute_uv=False)
+    return float(2.0 * np.log(s.sum()))
 
 
 def cm_relative_log_negativity(psi: ComplexArray, space: FockSpace,
@@ -312,6 +314,7 @@ class CrosscheckReport:
     negativity_gauss: float
     negativity_oracle: float
     negativity_time: float
+    negativity_projection_norm: float  # ~1 when d_out captures the state
 
     @property
     def negativity_sign_agrees(self) -> bool:
@@ -384,9 +387,10 @@ def gaussian_crosscheck(p: TwoModeParams, x0: float, t_grid: Sequence[float],
 
     t_neg = negativity_time if negativity_time is not None else horizon
     pa = evo.evolve_pure(psi_a0, t_neg)
-    en_o, _ = cm_relative_log_negativity(pa, space)
+    en_o, norm_o = cm_relative_log_negativity(pa, space)
     (st,) = evolve_grid(state0, Hg, [t_neg])
     T = cm_relative_transform([p.m_s, p.m_e], labels=("CM", "R1"), source=lay)
     en_g = log_negativity(transform_state(st, T), ["CM"], ["R1"])
     return CrosscheckReport(tuple(rows), horizon, worst["mean"], worst["cov"],
-                            worst["pur"], worst["ov"], en_g, en_o, float(t_neg))
+                            worst["pur"], worst["ov"], en_g, en_o, float(t_neg),
+                            norm_o)

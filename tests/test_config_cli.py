@@ -285,6 +285,17 @@ def _shipped(tmp_path, name, values):
     return _cfg_file(tmp_path, "\n".join(lines) + "\n", name=name)
 
 
+def test_cli_oracle_reports_projection_norm_on_shipped_config(tmp_path,
+                                                              capsys):
+    """The CM|relative amplitude at d_out = 24 holds the whole state."""
+    cfg = _shipped(tmp_path, "two_mode_oracle.cfg", {})
+    assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    (line,) = [ln for ln in capsys.readouterr().out.splitlines()
+               if ln.startswith("negativity dense=")]
+    norm = float(line.rsplit("projection_norm=", 1)[1])
+    assert abs(norm - 1.0) < 1e-9
+
+
 def _drifting_master_solver(monkeypatch):
     """The exact solve conserves the trace; only a faulty solver trips the
     gate, so stand one in that scales every state by 1 + 1e-6."""

@@ -5,8 +5,9 @@ import pytest
 from oscidec import (BathParams, FockSpace, GaussianState, OracleError,
                      SystemPotential, TwoModeParams, build_caldeira_leggett,
                      build_two_mode, cm_relative_log_negativity,
-                     cm_relative_transform, layout, leakage, log_negativity,
-                     pt_log_negativity_pure, transform_state, vacuum_cov)
+                     cm_relative_transform, gaussian_crosscheck, layout,
+                     leakage, log_negativity, pt_log_negativity_pure,
+                     transform_state, vacuum_cov)
 from oscidec.fock import (_LEAK_TRUST, build_operators, coherent_vector,
                           diagonalize, hs_overlap, moments, product_pure_state,
                           project_to_transformed_basis, reduced_density,
@@ -43,11 +44,13 @@ def unitary(evo, t):
     return (evo.vectors * phase) @ evo.vectors.conj().T
 
 
-def schmidt_log_negativity_pure(amp):
-    """Pure-state shortcut: E_N = 2 ln sum of Schmidt coefficients."""
+def literal_pt_log_negativity(amp):
+    """ln || rho^T_B ||_1 from the eigenvalues of the partial transpose
+    itself, (rho^T_B)_{(m n),(m' n')} = amp[m, n'] conj(amp[m', n])."""
     a = amp / np.linalg.norm(amp)
-    sv = np.linalg.svd(a, compute_uv=False)
-    return float(2.0 * np.log(sv.sum()))
+    d1, d2 = a.shape
+    rho_pt = np.einsum("mq,pn->mnpq", a, a.conj()).reshape(d1 * d2, d1 * d2)
+    return float(np.log(np.abs(np.linalg.eigvalsh(rho_pt)).sum()))
 
 
 def test_space_validation():
@@ -239,15 +242,54 @@ def test_projection_identity_transform():
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_pt_and_schmidt_negativities_agree():
+def _oracle_cm_relative_amplitude(monkeypatch):
+    """The CM|relative amplitude that cm_relative_log_negativity hands to
+    pt_log_negativity_pure, for a cutoff-16 oracle state at t = 0.7."""
+    import oscidec.fock as fock
+    p = TwoModeParams(1.0, 1.0, 1.0, 0.2)
+    space = FockSpace(("S", "E"), (16, 16), (1.0, 1.0), (1.0, 1.0))
+    evo = diagonalize(space, two_mode_hamiltonian(build_operators(space), p))
+    psi0 = product_pure_state(space, [coherent_vector(16, 1, 1, 0.35),
+                                      coherent_vector(16, 1, 1, 0.0)])
+    seen = []
+    schmidt = fock.pt_log_negativity_pure
+    monkeypatch.setattr(fock, "pt_log_negativity_pure",
+                        lambda amp: seen.append(amp) or schmidt(amp))
+    cm_relative_log_negativity(evo.evolve_pure(psi0, 0.7), space)
+    (amp,) = seen
+    return amp
+
+
+def test_pt_and_schmidt_negativities_agree(monkeypatch):
     rng = np.random.default_rng(5)
-    amp = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
-    en_pt = pt_log_negativity_pure(amp)
-    en_sv = schmidt_log_negativity_pure(amp)
-    assert en_pt == pytest.approx(en_sv, abs=1e-10)
+    amps = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            for d in (7, 24)]
+    amps.append(_oracle_cm_relative_amplitude(monkeypatch))
+    assert amps[-1].shape == (24, 24)
+    for amp in amps:
+        assert pt_log_negativity_pure(amp) == pytest.approx(
+            literal_pt_log_negativity(amp), abs=1e-12)
+    assert pt_log_negativity_pure(amps[-1]) > 0.01
     # product amplitude carries no entanglement
     prod = np.outer(coherent_vector(7, 1, 1, 0.3), coherent_vector(7, 1, 1, -0.1))
     assert abs(pt_log_negativity_pure(prod)) < 1e-12
+
+
+def test_crosscheck_decomposes_nothing_larger_than_the_fock_space(monkeypatch):
+    shapes = []
+    for name in ("eigvalsh", "eigh"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, *args, _fn=fn, **kw:
+                            shapes.append(a.shape) or _fn(a, *args, **kw))
+    rep = gaussian_crosscheck(TwoModeParams(1.0, 1.0, 1.0, 0.25), 0.4,
+                              np.linspace(0.0, 1.0, 3), dims=(16, 16),
+                              negativity_time=0.7)
+    assert rep.negativity_oracle > 0
+    # the Fock Hamiltonian is decomposed once; the negativity adds no
+    # d_out^2-sized partial transpose
+    assert (256, 256) in shapes
+    assert max(max(s) for s in shapes) <= 256
 
 
 def test_cm_relative_negativity_zero_for_symmetric_vacuum():
