@@ -5,10 +5,14 @@ Everything here is built independently of the Gaussian engine: ladder-operator
 matrices, dense eigendecomposition evolution, reduced density matrices,
 Hilbert-Schmidt overlaps, and a quadrature-based re-expression of pure
 two-mode wavefunctions in CM/relative coordinates for an independent
-entanglement check.  The log-negativity of that pure state is read from its
-Schmidt coefficients, which fix the spectrum of the partial transpose
-exactly; the tests keep the literal partial-transpose eigendecomposition as
-the reference it is checked against.
+entanglement check.  The two-mode Hamiltonian is real symmetric, so its
+eigenbasis is real, and every grid time is evolved in one batched pass.
+The per-time quantities work on the (T, d1, d2) stack of amplitude
+matrices; moments apply each mode's single-mode quadratures to its own axis,
+so no full-space operator is formed.  The log-negativity of the CM/relative
+state is read from its Schmidt coefficients, which fix the spectrum of the
+partial transpose exactly; the tests keep the literal partial-transpose
+eigendecomposition as the reference it is checked against.
 """
 from __future__ import annotations
 
@@ -64,15 +68,6 @@ def _ladder(d: int) -> FloatArray:
     return np.diag(np.sqrt(np.arange(1, d)), 1)
 
 
-@dataclass(frozen=True)
-class FockOperators:
-    """Position and momentum matrices on the full space."""
-
-    space: FockSpace
-    x: tuple[ComplexArray, ...]
-    p: tuple[ComplexArray, ...]
-
-
 def _quadratures(d: int, mass: float,
                  freq: float) -> tuple[FloatArray, ComplexArray]:
     """One mode's x = (a + a^dag)/sqrt(2 m w), p = i sqrt(m w/2)(a^dag - a)."""
@@ -82,33 +77,22 @@ def _quadratures(d: int, mass: float,
     return x, p
 
 
-def build_operators(space: FockSpace) -> FockOperators:
-    """Every mode's quadratures on the full space: op kron I on the first
-    mode, I kron op on the second."""
-    xs, ps = [], []
-    for k, (d, m, w) in enumerate(zip(space.dims, space.masses, space.freqs)):
-        eye = np.eye(space.total_dim // d)
-        for ops, op in zip((xs, ps), _quadratures(d, m, w)):
-            ops.append((np.kron(op, eye) if k == 0
-                        else np.kron(eye, op)).astype(complex))
-    return FockOperators(space, tuple(xs), tuple(ps))
-
-
-def two_mode_hamiltonian(ops: FockOperators, p: TwoModeParams) -> ComplexArray:
+def two_mode_hamiltonian(space: FockSpace, p: TwoModeParams) -> FloatArray:
     """Operator expression of the two-mode model (independent of any h matrix).
 
     H = hS kron I + I kron hE - C xS kron xE, with every operator product
-    taken on one mode's d x d matrices rather than on the full space.  The
-    Kronecker products of Hermitian factors are exactly Hermitian, so the
-    single-mode terms are symmetrized instead of H.
+    taken on one mode's d x d matrices rather than on the full space.  With
+    p = i p~ for the real antisymmetric p~, p^2 = -p~^2, so H is real
+    symmetric.  The Kronecker products of symmetric factors are exactly
+    symmetric, so the single-mode terms are symmetrized instead of H.
     """
-    space = ops.space
     (xS, pS), (xE, pE) = (_quadratures(d, m, w) for d, m, w in
                           zip(space.dims, space.masses, space.freqs))
-    hS = pS @ pS / (2 * p.m_s)
-    hE = pE @ pE / (2 * p.m_e) + p.m_e * p.omega ** 2 / 2 * (xE @ xE)
-    return (np.kron(0.5 * (hS + hS.conj().T), np.eye(space.dims[1]))
-            + np.kron(np.eye(space.dims[0]), 0.5 * (hE + hE.conj().T))
+    hS = -(pS.imag @ pS.imag) / (2 * p.m_s)
+    hE = (-(pE.imag @ pE.imag) / (2 * p.m_e)
+          + p.m_e * p.omega ** 2 / 2 * (xE @ xE))
+    return (np.kron(0.5 * (hS + hS.T), np.eye(space.dims[1]))
+            + np.kron(np.eye(space.dims[0]), 0.5 * (hE + hE.T))
             - p.coupling * np.kron(xS, xE))
 
 
@@ -142,60 +126,105 @@ def validate_density(rho: ComplexArray) -> None:
         raise OracleError("density matrix has a significant negative eigenvalue")
 
 
+def _split_matmul(a: ComplexArray, b: FloatArray | ComplexArray) -> ComplexArray:
+    """a @ b for a complex stack a of shape (..., n): its real and imaginary
+    parts go through one stacked product, so a real b costs real arithmetic."""
+    ri = np.stack([a.real, a.imag]).reshape(-1, a.shape[-1]) @ b
+    ri = ri.reshape((2,) + a.shape[:-1] + (b.shape[-1],))
+    return ri[0] + 1j * ri[1]
+
+
 @dataclass(frozen=True)
 class Evolver:
     """Dense eigendecomposition of H, reusable across grid times."""
 
     space: FockSpace
     energies: FloatArray
-    vectors: ComplexArray
+    vectors: FloatArray | ComplexArray
 
-    def evolve_pure(self, psi0: ComplexArray, t: float) -> ComplexArray:
-        """U(t) psi0 applied in the eigenbasis, without forming U(t)."""
-        phase = np.exp(-1j * self.energies * t)
-        return self.vectors @ (phase * (self.vectors.conj().T @ psi0))
+    def evolve_pure(self, psi0: ComplexArray,
+                    ts: Sequence[float]) -> ComplexArray:
+        """U(t) psi0 = V (e^{-iEt} * V^dag psi0) for every t in ts, without
+        forming U(t).
+
+        psi0 has shape (..., D) and the result (..., T, D).  Two matrix
+        products serve the whole grid; they are real when V is.
+        """
+        V = self.vectors
+        coef = np.conj(_split_matmul(np.conj(psi0), V))   # V^dag psi0
+        phase = np.exp(-1j * np.multiply.outer(np.asarray(ts, float),
+                                               self.energies))
+        return _split_matmul(coef[..., None, :] * phase, V.T)
 
 
-def diagonalize(space: FockSpace, H: ComplexArray) -> Evolver:
+def diagonalize(space: FockSpace, H: FloatArray | ComplexArray) -> Evolver:
+    """Eigendecomposition of H as given: a real symmetric H has a real
+    eigenbasis."""
     if np.abs(H - H.conj().T).max() > 1e-10 * max(np.abs(H).max(), 1.0):
         raise OracleError("Hamiltonian operator must be Hermitian")
     E, V = np.linalg.eigh(H)
     return Evolver(space, E, V)
 
 
-def leakage(psi: ComplexArray, space: FockSpace) -> float:
-    """Total population in the top two Fock levels of any mode."""
-    pops = (np.abs(psi) ** 2).reshape(space.dims)
-    total = 0.0
-    for k, d in enumerate(space.dims):
-        total += float(np.take(pops, [d - 2, d - 1], axis=k).sum())
-    return total
+# Per-state quantities below take amplitude stacks of shape (..., *space.dims):
+# one state's amplitude is its vector reshaped to the per-mode cutoffs.
+
+def leakage(amp: ComplexArray, space: FockSpace) -> FloatArray:
+    """Total population in the top two Fock levels of any mode, per state."""
+    pops = np.abs(amp) ** 2
+    n = len(space.dims)
+    return sum(np.take(pops, [d - 2, d - 1], axis=k - n).sum(
+        axis=tuple(range(-n, 0))) for k, d in enumerate(space.dims))
 
 
-def reduced_density(psi: ComplexArray, space: FockSpace, keep: int) -> ComplexArray:
-    """Partial trace of |psi><psi| keeping one mode."""
-    dims = space.dims
-    m = np.moveaxis(psi.reshape(dims), keep, 0).reshape(dims[keep], -1)
-    return m @ m.conj().T
+def reduced_density(amp: ComplexArray, space: FockSpace,
+                    keep: int) -> ComplexArray:
+    """Partial trace of |psi><psi| keeping one mode, per state."""
+    n = len(space.dims)
+    m = np.moveaxis(amp, keep - n, -n)
+    m = m.reshape(m.shape[:-n] + (space.dims[keep], -1))
+    return m @ m.conj().swapaxes(-1, -2)
 
 
-def hs_overlap(ra: ComplexArray, rb: ComplexArray) -> float:
+def _trace_of_product(a: ComplexArray, b: ComplexArray) -> FloatArray:
+    """Re tr(a b) over the last two axes."""
+    return np.einsum("...ij,...ji->...", a, b).real
+
+
+def hs_overlap(ra: ComplexArray, rb: ComplexArray) -> FloatArray:
     """Normalized Hilbert-Schmidt overlap tr(ra rb)/sqrt(tr ra^2 tr rb^2)."""
-    num = np.real(np.trace(ra @ rb))
-    den = np.sqrt(np.real(np.trace(ra @ ra)) * np.real(np.trace(rb @ rb)))
-    return float(num / den)
+    return _trace_of_product(ra, rb) / np.sqrt(
+        _trace_of_product(ra, ra) * _trace_of_product(rb, rb))
 
 
-def moments(psi: ComplexArray, ops: FockOperators) -> tuple[FloatArray, FloatArray]:
-    """First moments <z> and symmetrized covariance of a state vector.
+def moments(amp: ComplexArray,
+            space: FockSpace) -> tuple[FloatArray, FloatArray]:
+    """First moments <z> and symmetrized covariance per state, with
+    z = (x_1, .., x_n, p_1, .., p_n).
 
+    Each mode's single-mode x and p act on that mode's axis of the amplitude
+    (x_S A and A x_E^T for two modes), so no full-space operator is formed.
     The truncated x and p matrices are Hermitian, so <{z_i, z_j}>/2 is
     Re <z_i psi|z_j psi>, with no product of two operators.
     """
-    W = np.array([z @ psi for z in list(ops.x) + list(ops.p)])
-    mean = np.real(W @ psi.conj())
-    cov = np.real(W.conj() @ W.T)
-    cov = 0.5 * (cov + cov.T) - np.outer(mean, mean)
+    n = len(space.dims)
+    quads = [_quadratures(d, m, w)
+             for d, m, w in zip(space.dims, space.masses, space.freqs)]
+
+    def on_axis(z: ComplexArray, k: int) -> ComplexArray:
+        # the last mode's axis is the amplitude's last; the first of two
+        # modes is the matrix row axis
+        return amp @ z.T if k == n - 1 else z @ amp
+
+    W = np.stack([on_axis(q[part], k) for part in (0, 1)
+                  for k, q in enumerate(quads)], axis=-n - 1)
+    lead = amp.shape[:-n]
+    W = W.reshape(lead + (2 * n, -1))
+    psi = amp.reshape(lead + (-1, 1))
+    mean = np.real(W @ psi.conj())[..., 0]
+    cov = np.real(W.conj() @ W.swapaxes(-1, -2))
+    cov = (0.5 * (cov + cov.swapaxes(-1, -2))
+           - mean[..., :, None] * mean[..., None, :])
     return mean, cov
 
 
@@ -329,8 +358,11 @@ def gaussian_crosscheck(p: TwoModeParams, x0: float, t_grid: Sequence[float],
     Branches are coherent displacements +-x0 of the open mode over the E
     vacuum (T = 0).  Deviations are tabulated per grid time together with the
     leakage trust flag; the max columns aggregate trusted times only.  The
-    Gaussian side is the +x0 branch from one stepped pass over the grid; the
-    -x0 branch is its mirror image, so the branches differ by twice its mean.
+    oracle evolves both branches to every grid time and the negativity time
+    in one batched pass, and its per-time quantities come from that stack.
+    The Gaussian side is the +x0 branch from one stepped pass over the grid;
+    the -x0 branch is its mirror image, so the branches differ by twice its
+    mean.
     """
     # deferred: keeps the oracle standalone
     from .decomposition import cm_relative_transform, transform_state
@@ -340,54 +372,53 @@ def gaussian_crosscheck(p: TwoModeParams, x0: float, t_grid: Sequence[float],
                               reduce_state, vacuum_cov)
 
     space = FockSpace(("S", "E"), dims, (p.m_s, p.m_e), (1.0, p.omega))
-    ops = build_operators(space)
-    H = two_mode_hamiltonian(ops, p)
-    evo = diagonalize(space, H)
-    va = coherent_vector(dims[0], p.m_s, 1.0, x0)
-    vb = coherent_vector(dims[0], p.m_s, 1.0, -x0)
+    evo = diagonalize(space, two_mode_hamiltonian(space, p))
     ve = coherent_vector(dims[1], p.m_e, p.omega, 0.0)
-    psi_a0 = product_pure_state(space, [va, ve])
-    psi_b0 = product_pure_state(space, [vb, ve])
+    psi0 = np.array([product_pure_state(
+        space, [coherent_vector(dims[0], p.m_s, 1.0, s * x0), ve])
+        for s in (1.0, -1.0)])
+    ts = [float(t) for t in t_grid]
+    # without a negativity time it is the trusted horizon, a grid time or 0
+    t_all = ts + [0.0 if negativity_time is None else float(negativity_time)]
+    amps = evo.evolve_pure(psi0, t_all).reshape((2, len(t_all)) + dims)
+    grid = amps[:, :len(ts)]
+    leak = leakage(grid[0], space)
+    mean_o, cov_o = moments(grid[0], space)
+    rs_o = reduced_density(grid[0], space, keep=0)
+    pur_o = _trace_of_product(rs_o, rs_o)
+    re_o = reduced_density(grid, space, keep=1)
+    ov_o = hs_overlap(re_o[0], re_o[1])
 
     Hg = build_two_mode(p)
     lay = Hg.layout
     state0 = GaussianState(lay, np.array([x0, 0.0, 0.0, 0.0]),
                            vacuum_cov([p.m_s, p.m_e], [1.0, p.omega]))
-    ts = [float(t) for t in t_grid]
 
     rows = []
     horizon = 0.0
     worst = dict(mean=0.0, cov=0.0, pur=0.0, ov=0.0)
-    for t, st in zip(ts, evolve_grid(state0, Hg, ts), strict=True):
-        pa = evo.evolve_pure(psi_a0, t)
-        pb = evo.evolve_pure(psi_b0, t)
-        leak = leakage(pa, space)
-        trusted = leak < _LEAK_TRUST
-        mean_o, cov_o = moments(pa, ops)
-        dev_mean = float(np.abs(mean_o - st.mean).max())
-        dev_cov = float(np.abs(cov_o - st.cov).max())
-        rs_o = reduced_density(pa, space, keep=0)
-        pur_o = float(np.real(np.trace(rs_o @ rs_o)))
-        dev_pur = abs(pur_o - purity(reduce_state(st, ["S"])))
-        re_a = reduced_density(pa, space, keep=1)
-        re_b = reduced_density(pb, space, keep=1)
-        ov_o = hs_overlap(re_a, re_b)
+    for k, (t, st) in enumerate(zip(ts, evolve_grid(state0, Hg, ts),
+                                    strict=True)):
+        trusted = bool(leak[k] < _LEAK_TRUST)
+        dev_mean = float(np.abs(mean_o[k] - st.mean).max())
+        dev_cov = float(np.abs(cov_o[k] - st.cov).max())
+        dev_pur = abs(float(pur_o[k]) - purity(reduce_state(st, ["S"])))
         d_env = 2 * st.mean[[1, 3]]
         cov_env = st.cov[np.ix_([1, 3], [1, 3])]
         ov_g = float(np.exp(-0.25 * d_env @ np.linalg.solve(cov_env, d_env)))
-        dev_ov = abs(ov_o - ov_g)
+        dev_ov = abs(float(ov_o[k]) - ov_g)
         if trusted:
             horizon = t
             worst["mean"] = max(worst["mean"], dev_mean)
             worst["cov"] = max(worst["cov"], dev_cov)
             worst["pur"] = max(worst["pur"], dev_pur)
             worst["ov"] = max(worst["ov"], dev_ov)
-        rows.append(CrosscheckRow(t, leak, trusted, dev_mean, dev_cov,
-                                  dev_pur, dev_ov))
+        rows.append(CrosscheckRow(t, float(leak[k]), trusted, dev_mean,
+                                  dev_cov, dev_pur, dev_ov))
 
     t_neg = negativity_time if negativity_time is not None else horizon
-    pa = evo.evolve_pure(psi_a0, t_neg)
-    en_o, norm_o = cm_relative_log_negativity(pa, space)
+    en_o, norm_o = cm_relative_log_negativity(amps[0, t_all.index(t_neg)],
+                                              space)
     (st,) = evolve_grid(state0, Hg, [t_neg])
     T = cm_relative_transform([p.m_s, p.m_e], labels=("CM", "R1"), source=lay)
     en_g = log_negativity(transform_state(st, T), ["CM"], ["R1"])

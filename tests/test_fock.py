@@ -1,20 +1,43 @@
 """Truncated-Fock oracle: operators, evolution, projections, negativity."""
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from oscidec import (BathParams, FockSpace, GaussianState, OracleError,
                      SystemPotential, TwoModeParams, build_caldeira_leggett,
                      build_two_mode, cm_relative_log_negativity,
-                     cm_relative_transform, gaussian_crosscheck, layout,
-                     leakage, log_negativity, pt_log_negativity_pure,
-                     transform_state, vacuum_cov)
-from oscidec.fock import (_LEAK_TRUST, build_operators, coherent_vector,
+                     cm_relative_transform, evolve_grid, gaussian_crosscheck,
+                     layout, leakage, log_negativity, pt_log_negativity_pure,
+                     purity, reduce_state, transform_state, vacuum_cov)
+from oscidec.fock import (_LEAK_TRUST, _quadratures, coherent_vector,
                           diagonalize, hs_overlap, moments, product_pure_state,
                           project_to_transformed_basis, reduced_density,
                           two_mode_hamiltonian, validate_density)
 
 
 # References the oracle is checked against; none of them is on a CLI path.
+
+@dataclass(frozen=True)
+class FockOperators:
+    """Position and momentum matrices on the full space."""
+
+    space: FockSpace
+    x: tuple
+    p: tuple
+
+
+def build_operators(space):
+    """Every mode's quadratures on the full space: op kron I on the first
+    mode, I kron op on the second."""
+    xs, ps = [], []
+    for k, (d, m, w) in enumerate(zip(space.dims, space.masses, space.freqs)):
+        eye = np.eye(space.total_dim // d)
+        for ops, op in zip((xs, ps), _quadratures(d, m, w)):
+            ops.append((np.kron(op, eye) if k == 0
+                        else np.kron(eye, op)).astype(complex))
+    return FockOperators(space, tuple(xs), tuple(ps))
+
 
 def quadratic_hamiltonian_operator(ops, h, linear=None):
     """Generic 1/2 z^T h z + c^T z with symmetrized operator products."""
@@ -78,19 +101,19 @@ def test_two_mode_operator_matches_generic_builder():
     p = TwoModeParams(1.0, 2.0, 1.5, 0.4)
     for dims in ((8, 8), (8, 5)):    # unequal cutoffs fix the Kronecker order
         space = FockSpace(("S", "E"), dims, (p.m_s, p.m_e), (1.0, p.omega))
-        ops = build_operators(space)
-        direct = two_mode_hamiltonian(ops, p)
-        generic = quadratic_hamiltonian_operator(ops, build_two_mode(p).h)
+        direct = two_mode_hamiltonian(space, p)
+        assert direct.dtype == np.float64
+        generic = quadratic_hamiltonian_operator(build_operators(space),
+                                                 build_two_mode(p).h)
         assert np.abs(direct - generic).max() < 1e-12
 
 
 def test_coherent_vector_moments():
     m, w, x0, p0 = 1.3, 0.7, 0.6, -0.4
     space = FockSpace(("S",), (40,), (m,), (w,))
-    ops = build_operators(space)
     v = coherent_vector(40, m, w, x0, p0)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
-    mean, cov = moments(v, ops)
+    mean, cov = moments(v, space)
     assert mean == pytest.approx([x0, p0], abs=1e-10)
     # displacement leaves the vacuum covariance untouched
     assert np.abs(cov - np.diag([1 / (2 * m * w), m * w / 2])).max() < 1e-9
@@ -136,39 +159,53 @@ def test_moments_match_operator_product_reference():
     space, ops = _unequal_two_mode_ops()
     D = space.total_dim
     rng = np.random.default_rng(11)
-    psi = rng.normal(size=D) + 1j * rng.normal(size=D)
-    psi /= np.linalg.norm(psi)
-    mean, cov = moments(psi, ops)
-    mean_ref, cov_ref = _moments_reference(psi, ops)
-    assert np.abs(mean - mean_ref).max() < 1e-12
-    assert np.abs(cov - cov_ref).max() < 1e-12
-    assert np.array_equal(cov, cov.T)
+    psis = rng.normal(size=(3, D)) + 1j * rng.normal(size=(3, D))
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    amps = psis.reshape((3,) + space.dims)
+    means, covs = moments(amps, space)
+    assert means.shape == (3, 4) and covs.shape == (3, 4, 4)
+    for psi, amp, mean_s, cov_s in zip(psis, amps, means, covs):
+        mean_ref, cov_ref = _moments_reference(psi, ops)
+        mean, cov = moments(amp, space)
+        for m, c in ((mean, cov), (mean_s, cov_s)):
+            assert np.abs(m - mean_ref).max() < 1e-12
+            assert np.abs(c - cov_ref).max() < 1e-12
+            assert np.array_equal(c, c.T)
 
 
 def test_evolve_pure_matches_unitary():
     space, ops = _unequal_two_mode_ops()
     pot = SystemPotential("harmonic", 1.3, 0.9)
     bath = BathParams((0.7,), (1.6,), (0.2,), -1)
-    evo = diagonalize(space, quadratic_hamiltonian_operator(
-        ops, build_caldeira_leggett(pot, bath).h))
+    H_complex = quadratic_hamiltonian_operator(
+        ops, build_caldeira_leggett(pot, bath).h)
+    H_real = two_mode_hamiltonian(space, TwoModeParams(1.3, 0.7, 1.6, 0.2))
     rng = np.random.default_rng(4)
-    psi0 = rng.normal(size=space.total_dim) + 1j * rng.normal(size=space.total_dim)
-    psi0 /= np.linalg.norm(psi0)
-    for t in (0.0, 0.9, 3.7):
-        want = unitary(evo, t) @ psi0
-        assert np.abs(evo.evolve_pure(psi0, t) - want).max() < 1e-12
+    D = space.total_dim
+    psi0 = rng.normal(size=(2, D)) + 1j * rng.normal(size=(2, D))
+    psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
+    ts = (0.0, 0.9, 3.7)
+    for H, dtype in ((H_complex, np.complex128), (H_real, np.float64)):
+        evo = diagonalize(space, H)
+        assert evo.vectors.dtype == dtype
+        stack = evo.evolve_pure(psi0, ts)
+        assert stack.shape == (2, len(ts), D)
+        assert np.abs(evo.evolve_pure(psi0[0], ts) - stack[0]).max() < 1e-13
+        for k, t in enumerate(ts):
+            want = unitary(evo, t) @ psi0.T
+            assert np.abs(stack[:, k] - want.T).max() < 1e-12
 
 
 def test_oracle_trajectory_matches_classical_rotation():
     m, w, x0, p0 = 1.3, 0.7, 0.8, 0.5
     space = FockSpace(("S",), (48,), (m,), (w,))
-    ops = build_operators(space)
-    H = quadratic_hamiltonian_operator(ops, np.diag([m * w * w, 1.0 / m]))
+    H = quadratic_hamiltonian_operator(build_operators(space),
+                                       np.diag([m * w * w, 1.0 / m]))
     evo = diagonalize(space, H)
     psi0 = coherent_vector(48, m, w, x0, p0)
-    for t in (0.5, 1.7, 4.2):
-        psi = evo.evolve_pure(psi0, t)
-        mean, _ = moments(psi, ops)
+    ts = (0.5, 1.7, 4.2)
+    means, _ = moments(evo.evolve_pure(psi0, ts), space)
+    for t, mean in zip(ts, means):
         c, s = np.cos(w * t), np.sin(w * t)
         assert mean[0] == pytest.approx(x0 * c + p0 / (m * w) * s, abs=1e-8)
         assert mean[1] == pytest.approx(p0 * c - m * w * x0 * s, abs=1e-8)
@@ -187,8 +224,9 @@ def test_leakage_decreases_with_cutoff_and_gates_trust():
     space = FockSpace(("S", "E"), (4, 4), (1.0, 1.0), (1.0, 1.0))
     psi = product_pure_state(space, [coherent_vector(4, 1, 1, 1.5),
                                      coherent_vector(4, 1, 1, 0.0)])
-    evo = diagonalize(space, two_mode_hamiltonian(build_operators(space), p))
-    assert leakage(evo.evolve_pure(psi, 1.0), space) >= _LEAK_TRUST
+    evo = diagonalize(space, two_mode_hamiltonian(space, p))
+    amp = evo.evolve_pure(psi, [1.0]).reshape(space.dims)
+    assert leakage(amp, space) >= _LEAK_TRUST
 
 
 def test_validate_density_rejections():
@@ -212,14 +250,14 @@ def test_reduced_density_vector_and_matrix_paths_agree():
     # partial trace of |psi><psi| over the other mode
     rho = np.outer(psi, psi.conj()).reshape(6, 5, 6, 5)
     for keep, spec in ((0, "ajbj->ab"), (1, "jajb->ab")):
-        rv = reduced_density(psi, space, keep)
+        rv = reduced_density(psi.reshape(6, 5), space, keep)
         rm = np.einsum(spec, rho)
         assert np.abs(rv - rm).max() < 1e-12
         assert abs(np.trace(rv).real - 1.0) < 1e-12
     # product states reduce to pure marginals
     prod = product_pure_state(space, [coherent_vector(6, 1, 1, 0.4),
                                       coherent_vector(5, 1, 1, -0.2)])
-    rs = reduced_density(prod, space, 0)
+    rs = reduced_density(prod.reshape(6, 5), space, 0)
     assert np.real(np.trace(rs @ rs)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -248,14 +286,15 @@ def _oracle_cm_relative_amplitude(monkeypatch):
     import oscidec.fock as fock
     p = TwoModeParams(1.0, 1.0, 1.0, 0.2)
     space = FockSpace(("S", "E"), (16, 16), (1.0, 1.0), (1.0, 1.0))
-    evo = diagonalize(space, two_mode_hamiltonian(build_operators(space), p))
+    evo = diagonalize(space, two_mode_hamiltonian(space, p))
     psi0 = product_pure_state(space, [coherent_vector(16, 1, 1, 0.35),
                                       coherent_vector(16, 1, 1, 0.0)])
     seen = []
     schmidt = fock.pt_log_negativity_pure
     monkeypatch.setattr(fock, "pt_log_negativity_pure",
                         lambda amp: seen.append(amp) or schmidt(amp))
-    cm_relative_log_negativity(evo.evolve_pure(psi0, 0.7), space)
+    (psi,) = evo.evolve_pure(psi0, [0.7])
+    cm_relative_log_negativity(psi, space)
     (amp,) = seen
     return amp
 
@@ -290,6 +329,117 @@ def test_crosscheck_decomposes_nothing_larger_than_the_fock_space(monkeypatch):
     # d_out^2-sized partial transpose
     assert (256, 256) in shapes
     assert max(max(s) for s in shapes) <= 256
+
+
+def test_oracle_diagonalizes_once_in_real_arithmetic(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a, *args, **kw:
+                        calls.append((a.shape, a.dtype)) or eigh(a, *args, **kw))
+    gaussian_crosscheck(TwoModeParams(1.0, 1.0, 1.0, 0.25), 0.4,
+                        np.linspace(0.0, 1.0, 3), dims=(16, 16),
+                        negativity_time=0.7)
+    assert calls == [((256, 256), np.float64)]
+
+
+def _two_mode_hamiltonian_reference(ops, p):
+    """The two-mode H in complex arithmetic, p^2 formed from the complex p."""
+    space = ops.space
+    (xS, pS), (xE, pE) = (_quadratures(d, m, w) for d, m, w in
+                          zip(space.dims, space.masses, space.freqs))
+    hS = pS @ pS / (2 * p.m_s)
+    hE = pE @ pE / (2 * p.m_e) + p.m_e * p.omega ** 2 / 2 * (xE @ xE)
+    return (np.kron(0.5 * (hS + hS.conj().T), np.eye(space.dims[1]))
+            + np.kron(np.eye(space.dims[0]), 0.5 * (hE + hE.conj().T))
+            - p.coupling * np.kron(xS, xE))
+
+
+def _crosscheck_reference(p, x0, t_grid, dims, negativity_time):
+    """The oracle side of gaussian_crosscheck one time at a time: a complex
+    eigh, a per-time U(t) psi0 for each branch, moments from full-space
+    operators, and one state's leakage, reduced densities and overlap at a
+    time.  Returns per-row (leakage, trusted, dev_mean, dev_cov, dev_purity,
+    dev_overlap), the horizon, and (E_N Gaussian, E_N dense, projection
+    norm) at the negativity time."""
+    space = FockSpace(("S", "E"), dims, (p.m_s, p.m_e), (1.0, p.omega))
+    ops = build_operators(space)
+    E, V = np.linalg.eigh(_two_mode_hamiltonian_reference(ops, p))
+    assert V.dtype == np.complex128
+
+    def evolve(psi0, t):
+        return V @ (np.exp(-1j * E * t) * (V.conj().T @ psi0))
+
+    def old_leakage(psi):
+        pops = (np.abs(psi) ** 2).reshape(dims)
+        return sum(float(np.take(pops, [d - 2, d - 1], axis=k).sum())
+                   for k, d in enumerate(dims))
+
+    def old_reduced(psi, keep):
+        m = np.moveaxis(psi.reshape(dims), keep, 0).reshape(dims[keep], -1)
+        return m @ m.conj().T
+
+    def tr(a, b):
+        return float(np.real(np.trace(a @ b)))
+
+    def old_moments(psi):
+        W = np.array([z @ psi for z in ops.x + ops.p])
+        mean = np.real(W @ psi.conj())
+        cov = np.real(W.conj() @ W.T)
+        return mean, 0.5 * (cov + cov.T) - np.outer(mean, mean)
+
+    ve = coherent_vector(dims[1], p.m_e, p.omega, 0.0)
+    psi_a0, psi_b0 = (product_pure_state(
+        space, [coherent_vector(dims[0], p.m_s, 1.0, s), ve]) for s in (x0, -x0))
+    Hg = build_two_mode(p)
+    state0 = GaussianState(Hg.layout, np.array([x0, 0.0, 0.0, 0.0]),
+                           vacuum_cov([p.m_s, p.m_e], [1.0, p.omega]))
+    rows, horizon = [], 0.0
+    for t, st in zip(t_grid, evolve_grid(state0, Hg, t_grid)):
+        pa, pb = evolve(psi_a0, t), evolve(psi_b0, t)
+        leak = old_leakage(pa)
+        mean_o, cov_o = old_moments(pa)
+        rs = old_reduced(pa, 0)
+        re_a, re_b = old_reduced(pa, 1), old_reduced(pb, 1)
+        ov_o = tr(re_a, re_b) / np.sqrt(tr(re_a, re_a) * tr(re_b, re_b))
+        d_env = 2 * st.mean[[1, 3]]
+        cov_env = st.cov[np.ix_([1, 3], [1, 3])]
+        ov_g = float(np.exp(-0.25 * d_env @ np.linalg.solve(cov_env, d_env)))
+        rows.append((leak, leak < _LEAK_TRUST,
+                     float(np.abs(mean_o - st.mean).max()),
+                     float(np.abs(cov_o - st.cov).max()),
+                     abs(tr(rs, rs) - purity(reduce_state(st, ["S"]))),
+                     abs(ov_o - ov_g)))
+        if leak < _LEAK_TRUST:
+            horizon = float(t)
+    t_neg = negativity_time if negativity_time is not None else horizon
+    (st,) = evolve_grid(state0, Hg, [t_neg])
+    T = cm_relative_transform([p.m_s, p.m_e], labels=("CM", "R1"),
+                              source=Hg.layout)
+    en_g = log_negativity(transform_state(st, T), ["CM"], ["R1"])
+    return rows, horizon, (en_g, *cm_relative_log_negativity(
+        evolve(psi_a0, t_neg), space))
+
+
+@pytest.mark.parametrize("dims", [(24, 24), (16, 12)])
+@pytest.mark.parametrize("coupling, x0, t_neg",
+                         [(0.25, 0.4, 1.0), (0.15, 0.3, 0.55), (0.3, 0.35, None)])
+def test_crosscheck_matches_per_time_reference(dims, coupling, x0, t_neg):
+    p = TwoModeParams(1.0, 1.0, 1.0, coupling)
+    t_grid = np.linspace(0.0, 5.0, 26)
+    rep = gaussian_crosscheck(p, x0, t_grid, dims=dims, negativity_time=t_neg)
+    rows, horizon, (en_g, en_o, norm) = _crosscheck_reference(
+        p, x0, t_grid, dims, t_neg)
+    assert [r.trusted for r in rep.rows] == [r[1] for r in rows]
+    assert any(r.trusted for r in rep.rows)
+    assert rep.trusted_horizon == horizon
+    for row, ref in zip(rep.rows, rows, strict=True):
+        assert abs(row.leakage - ref[0]) <= 1e-15
+        got = (row.dev_mean, row.dev_cov, row.dev_purity, row.dev_overlap)
+        assert np.abs(np.subtract(got, ref[2:])).max() <= 1e-13
+    assert abs(rep.negativity_gauss - en_g) <= 1e-12
+    assert abs(rep.negativity_oracle - en_o) <= 1e-12
+    assert abs(rep.negativity_projection_norm - norm) <= 1e-12
 
 
 def test_cm_relative_negativity_zero_for_symmetric_vacuum():
