@@ -10,8 +10,10 @@ A trust failure names its gate on stderr: oracle leakage (dense-solver
 leakage above gate at every grid time), confinement positivity (the chain's
 potential is not confining and the override is off), certified-time cap
 (t*||h|| beyond the certified propagation range), uncertainty relation (an
-evolved covariance violates it) or master trace drift (an evolved density
-matrix is not finite or its trace left 1).
+evolved covariance violates it), master trace drift (an evolved density
+matrix is not finite or its trace left 1) or master leakage (an evolved
+density matrix holds the oracle's leakage bound or more in the top two Fock
+levels).
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .decomposition import (cm_relative_transform, many_mode_constants,
                             normal_mode_transform, transform_hamiltonian,
                             two_mode_constants, verify_constants)
 from .dynamics import energy, evolve_branches, evolve_grid
-from .fock import coherent_vector, gaussian_crosscheck
+from .fock import _LEAK_TRUST, coherent_vector, gaussian_crosscheck
 from .master import MasterEqScenario, coherence_profile, evolve_master
 from .metrics import build_report, parallel_compare
 from .phase_space import (CoherentAmplitude, PhaseSpaceLayout, TrustGateError,
@@ -205,6 +207,13 @@ def _cmd_master(cfg: ScenarioConfig, out: Path, digest: str) -> int:
     psi = psi / np.linalg.norm(psi)
     rho0 = np.outer(psi, psi.conj())
     result = evolve_master(rho0, scen, t_grid)
+    # the truncated generator conserves the trace, so only the population
+    # reaching the top of the basis shows the truncation
+    if result.max_leakage >= _LEAK_TRUST:
+        raise TrustGateError(
+            "master leakage",
+            f"top-two-level population {result.max_leakage:.3e} is not below "
+            f"the bound {_LEAK_TRUST}; raise master.dim")
     half = 2.5 * x0 + 2.0
     xs = np.linspace(-half, half, 121)
     vis = coherence_profile(result, xs, (x0 - 0.8, x0 + 0.8),

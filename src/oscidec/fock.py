@@ -272,13 +272,16 @@ def project_to_transformed_basis(c: ComplexArray,
     X1 = Ai[0, 0] * g1[:, None] + Ai[0, 1] * g2[None, :]
     X2 = Ai[1, 0] * g1[:, None] + Ai[1, 1] * g2[None, :]
     d1, d2 = c.shape
-    phi1 = _mode_wavefunctions(X1.ravel(), d1, m1, w1).reshape(d1, n_quad, n_quad)
-    phi2 = _mode_wavefunctions(X2.ravel(), d2, m2, w2).reshape(d2, n_quad, n_quad)
-    psi = np.einsum("jk,jab,kab->ab", c, phi1, phi2, optimize=True)
+    phi1 = _mode_wavefunctions(X1.ravel(), d1, m1, w1)
+    phi2 = _mode_wavefunctions(X2.ravel(), d2, m2, w2)
+    # psi(a, b) = sum_jk c_jk phi1_j phi2_k with real wavefunctions: one real
+    # product for the real and imaginary parts of c together, then the k sum
+    ct = np.concatenate([c.real.T, c.imag.T]).reshape(2, d2, d1)
+    psi = np.einsum("rka,ka->ra", ct @ phi1, phi2).reshape(2, n_quad, n_quad)
     out1 = _mode_wavefunctions(g1, d_out, M1, W1) * (q * np.exp(y ** 2)) / s1
     out2 = _mode_wavefunctions(g2, d_out, M2, W2) * (q * np.exp(y ** 2)) / s2
-    jac = abs(np.linalg.det(Ai))
-    return np.sqrt(jac) * np.einsum("ma,nb,ab->mn", out1, out2, psi, optimize=True)
+    re, im = out1 @ psi @ out2.T
+    return np.sqrt(abs(np.linalg.det(Ai))) * (re + 1j * im)
 
 
 def pt_log_negativity_pure(amp: ComplexArray) -> float:

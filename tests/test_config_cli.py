@@ -377,6 +377,20 @@ def test_cli_master_eq_ignores_global_rng(tmp_path, values):
     assert written[0] == written[1]
 
 
+def test_cli_master_eq_refuses_a_leaking_basis(tmp_path, capsys):
+    # dephasing heats the mode, <p^2> grows by 2 Lambda t: by t = 20 the top
+    # two of 40 levels hold 4.6e-2 of the population, yet the truncated
+    # generator conserves the trace, so only the leakage gate sees it
+    cfg = _shipped(tmp_path, "dephasing_master.cfg", {
+        "master.variant": "free", "master.lam": 0.5, "master.t_max": 20})
+    out = tmp_path / "o"
+    assert main(["master-eq", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "trust gate 'master leakage'" in err
+    assert "4.636e-02 is not below the bound 1e-06" in err
+    assert not (out / "visibility.csv").exists()
+
+
 def test_cli_import_leaves_out_unused_scipy_modules():
     # scipy.special has no user; scipy.sparse.linalg loads on the first
     # master-eq solve, so compare and oracle runs never pay for it

@@ -1,12 +1,20 @@
 """Dephasing master equation: operators, exact solve, visibility."""
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from oscidec import (MasterEqError, MasterEqScenario, coherence_profile,
-                     evolve_master, position_kernel)
+                     evolve_master, parse_config, position_kernel)
 from oscidec.fock import coherent_vector
-from oscidec.master import (MasterEvolution, _dephase, _propagate,
+from oscidec.master import (_STEP_NORM, MasterEvolution, _dephase, _propagate,
                             _superoperator, scenario_operators)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _cat_density(d: int, x0: float) -> np.ndarray:
@@ -32,13 +40,12 @@ def _operators(d: int, variant: str = "harmonic"):
     return x, H + x @ x / 2 if variant == "harmonic" else H
 
 
-def _profile_reference(res, xs, patch_a, patch_b):
+def _profile_reference(kernels, xs, patch_a, patch_b):
     """Visibility from each time's full position kernel, patch by patch."""
     in_a = (xs >= patch_a[0]) & (xs <= patch_a[1])
     in_b = (xs >= patch_b[0]) & (xs <= patch_b[1])
     out = []
-    for rho in res.states:
-        R = position_kernel(rho, xs, 1.0, 1.0)
+    for R in kernels:
         off = abs(R[np.ix_(in_a, in_b)].sum())
         da = float(R[np.ix_(in_a, in_a)].sum().real)
         db = float(R[np.ix_(in_b, in_b)].sum().real)
@@ -59,6 +66,60 @@ def _loop_reference(rho, K, Kd, X, two_lam, dt, n_steps):
         k4 = rhs(r + dt * k3)
         r = r + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
     return r
+
+
+def _propagate_reference(L, v0, t_grid):
+    """exp(t L) v0 on the whole of vec rho, interval by interval: each
+    interval is cut into the fewest equal steps h with ||h(L - mu I)||_1
+    within _STEP_NORM, one single-time expm_multiply call per step."""
+    n = L.shape[0]
+    mu = L.trace() / n
+    norm = float(abs(L - mu * sp.identity(n, format="csr")).sum(axis=0).max())
+    out = np.empty((len(t_grid), n), dtype=complex)
+    v, prev = v0, 0.0
+    for k, t in enumerate(t_grid):
+        steps = math.ceil((t - prev) * norm / _STEP_NORM)
+        if steps:
+            hL = (t - prev) / steps * L
+            for _ in range(steps):
+                v = expm_multiply(hL, v)
+        out[k] = v
+        prev = t
+    return out
+
+
+def _phase_space_kernel(xs, scn, x0, t):
+    """rho(x, x') of the cat |x0> + |-x0> (unnormalised) at time t, with no
+    Fock basis.
+
+    Each term |a_j><a_k| has a Gaussian Wigner function with covariance
+    Sigma0 = diag(1/(2 m w), m w/2) (w the basis frequency), complex mean
+    ((x_j + x_k)/2, -i m w (x_j - x_k)/2) and weight <a_k|a_j>.  The
+    equation's Wigner form dW/dt = {H, W} + Lambda d^2W/dp^2 maps the mean
+    to M mean and the covariance to M Sigma0 M^T + D(t), with M the
+    classical flow and D(t) = int_0^t M(s) diag(0, 2 Lambda) M(s)^T ds from
+    one Van Loan block exponential.  rho(X + y/2, X - y/2) is the
+    p-integral of W(X, p) e^{ipy}, taken in closed form.
+    """
+    m, w = scn.mass, scn.basis_freq
+    k = 0.0 if scn.variant == "free" else m * scn.omega ** 2
+    A = np.array([[0.0, 1.0 / m], [-k, 0.0]])
+    Q = np.diag([0.0, 2.0 * scn.lam])
+    F = expm(np.block([[-A, Q], [np.zeros((2, 2)), A.T]]) * t)
+    M = F[2:, 2:].T
+    sig = M @ np.diag([1 / (2 * m * w), m * w / 2]) @ M.T + M @ F[:2, 2:]
+    a, b, c = sig[0, 0], sig[0, 1], sig[1, 1]
+    X = (xs[:, None] + xs[None, :]) / 2
+    y = xs[:, None] - xs[None, :]
+    rho = np.zeros_like(X, dtype=complex)
+    for xj in (x0, -x0):
+        for xk in (x0, -x0):
+            mx, mp = M @ np.array([(xj + xk) / 2, -0.5j * m * w * (xj - xk)])
+            weight = np.exp(-m * w * (xj - xk) ** 2 / 4)
+            rho += (weight * np.exp(-(X - mx) ** 2 / (2 * a)) / np.sqrt(2 * np.pi * a)
+                    * np.exp(1j * y * (mp + b / a * (X - mx))
+                             - (c - b * b / a) * y ** 2 / 2))
+    return rho
 
 
 def test_scenario_validation():
@@ -180,7 +241,7 @@ def test_grid_shapes_agree():
 
 def test_long_interval_is_stepped():
     # 3 * ||L - mu I||_1 is about 91 at basis 20, so [3.0] takes two steps;
-    # the 31-point grid takes one per interval
+    # the 31-point grid takes two chunks, of 19 and 11 intervals
     scn = MasterEqScenario("harmonic", 0.25, 20)
     rho0 = _cat_density(20, 1.0)
     fine = evolve_master(rho0, scn, np.linspace(0.0, 3.0, 31)).states[-1]
@@ -249,4 +310,109 @@ def test_coherence_profile_matches_kernel_patch_sums(variant):
     xs = np.linspace(-(2.5 * x0 + 2.0), 2.5 * x0 + 2.0, 121)
     patches = (x0 - 0.8, x0 + 0.8), (-x0 - 0.8, -x0 + 0.8)
     got = coherence_profile(res, xs, *patches, 1.0, 1.0)
-    assert np.abs(got - _profile_reference(res, xs, *patches)).max() < 1e-12
+    kernels = (position_kernel(rho, xs, 1.0, 1.0) for rho in res.states)
+    assert np.abs(got - _profile_reference(kernels, xs, *patches)).max() < 1e-12
+
+
+_REFERENCE_GRIDS = ([0.0, 0.1, 0.2, 0.3], [0.0, 0.1, 0.3], [0.1, 0.2, 0.3],
+                    [0.3], [0.1, 0.1, 0.3], np.linspace(0.0, 0.5, 11))
+
+
+@pytest.mark.parametrize("d", [20, 64])
+@pytest.mark.parametrize("lam", [0.0, 0.1, 0.5])
+@pytest.mark.parametrize("variant", ["none", "free", "harmonic"])
+def test_evolve_master_matches_per_interval_reference(variant, lam, d):
+    # the sector split and the chunked calls against the whole of vec rho
+    # stepped interval by interval, for a cat (even sector only) and a
+    # random state (both sectors), on regular and irregular grids
+    scn = MasterEqScenario(variant, lam, d)
+    L = _superoperator(scn)
+    grids = _REFERENCE_GRIDS if d == 20 else _REFERENCE_GRIDS[-2:]
+    for rho0 in (_cat_density(d, 1.5), _random_pure_density(d, 11)):
+        for grid in grids:
+            want = _propagate_reference(L, rho0.ravel(), grid)
+            got = evolve_master(rho0, scn, grid).states
+            assert np.abs(got.reshape(len(grid), -1) - want).max() < 1e-13
+
+
+def test_cat_fills_only_the_even_parity_sector():
+    d = 20
+    rho0 = _cat_density(d, 1.5)
+    m, n = np.indices((d, d))
+    assert not rho0[(m + n) % 2 == 1].any()
+    res = evolve_master(rho0, MasterEqScenario("harmonic", 0.3, d),
+                        [0.0, 0.2, 0.5])
+    assert not res.states[:, (m + n) % 2 == 1].any()
+
+
+def test_solve_never_estimates_a_norm(monkeypatch):
+    # every expm_multiply call stays within condition (3.13), so the random
+    # 1-norm estimators never run and the global RNG is left alone
+    import scipy.sparse.linalg._expm_multiply as em
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("expm_multiply estimated a 1-norm")
+
+    monkeypatch.setattr(em, "onenormest", refuse)
+    monkeypatch.setattr(em, "_onenormest_matrix_power", refuse)
+    np.random.seed(7)
+    before = np.random.get_state()
+    evolve_master(_cat_density(64, 1.5),
+                  MasterEqScenario("harmonic", 0.5, 64, omega=1.2),
+                  np.linspace(0.0, 0.5, 11))
+    evolve_master(_cat_density(20, 1.0), MasterEqScenario("harmonic", 0.25, 20),
+                  [3.0])
+    after = np.random.get_state()
+    assert np.array_equal(before[1], after[1]) and before[2:] == after[2:]
+
+
+def _shipped_master():
+    cfg = parse_config((CONFIGS / "dephasing_master.cfg").read_text())
+    scn = MasterEqScenario(cfg["master.variant"], cfg["master.lam"],
+                           cfg["master.dim"], cfg["model.m_s"],
+                           cfg["model.omega_s"])
+    return scn, cfg["master.x0"], np.asarray(cfg.master_t_grid())
+
+
+@pytest.mark.parametrize("scn, x0, grid", [
+    _shipped_master(),
+    *[(MasterEqScenario(variant, lam, 64, omega=omega), 2.0,
+       np.linspace(0.0, 0.5, 11))
+      for variant, omega in (("free", 1.0), ("harmonic", 1.0), ("harmonic", 1.2))
+      for lam in (0.1, 0.5)],
+], ids=["shipped", "free-0.1", "free-0.5", "harmonic-0.1", "harmonic-0.5",
+        "harmonic-w1.2-0.1", "harmonic-w1.2-0.5"])
+def test_visibility_matches_phase_space_closed_form(scn, x0, grid):
+    # the truncated solve against the basis-free Gaussian closed form, on
+    # the master-eq command's position grid and patches
+    xs = np.linspace(-(2.5 * x0 + 2.0), 2.5 * x0 + 2.0, 121)
+    patches = (x0 - 0.8, x0 + 0.8), (-x0 - 0.8, -x0 + 0.8)
+    v = coherent_vector(scn.dim, scn.mass, scn.basis_freq, x0)
+    v = v + coherent_vector(scn.dim, scn.mass, scn.basis_freq, -x0)
+    v = v / np.linalg.norm(v)
+    res = evolve_master(np.outer(v, v.conj()), scn, grid)
+    got = coherence_profile(res, xs, *patches, scn.mass, scn.basis_freq)
+    kernels = (_phase_space_kernel(xs, scn, x0, t) for t in grid)
+    want = _profile_reference(kernels, xs, *patches)
+    assert np.abs(got - want).max() < 1e-12
+
+
+def test_phase_space_kernel_starts_at_the_cat():
+    # at t = 0 the closed form is psi(x) psi(x')* of the unnormalised cat
+    xs = np.linspace(-4.0, 4.0, 33)
+    scn = MasterEqScenario("harmonic", 0.3, 8)
+    psi = sum(np.exp(-(xs - c) ** 2 / 2) for c in (1.2, -1.2)) / np.pi ** 0.25
+    got = _phase_space_kernel(xs, scn, 1.2, 0.0)
+    assert np.abs(got - np.outer(psi, psi)).max() < 1e-14
+
+
+def test_max_leakage_reads_the_top_two_levels():
+    d = 10
+    states = np.zeros((2, d, d), complex)
+    states[:, 0, 0] = 1.0
+    states[1, 0, 0], states[1, d - 2, d - 2], states[1, d - 1, d - 1] = 0.7, 0.2, 0.1
+    res = MasterEvolution(np.array([0.0, 1.0]), states, 0.0)
+    assert res.max_leakage == pytest.approx(0.3, abs=1e-15)
+    clean = evolve_master(_cat_density(40, 1.5),
+                          MasterEqScenario("harmonic", 0.25, 40), [0.0, 0.5])
+    assert clean.max_leakage < 1e-20
