@@ -26,6 +26,7 @@ _UNCERTAINTY_TOL = 1e-10
 # Grid steps equal to within this many ulps of max|t| share one step
 # propagator, so the rounding of t_max * i / (n - 1) does not split them.
 _SAME_STEP_ULPS = 4
+_EPS = np.finfo(float).eps
 
 
 class DynamicsError(ValueError):
@@ -48,71 +49,87 @@ def _certify_time(t: float, h_norm: float) -> None:
             f"t*||h|| = {reach:.3e} exceeds the certified cap {_T_NORM_CAP:.0e}")
 
 
-def _uncertainty_deficit(cov0: FloatArray, half_iJ: np.ndarray) -> float:
+def _uncertainty_deficit(cov0: FloatArray, J: FloatArray) -> float:
     """eps0 = max(0, -lambda_min(sigma0 + iJ/2)): how far the initial state
     falls short of the uncertainty relation, taken once per pass."""
-    return max(0.0, -float(np.linalg.eigvalsh(cov0 + half_iJ).min()))
+    return max(0.0, -float(np.linalg.eigvalsh(cov0 + 0.5j * J).min()))
 
 
-def _uncertainty_floor(M: FloatArray, cov: FloatArray, eps0: float) -> float:
-    """A lower bound on lambda_min(sigma + iJ/2) for cov = M sigma0 M^T,
-    without an eigendecomposition.
+def _uncertainty_floor(M: FloatArray, J: FloatArray, eps0: float,
+                       sigma_scale: float) -> float:
+    """A lower bound on lambda_min(sigma + iJ/2) for sigma = M sigma0 M^T,
+    without an eigendecomposition or sigma itself.
 
     sigma + iJ/2 = M (sigma0 + iJ/2) M^T + (i/2)(J - M J M^T).  The congruence
     keeps the first term >= -eps0 ||M||_2^2, and by Weyl's inequality the
     second shifts no eigenvalue by more than its spectral norm, at most
-    1/2 ||M J M^T - J||_F.  Those two terms hold for the exact product; the
-    last, 2n u ||sigma||_F with u the machine epsilon, pads for the rounding
-    of the stored cov and of eigvalsh, the check the bound stands in for.
+    1/2 ||M J M^T - J||_F, where M J M^T = G - G^T with G = M_x M_p^T (MJ
+    swaps M's column halves).  Those two terms hold for the exact product;
+    the last, 2n u s with u the machine epsilon and s >= ||sigma||_F, pads for
+    the rounding of sigma and of eigvalsh, the check the bound stands in for.
     Without it the bound clears a covariance of the free two-mode model that
     eigvalsh refuses (-8.1e-11 against -1.9e-10 at t = 31.3, vacuum state).
+    A non-finite M or s gives -inf or NaN, which clears nothing.
     """
     n = M.shape[0] // 2
-    defect = np.hstack([-M[:, n:], M[:, :n]]) @ M.T    # M J M^T; MJ swaps columns
-    k = np.arange(n)
-    defect[k, k + n] -= 1.0
-    defect[k + n, k] += 1.0
-    return -(eps0 * float(np.vdot(M, M)) + 0.5 * np.linalg.norm(defect)
-             + 2 * n * np.finfo(float).eps * np.linalg.norm(cov))
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = M[:, :n] @ M[:, n:].T
+        defect = G - G.T
+        defect -= J
+        return -(eps0 * float(np.vdot(M, M))
+                 + 0.5 * np.sqrt(np.vdot(defect, defect))
+                 + 2 * n * _EPS * sigma_scale)
 
 
-def _evolved_cov(M: FloatArray, cov0: FloatArray, t: float,
-                 half_iJ: np.ndarray, eps0: float) -> FloatArray:
-    """M sigma0 M^T, after the one check an evolved covariance gets:
-    sigma + iJ/2 >= 0, with half_iJ = iJ/2.
-
-    The covariance passes at once when `_uncertainty_floor` clears the
-    tolerance, given eps0 = `_uncertainty_deficit(cov0, half_iJ)`; otherwise
-    eigvalsh decides.  A failure is a loss of numerical trust in the
-    propagation, not bad input.  A covariance that overflowed fails too:
-    eigvalsh of a non-finite matrix may return NaN, finite garbage or raise.
-    """
+def _evolved_cov(M: FloatArray, cov0: FloatArray) -> FloatArray:
+    """The symmetrised M sigma0 M^T, unchecked; it may overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
         cov = M @ cov0 @ M.T
-    cov = 0.5 * (cov + cov.T)
+        return 0.5 * (cov + cov.T)
+
+
+def _check_uncertainty(M: FloatArray, cov0: FloatArray, t: float,
+                       J: FloatArray, eps0: float, sigma_scale: float,
+                       cov: FloatArray | None = None) -> None:
+    """Refuse sigma = M sigma0 M^T unless sigma + iJ/2 >= 0: the one check an
+    evolved covariance gets.
+
+    It passes at once when `_uncertainty_floor` clears the tolerance, given
+    eps0 = `_uncertainty_deficit(cov0, J)` and any sigma_scale >= ||sigma||_F.
+    `evolve_grid` passes the cov it built and its exact ||sigma||_F; the
+    branch pass passes tr sigma = ||M L||_F^2 (sigma0 = L L^T) and no cov,
+    which is then built only where that bound fails, and the bound read again
+    with its exact norm before eigvalsh decides.  So both passes accept the
+    same times and call eigvalsh at the same ones.  A failure is a loss of
+    numerical trust in the propagation, not bad input.  A covariance that
+    overflowed fails too: eigvalsh of a non-finite matrix may return NaN,
+    finite garbage or raise.
+    """
+    if _uncertainty_floor(M, J, eps0, sigma_scale) >= -_UNCERTAINTY_TOL:
+        return
+    if cov is None:
+        cov = _evolved_cov(M, cov0)
+        _check_uncertainty(M, cov0, t, J, eps0, np.linalg.norm(cov), cov)
+        return
     min_eig = np.nan
     if np.isfinite(cov).all():
-        if _uncertainty_floor(M, cov, eps0) >= -_UNCERTAINTY_TOL:
-            return cov
-        min_eig = float(np.linalg.eigvalsh(cov + half_iJ).min())
+        min_eig = float(np.linalg.eigvalsh(cov + 0.5j * J).min())
     if not min_eig >= -_UNCERTAINTY_TOL:
         raise DynamicsTrustError(
             "uncertainty relation",
             f"evolved state at t = {t!r}: covariance violates the uncertainty "
             f"relation (min eig {min_eig:.3e})")
-    return cov
 
 
-def _stepped_trajectory(H: QuadraticHamiltonian, cov0: FloatArray,
-                        t_grid: Sequence[float]
-                        ) -> Iterator[tuple[float, FloatArray, FloatArray]]:
-    """(t, M(t), checked M sigma0 M^T) at each grid time, in grid order.
+def _stepped_trajectory(H: QuadraticHamiltonian, t_grid: Sequence[float]
+                        ) -> Iterator[tuple[float, FloatArray]]:
+    """(t, M(t)) at each grid time, in grid order, unchecked for the
+    uncertainty relation: each caller runs `_check_uncertainty` on it.
 
     M(t_0) = exp(t_0 A) and M(t_k) = E(t_k - t_{k-1}) M(t_{k-1}) with A = J h,
     so a grid costs one matrix exponential per distinct step: one in all on
     a uniform grid.  Each time passes the certified-time cap before its
-    propagator is formed and the uncertainty relation after, through the
-    symplectic-defect bound of `_uncertainty_floor` wherever it clears.
+    propagator is formed.
     """
     ts = np.asarray(t_grid, dtype=float)
     if not np.isfinite(ts).all():
@@ -120,8 +137,6 @@ def _stepped_trajectory(H: QuadraticHamiltonian, cov0: FloatArray,
     ts = ts.tolist()
     h_norm = np.linalg.norm(H.h, 2)
     A = symplectic_form(H.n_modes) @ H.h
-    half_iJ = 0.5j * symplectic_form(H.n_modes)
-    eps0 = _uncertainty_deficit(cov0, half_iJ)
     same_step = _SAME_STEP_ULPS * np.spacing(max(map(abs, ts), default=0.0))
     M = E = step = t_prev = None
     for t in ts:
@@ -134,7 +149,7 @@ def _stepped_trajectory(H: QuadraticHamiltonian, cov0: FloatArray,
                 step, E = dt, expm(dt * A)
             M = E @ M
         t_prev = t
-        yield t, M, _evolved_cov(M, cov0, t, half_iJ, eps0)
+        yield t, M
 
 
 def symplectic_residual(M: FloatArray) -> float:
@@ -149,8 +164,18 @@ def evolve_grid(state: GaussianState, H: QuadraticHamiltonian,
     """The evolved state at each grid time, in order, from one stepped pass."""
     if state.layout != H.layout:
         raise DynamicsError("state layout does not match propagator")
-    return (GaussianState._prechecked(state.layout, M @ state.mean, cov)
-            for _, M, cov in _stepped_trajectory(H, state.cov, t_grid))
+    return _checked_states(state, H, t_grid)
+
+
+def _checked_states(state: GaussianState, H: QuadraticHamiltonian,
+                    t_grid: Sequence[float]) -> Iterator[GaussianState]:
+    """`evolve_grid` after its eager layout check."""
+    J = symplectic_form(H.n_modes)
+    eps0 = _uncertainty_deficit(state.cov, J)
+    for t, M in _stepped_trajectory(H, t_grid):
+        cov = _evolved_cov(M, state.cov)
+        _check_uncertainty(M, state.cov, t, J, eps0, np.linalg.norm(cov), cov)
+        yield GaussianState._prechecked(state.layout, M @ state.mean, cov)
 
 
 def energy(state: GaussianState, H: QuadraticHamiltonian) -> float:
@@ -162,20 +187,24 @@ def energy(state: GaussianState, H: QuadraticHamiltonian) -> float:
 
 @dataclass(frozen=True)
 class BranchTrajectory:
-    """Two branches evolved by one propagator per time from displaced copies
-    of one base state, stacked over the time grid.
+    """Two branches evolved by one propagator per time from copies of one
+    base state displaced by alpha and beta on the open mode, reduced over
+    the time grid to what Gamma reads.
 
-    The branches share one covariance by linearity.  Only its block on the
-    environment, every mode but the displaced one, is kept: that and the two
-    means are all Gamma reads.
+    The branches share one covariance sigma = M sigma0 M^T by linearity, and
+    their means differ by d = M delta, delta = alpha - beta in phase space.
+    Gamma reads d and sigma on the environment, every mode but the open one
+    (index k), through the pullback Y = M^-1 [d_hat, e_x, e_p]: d_hat is d
+    with its open-mode entries zeroed, e_x and e_p the open mode's unit
+    vectors.  Its sigma0^-1 Gram matrix W = Y^T sigma0^-1 Y equals
+    [d_hat, e_x, e_p]^T sigma^-1 [d_hat, e_x, e_p], and its Schur complement
+    on the open-mode block is d_E^T sigma_EE^-1 d_E.
     """
 
     t: FloatArray                  # (T,)
     layout: PhaseSpaceLayout
-    mean_a: FloatArray             # (T, 2n)
-    mean_b: FloatArray             # (T, 2n)
     env: PhaseSpaceLayout
-    env_cov: FloatArray            # (T, 2n - 2, 2n - 2)
+    gram: FloatArray               # (T, 3, 3): W, ordered (d_hat, e_x, e_p)
     alpha: CoherentAmplitude
     beta: CoherentAmplitude
     # M(t) at the requested probe times, from the same pass
@@ -189,39 +218,54 @@ def evolve_branches_from(base: GaussianState, alpha: CoherentAmplitude,
     """Displace the base state by alpha / beta on the open mode, then evolve
     both branches over the grid in one stepped pass.
 
-    Both branches share one covariance M sigma0 M^T, checked once per time.
-    The propagators at `probe_times`, which must be grid times, are kept.
+    Per time the pass checks the shared covariance without forming it, then
+    reads only rows k and k + n of M(t), the open mode's x(t) and p(t) in
+    the initial coordinates, and the same rows of M(t) delta.  M^-1 =
+    -J M^T J maps e_x and e_p back to J times those rows, and d_hat to delta
+    minus their combination by those entries of M delta, so no inverse,
+    solve, covariance or environment block is formed: beyond the propagator
+    and its check a time costs O(n^2), and the pass keeps its 3x3 Gram
+    matrix.  The propagators at `probe_times`, which must be grid times, are
+    kept.
     """
     if alpha.mode != beta.mode:
         raise DynamicsError("branch amplitudes must target the same mode")
     if base.layout != H.layout:
         raise DynamicsError("state layout does not match propagator")
     lay = base.layout
+    n = lay.n_modes
     ts = np.array(t_grid, dtype=float)
     probes = {float(p) for p in probe_times}
     missing = probes.difference(ts.tolist())
     if missing:
         raise DynamicsError(f"probe times {sorted(missing)} are not grid times")
     k = lay.index(alpha.mode)
-    m_a, m_b = base.mean.copy(), base.mean.copy()
-    for m, amp in ((m_a, alpha), (m_b, beta)):
-        m[k] += amp.x0
-        m[k + lay.n_modes] += amp.p0
+    delta = np.zeros(lay.dim)
+    delta[k] = alpha.x0 - beta.x0
+    delta[k + n] = alpha.p0 - beta.p0
     env = PhaseSpaceLayout(tuple(lb for lb in lay.mode_labels if lb != alpha.mode))
-    idx = lay.z_indices(env.mode_labels)
-    env_flat = idx[:, None] * lay.dim + idx      # cov.take(env_flat): env block
-    mean_a = np.empty((len(ts), lay.dim))
-    mean_b = np.empty((len(ts), lay.dim))
-    env_cov = np.empty((len(ts), env.dim, env.dim))
+    J = symplectic_form(n)
+    eps0 = _uncertainty_deficit(base.cov, J)
+    L = np.linalg.cholesky(base.cov)
+    whiten = np.linalg.inv(L).T        # y @ whiten = (L^-1 y^T)^T
+    # rows of Y^T are coef @ (rows @ J^T), plus delta on the first:
+    # d_hat -> delta + c_p J r_x - c_x J r_p, e_x -> J r_p, e_p -> -J r_x
+    coef = np.array([[0.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    gram = np.empty((len(ts), 3, 3))
     kept = {}
-    for i, (t, M, cov) in enumerate(_stepped_trajectory(H, base.cov, ts)):
-        mean_a[i] = M @ m_a
-        mean_b[i] = M @ m_b
-        env_cov[i] = cov.take(env_flat)
+    for i, (t, M) in enumerate(_stepped_trajectory(H, ts)):
+        ML = M @ L
+        _check_uncertainty(M, base.cov, t, J, eps0, float(np.vdot(ML, ML)))
+        rows = M[k::n]                 # r_x, r_p: rows k and k + n
+        c_x, c_p = rows @ delta
+        coef[0] = c_p, -c_x
+        y = coef @ (rows @ J.T)
+        y[0] += delta
+        z = y @ whiten
+        gram[i] = z @ z.T
         if t in probes:
             kept[t] = M
-    return BranchTrajectory(ts, lay, mean_a, mean_b, env, env_cov, alpha, beta,
-                            kept)
+    return BranchTrajectory(ts, lay, env, gram, alpha, beta, kept)
 
 
 def evolve_branches(alpha: CoherentAmplitude, beta: CoherentAmplitude,

@@ -57,17 +57,21 @@ def decoherence_function(traj: BranchTrajectory,
     """Gamma(t) = ln overlap of the two branches' environment marginals.
 
     Branch covariances are identical by construction, so the overlap exponent
-    is the pure quadratic form -1/4 d^T sigma^-1 d, which scales exactly with
-    the squared amplitude separation.  One batched solve covers the grid.
+    is the pure quadratic form -1/4 d_E^T sigma_EE^-1 d_E, which scales
+    exactly with the squared amplitude separation.  sigma_EE^-1 is the Schur
+    complement of the open-mode block in sigma^-1, so Gamma is -1/4 (W_00 -
+    W_0s W_ss^-1 W_s0) on the trajectory's Gram matrices W: one batched
+    2x2 solve covers the grid.
     """
     if tuple(env_modes) != traj.env.mode_labels:
         raise MetricsError(
             f"Gamma is taken on the whole environment {traj.env.mode_labels}, "
             f"not on {tuple(env_modes)}")
-    idx = traj.layout.z_indices(env_modes)
-    d = traj.mean_a[:, idx] - traj.mean_b[:, idx]
-    x = np.linalg.solve(traj.env_cov, d[:, :, None])[:, :, 0]
-    return np.maximum(-0.25 * np.einsum("ti,ti->t", d, x), _GAMMA_FLOOR)
+    W = traj.gram
+    w_s0 = W[:, 1:, :1]
+    x = np.linalg.solve(W[:, 1:, 1:], w_s0)
+    schur = W[:, 0, 0] - (w_s0 * x).sum(axis=(1, 2))
+    return np.maximum(-0.25 * schur, _GAMMA_FLOOR)
 
 
 def saturation_flags(gamma: FloatArray) -> np.ndarray:

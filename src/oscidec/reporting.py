@@ -7,8 +7,9 @@ the same scenario are byte-identical.
 from __future__ import annotations
 
 import hashlib
+from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +26,8 @@ def write_manifest(cfg: ScenarioConfig, out_dir: Path) -> str:
 
 
 def _cell(value: Any) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
@@ -36,13 +39,31 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]],
-              manifest_hash: str) -> None:
-    lines = [f"# manifest_sha256={manifest_hash}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+def _column(values: Iterable[Any]) -> list[str]:
+    """One column's cells as `_cell` writes them: a float array's in one
+    pass of repr over .tolist(), anything else cell by cell."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind == "f":
+            return list(map(repr, values.tolist()))
+        values = values.tolist()
+    return list(map(_cell, values))
+
+
+def _rows(columns: Iterable[Iterable[Any]]) -> Iterator[str]:
+    """CSV rows of equal-length columns, each column formatted whole."""
+    return map(",".join, zip(*map(_column, columns)))
+
+
+def _write_lines(path: Path, header: Sequence[str], rows: Iterable[str],
+                 manifest_hash: str) -> None:
+    lines = [f"# manifest_sha256={manifest_hash}", ",".join(header), *rows]
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
+
+
+def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]],
+              manifest_hash: str) -> None:
+    _write_lines(path, header, _rows(zip(*rows)), manifest_hash)
 
 
 def write_matrix(path: Path, matrix: np.ndarray, manifest_hash: str) -> None:
@@ -51,21 +72,17 @@ def write_matrix(path: Path, matrix: np.ndarray, manifest_hash: str) -> None:
     write_csv(path, header, a.tolist(), manifest_hash)
 
 
-def decoherence_rows(report: DecoherenceReport) -> list[list[Any]]:
-    rows = []
-    for i, t in enumerate(report.t_grid):
-        rows.append([report.decomposition, float(t), float(report.gamma[i]),
-                     float(report.lambda_fit[i]), bool(report.saturated[i])])
-    return rows
+def decoherence_columns(report: DecoherenceReport) -> list[Any]:
+    """decomposition, t, log_overlap, lambda and saturated, one per column."""
+    return [[report.decomposition] * len(report.t_grid), report.t_grid,
+            report.gamma, report.lambda_fit, report.saturated]
 
 
 def write_decoherence(path: Path, reports: Sequence[DecoherenceReport],
                       manifest_hash: str) -> None:
     header = ["decomposition", "t", "log_overlap", "lambda", "saturated"]
-    rows: list[list[Any]] = []
-    for r in reports:
-        rows.extend(decoherence_rows(r))
-    write_csv(path, header, rows, manifest_hash)
+    rows = chain.from_iterable(_rows(decoherence_columns(r)) for r in reports)
+    _write_lines(path, header, rows, manifest_hash)
 
 
 def write_comparison(path: Path, cmp: ParallelComparison,

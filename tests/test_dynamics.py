@@ -1,4 +1,6 @@
 """Symplectic propagation: analytic rotations, invariants, branch pairs."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -30,10 +32,8 @@ def _expm_propagator(H, t):
 
 
 def _pass_propagators(H, t_grid):
-    """M(t) of the stepped pass at each grid time, from the vacuum I/2."""
-    cov0 = np.eye(2 * H.n_modes) / 2
-    return [M for _, M, _ in
-            oscidec.dynamics._stepped_trajectory(H, cov0, t_grid)]
+    """M(t) of the stepped pass at each grid time."""
+    return [M for _, M in oscidec.dynamics._stepped_trajectory(H, t_grid)]
 
 
 def test_propagator_matches_oscillator_rotation():
@@ -121,12 +121,17 @@ def test_branch_pair_shares_covariance_bitwise():
     b = CoherentAmplitude("S", -0.5)
     traj = evolve_branches(a, b, env, H, [0.0, 0.7, 1.9], (1.0, 1.0))
     assert traj.alpha is a and traj.beta is b
-    # one covariance serves both branches: swapping them leaves it unchanged
+    # one covariance serves both branches: swapping them flips the sign of
+    # the separation alone, so the open-mode block of W is unchanged, its
+    # separation row only changes sign, and Gamma is unchanged bit for bit
     swapped = evolve_branches(b, a, env, H, [0.0, 0.7, 1.9], (1.0, 1.0))
-    assert np.array_equal(swapped.env_cov, traj.env_cov)
-    assert np.array_equal(swapped.mean_a, traj.mean_b)
-    # covariances genuinely evolve
-    assert np.abs(traj.env_cov[2] - traj.env_cov[0]).max() > 1e-3
+    sign = np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]])
+    assert np.array_equal(swapped.gram, sign * traj.gram)
+    assert np.array_equal(decoherence_function(swapped, ["E"]),
+                          decoherence_function(traj, ["E"]))
+    # the covariance genuinely evolves, and Gamma with it
+    assert np.abs(traj.gram[2, 1:, 1:] - traj.gram[0, 1:, 1:]).max() > 1e-3
+    assert decoherence_function(traj, ["E"])[2] < -1e-3
 
 
 def test_branch_displacement_at_t0():
@@ -135,9 +140,21 @@ def test_branch_displacement_at_t0():
                          vacuum_cov([1.0, 1.0], [1.0, 1.0]))
     a = CoherentAmplitude("S", 0.3, 0.9)
     b = CoherentAmplitude("S", -0.3, 0.0)
-    traj = evolve_branches_from(base, a, b, H, [0.0])
-    assert traj.mean_a[0] == pytest.approx([0.3, 0.0, 0.9, 0.0])
-    assert traj.mean_b[0] == pytest.approx([-0.3, 0.0, 0.0, 0.0])
+    traj = evolve_branches_from(base, a, b, H, [0.0, 1.0])
+    # at t = 0 the separation sits on the open mode alone, so the environment
+    # part d_hat is exactly zero, and W's open-mode block is sigma0^-1's
+    assert np.all(traj.gram[0, 0] == 0.0) and np.all(traj.gram[0, :, 0] == 0.0)
+    assert traj.gram[0, 1:, 1:] == pytest.approx(np.diag([2.0, 2.0]))
+    # later, Gamma reads the displacement of x by 0.6 and of p by 0.9 on the
+    # open mode, through the environment block of M(t) sigma0 M(t)^T
+    M = _expm_propagator(H, 1.0)
+    d = M @ np.array([0.6, 0.0, 0.9, 0.0])
+    cov = M @ base.cov @ M.T
+    env_cov = cov[np.ix_([1, 3], [1, 3])]
+    gamma = decoherence_function(traj, ["E"])
+    assert gamma[0] == 0.0
+    assert gamma[1] == pytest.approx(
+        -0.25 * d[[1, 3]] @ np.linalg.solve(env_cov, d[[1, 3]]), rel=1e-12)
 
 
 def test_branch_amplitudes_must_share_mode():
@@ -155,15 +172,15 @@ def test_evolve_branches_product_base():
                         vacuum_cov([2.0], [1.5]))
     a, b = CoherentAmplitude("S", 1.0), CoherentAmplitude("S", -1.0)
     traj = evolve_branches(a, b, env, H, [0.0, 0.9], (1.0, 3.0))
-    assert traj.mean_a[0] == pytest.approx([1.0, 0.4, 0.0, -0.1])
     assert traj.env.mode_labels == ("E",)
-    assert traj.env_cov[0] == pytest.approx(np.diag([1.0 / 6.0, 1.5]))
-    # the open mode is the vacuum at open_scale: 1/(2 m0 w0), m0 w0 / 2
+    # the open mode is the vacuum at open_scale: 1/(2 m0 w0), m0 w0 / 2, and
+    # at t = 0 W's open-mode block is its inverse
+    assert traj.gram[0, 1:, 1:] == pytest.approx(np.diag([6.0, 2.0 / 3.0]))
     base = product_state(H.layout, "S",
                          GaussianState(layout("S"), np.zeros(2),
                                        np.diag([1.0 / 6.0, 1.5])), env)
     want = evolve_branches_from(base, a, b, H, [0.0, 0.9])
-    for field in ("t", "mean_a", "mean_b", "env_cov"):
+    for field in ("t", "gram"):
         assert np.array_equal(getattr(traj, field), getattr(want, field))
 
 
@@ -186,29 +203,38 @@ def _reference_moments(M, mean, cov):
 
 
 def _reference_branches(base, alpha, beta, H, t_grid):
-    """(t, mean_a, mean_b, cov) of both displaced states, one matrix
-    exponential per time: the slow reference for the stepped pass."""
+    """(t, mean_a, mean_b, cov, W) of both displaced states, one matrix
+    exponential per time: the slow reference for the stepped pass.  W is the
+    Gram matrix Y^T sigma0^-1 Y of Y = M^-1 [d_hat, e_x, e_p], with M^-1
+    from a solve, not from the symplectic form."""
     n = base.layout.n_modes
+    k = base.layout.index(alpha.mode)
     means = []
     for amp in (alpha, beta):
-        k = base.layout.index(amp.mode)
         mean = base.mean.copy()
         mean[k] += amp.x0
         mean[k + n] += amp.p0
         means.append(mean)
+    K0 = np.linalg.inv(base.cov)
     out = []
     for t in t_grid:
         M = _expm_propagator(H, float(t))
         mean_a, cov = _reference_moments(M, means[0], base.cov)
-        out.append((float(t), mean_a, M @ means[1], cov))
+        mean_b = M @ means[1]
+        E = np.zeros((2 * n, 3))
+        E[:, 0] = mean_a - mean_b
+        E[[k, k + n], 0] = 0.0
+        E[k, 1] = E[k + n, 2] = 1.0
+        Y = np.linalg.solve(M, E)
+        out.append((float(t), mean_a, mean_b, cov, Y.T @ K0 @ Y))
     return out
 
 
-def _chain_frames(n_bath, temperature):
+def _chain_frames(n_bath, temperature, cutoff=5.0, eta=0.1):
     """(base, H, alpha, beta) of the chain in the S+E frame and in the CM+R
     frame, built as parallel_compare builds them."""
     pot = SystemPotential("harmonic", 1.0, 1.0)
-    b = discretize_ohmic_bath(n_bath, 5.0, 0.1)
+    b = discretize_ohmic_bath(n_bath, cutoff, eta)
     bath = BathParams(b.masses, b.freqs, b.couplings, -1)
     H = build_caldeira_leggett(pot, bath)
     env = thermal_state(PhaseSpaceLayout(H.layout.mode_labels[1:]),
@@ -226,22 +252,21 @@ def _chain_frames(n_bath, temperature):
 
 
 def _assert_matches_reference(base, alpha, beta, H, t_grid):
-    """Means, environment covariances and Gamma of the stepped pass agree
-    with the per-time reference to 1e-12 relative."""
+    """The Gram matrices of the stepped pass agree with the per-time
+    reference to 1e-12 of their largest entry, and Gamma agrees with
+    -1/4 d^T sigma_EE^-1 d from the reference means and environment
+    covariance block to 1e-12 relative."""
     got = evolve_branches_from(base, alpha, beta, H, t_grid)
     want = _reference_branches(base, alpha, beta, H, t_grid)
     env = got.env.mode_labels
     idx = H.layout.z_indices(env)
     assert got.t.tolist() == [t for t, *_ in want]
     gamma = []
-    for i, (_, wa, wb, wcov) in enumerate(want):
-        env_cov = wcov[np.ix_(idx, idx)]
-        for g, w in ((got.mean_a[i], wa), (got.mean_b[i], wb),
-                     (got.env_cov[i], env_cov)):
-            np.testing.assert_allclose(g, w, rtol=0,
-                                       atol=1e-12 * np.abs(w).max())
+    for i, (_, wa, wb, wcov, wgram) in enumerate(want):
+        np.testing.assert_allclose(got.gram[i], wgram, rtol=0,
+                                   atol=1e-12 * np.abs(wgram).max())
         d = wa[idx] - wb[idx]
-        gamma.append(-0.25 * d @ np.linalg.solve(env_cov, d))
+        gamma.append(-0.25 * d @ np.linalg.solve(wcov[np.ix_(idx, idx)], d))
     np.testing.assert_allclose(decoherence_function(got, env), gamma,
                                rtol=1e-12, atol=0)
 
@@ -269,6 +294,18 @@ def test_stepped_reference_chain_matches_per_time_reference(frame):
     _assert_matches_reference(base, alpha, beta, H, np.linspace(0.0, 2.0, 201))
 
 
+@pytest.mark.parametrize("frame", [0, 1], ids=["S+E", "CM+R"])
+def test_long_grid_gamma_matches_per_time_reference(frame):
+    # 2000 steps to t = 20: the stepped M drifts from exp(tJh) and from
+    # symplecticity with each step, and M^-1 = -J M^T J carries that drift
+    # into Gamma; eight bath modes up to 3.0 keep t = 20 inside the
+    # certified-time cap in both frames (37.5 in CM+R)
+    base, H, alpha, beta = _chain_frames(8, 10.0, cutoff=3.0)[frame]
+    grid = np.linspace(0.0, 20.0, 2001)
+    assert 20.0 * np.linalg.norm(H.h, 2) < oscidec.dynamics._T_NORM_CAP
+    _assert_matches_reference(base, alpha, beta, H, grid)
+
+
 def test_stepped_pass_takes_one_exponential_per_distinct_step(monkeypatch):
     calls = []
 
@@ -292,13 +329,25 @@ def test_branch_probes_are_the_pass_propagators():
     traj = evolve_branches_from(base, alpha, beta, H, grid, [grid[1], 2.0])
     assert sorted(traj.propagators) == [grid[1], 2.0]
     idx = H.layout.z_indices(traj.env.mode_labels)
+    n = H.n_modes
+    delta = np.zeros(2 * n)
+    delta[0], delta[n] = alpha.x0 - beta.x0, alpha.p0 - beta.p0
     for t, M in traj.propagators.items():
         assert np.abs(M - _expm_propagator(H, t)).max() < 1e-12
-        # the kept matrix is the one that produced the stored covariance
+        # the kept matrix reproduces the stored Gram matrix at its time:
+        # W's open-mode block is that of sigma^-1 = M^-T sigma0^-1 M^-1, and
+        # W_00 - W_0s W_ss^-1 W_s0 is d^T sigma_EE^-1 d
         cov = M @ base.cov @ M.T
         cov = 0.5 * (cov + cov.T)
-        assert np.array_equal(cov[np.ix_(idx, idx)],
-                              traj.env_cov[grid.tolist().index(t)])
+        W = traj.gram[grid.tolist().index(t)]
+        ss = [0, n]
+        np.testing.assert_allclose(W[1:, 1:],
+                                   np.linalg.inv(cov)[np.ix_(ss, ss)],
+                                   rtol=1e-12)
+        d = (M @ delta)[idx]
+        schur = W[0, 0] - W[0, 1:] @ np.linalg.solve(W[1:, 1:], W[1:, 0])
+        assert schur == pytest.approx(
+            d @ np.linalg.solve(cov[np.ix_(idx, idx)], d), rel=1e-12)
     with pytest.raises(DynamicsError, match="not grid times"):
         evolve_branches_from(base, alpha, beta, H, grid, [0.05])
 
@@ -373,15 +422,27 @@ def test_non_finite_evolved_covariance_fails_the_uncertainty_gate():
     assert exc.value.gate == "uncertainty relation"
     with pytest.raises(DynamicsTrustError, match="uncertainty relation"):
         list(evolve_grid(state, H, [0.0, 400.0]))
-    # NaN entries can make eigvalsh raise instead of returning NaN
+    # the branch pass, which builds sigma only where its bound fails, with a
+    # stable oscillator beside the inverted one as its environment
+    lay2 = layout("S", "E")
+    H2 = QuadraticHamiltonian(lay2, np.diag([-1.0, 1.0, 1.0, 1.0]))
+    state2 = GaussianState(lay2, np.zeros(4), np.eye(4) / 2)
+    with pytest.raises(DynamicsTrustError, match="min eig nan"):
+        evolve_branches_from(state2, CoherentAmplitude("S", 0.1),
+                             CoherentAmplitude("S", -0.1), H2, [0.0, 400.0])
+    # NaN entries can make eigvalsh raise instead of returning NaN, whether
+    # the caller passes sigma with its norm or a NaN scale and no sigma
     cov = np.eye(4) / 2
     cov[0, 1] = cov[1, 0] = np.nan
+    J = symplectic_form(2)
+    check = oscidec.dynamics._check_uncertainty
     with pytest.raises(DynamicsTrustError, match="min eig nan"):
-        oscidec.dynamics._evolved_cov(np.eye(4), cov, 1.0,
-                                      0.5j * symplectic_form(2), 0.0)
+        check(np.eye(4), cov, 1.0, J, 0.0, np.linalg.norm(cov), cov)
+    with pytest.raises(DynamicsTrustError, match="min eig nan"):
+        check(np.eye(4), cov, 1.0, J, 0.0, np.nan)
 
 
-def _eigvalsh_gate(M, cov0, t, half_iJ, eps0):
+def _eigvalsh_gate(M, cov0, t, J, eps0, sigma_scale, cov=None):
     """The uncertainty gate without the symplectic-defect bound: one eigvalsh
     of sigma + iJ/2 per time, refusing a minimum below -1e-10.  The
     reference the bounded gate must agree with."""
@@ -390,11 +451,10 @@ def _eigvalsh_gate(M, cov0, t, half_iJ, eps0):
     cov = 0.5 * (cov + cov.T)
     min_eig = np.nan
     if np.isfinite(cov).all():
-        min_eig = float(np.linalg.eigvalsh(cov + half_iJ).min())
+        min_eig = float(np.linalg.eigvalsh(cov + 0.5j * J).min())
     if not min_eig >= -1e-10:
         raise DynamicsTrustError("uncertainty relation",
                                  f"min eig {min_eig:.3e}")
-    return cov
 
 
 def _count_eigvalsh(patcher):
@@ -407,74 +467,97 @@ def _count_eigvalsh(patcher):
     return calls
 
 
-def _gated_pass(H, cov0, grid):
-    """(covariances the stepped pass accepts, in grid order; the gate that
-    refused the next time, or None)."""
+def _gated_pass(state, H, grid):
+    """(covariances `evolve_grid` accepts, in grid order; the trust error
+    that refused the next time, or None)."""
     covs = []
     try:
-        for _, _, cov in oscidec.dynamics._stepped_trajectory(H, cov0, grid):
-            covs.append(cov)
+        for st in evolve_grid(state, H, grid):
+            covs.append(st.cov)
     except DynamicsTrustError as exc:
-        return covs, exc.gate
+        return covs, exc
     return covs, None
 
 
-def _assert_gate_matches_eigvalsh(monkeypatch, H, cov0, grid):
-    """Run the pass with the bounded gate and with the eigvalsh reference on
-    the same M stack: both must accept the same covariances, bit for bit,
-    and refuse at the same first time with the same gate.  Returns (times
-    accepted, refusing gate, eigvalsh calls made by the bounded pass)."""
+def _branch_refusal(state, H, grid):
+    """The trust error that stops the branch pass from `state`, or None."""
+    mode = H.layout.mode_labels[0]
+    try:
+        evolve_branches_from(state, CoherentAmplitude(mode, 0.1),
+                             CoherentAmplitude(mode, -0.1), H, grid)
+    except DynamicsTrustError as exc:
+        return exc
+    return None
+
+
+def _assert_gate_matches_eigvalsh(monkeypatch, state, H, grid):
+    """Run `evolve_grid` with the bounded gate and with the eigvalsh
+    reference on the same M stack: both must accept the same covariances,
+    bit for bit, and refuse at the same first time with the same gate.  The
+    branch pass, which reads tr sigma where `evolve_grid` reads ||sigma||_F,
+    must refuse with the same message and call eigvalsh as often.  Returns
+    (times accepted, refusing gate, eigvalsh calls made by the bounded
+    pass)."""
     with monkeypatch.context() as m:
         calls = _count_eigvalsh(m)
-        got, got_gate = _gated_pass(H, cov0, grid)
+        got, got_exc = _gated_pass(state, H, grid)
+        grid_calls = len(calls)
+        calls.clear()
+        branch_exc = _branch_refusal(state, H, grid)
     with monkeypatch.context() as m:
-        m.setattr(oscidec.dynamics, "_evolved_cov", _eigvalsh_gate)
-        want, want_gate = _gated_pass(H, cov0, grid)
-    assert (len(got), got_gate) == (len(want), want_gate)
+        m.setattr(oscidec.dynamics, "_check_uncertainty", _eigvalsh_gate)
+        want, want_exc = _gated_pass(state, H, grid)
+    got_gate = got_exc and got_exc.gate
+    assert (len(got), got_gate) == (len(want), want_exc and want_exc.gate)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
-    return len(got), got_gate, len(calls)
+    assert str(branch_exc) == str(got_exc) and len(calls) == grid_calls
+    return len(got), got_gate, grid_calls
 
 
-def _floor_and_min_eig(monkeypatch, H, cov0, grid):
-    """The bound and the eigvalsh minimum at every time of the stepped pass,
-    with no gate stopping it."""
-    half_iJ = 0.5j * symplectic_form(H.n_modes)
-    eps0 = oscidec.dynamics._uncertainty_deficit(cov0, half_iJ)
+def _floor_and_min_eig(monkeypatch, state, H, grid):
+    """The bound with ||sigma||_F, the bound with tr sigma and the eigvalsh
+    minimum at every time of the stepped pass, with no gate stopping it."""
+    dyn = oscidec.dynamics
+    L = np.linalg.cholesky(state.cov)
     out = []
 
-    def recording_gate(M, cov0, t, half_iJ, _eps0):
-        cov = M @ cov0 @ M.T
-        cov = 0.5 * (cov + cov.T)
-        out.append((oscidec.dynamics._uncertainty_floor(M, cov, eps0),
-                    np.linalg.eigvalsh(cov + half_iJ).min()))
-        return cov
+    def recording_gate(M, cov0, t, J, eps0, sigma_scale, cov=None):
+        cov = dyn._evolved_cov(M, cov0)
+        ML = M @ L
+        out.append((dyn._uncertainty_floor(M, J, eps0, np.linalg.norm(cov)),
+                    dyn._uncertainty_floor(M, J, eps0, np.vdot(ML, ML)),
+                    np.linalg.eigvalsh(cov + 0.5j * J).min()))
 
     with monkeypatch.context() as m:
-        m.setattr(oscidec.dynamics, "_evolved_cov", recording_gate)
-        for _ in oscidec.dynamics._stepped_trajectory(H, cov0, grid):
+        m.setattr(dyn, "_check_uncertainty", recording_gate)
+        for _ in evolve_grid(state, H, grid):
             pass
     return np.array(out).T
 
 
-@pytest.mark.parametrize("temperature", [0.0, 1.0], ids=["vacuum", "thermal"])
+@pytest.mark.parametrize("temperature, t_refused", [(0.0, 28.2), (1.0, 35.65)],
+                         ids=["vacuum", "thermal"])
 def test_uncertainty_bound_refuses_where_eigvalsh_refuses_on_two_mode_model(
-        monkeypatch, temperature):
+        monkeypatch, temperature, t_refused):
     # configs/two_mode_oracle.cfg physics: h is indefinite, so the evolved
     # covariance grows until rounding breaks the uncertainty relation inside
-    # [0, 45] (near t = 28 from vacuum, t = 36 from the thermal state)
+    # [0, 45]
     H = build_two_mode(TwoModeParams(1.0, 1.0, 1.0, 0.25))
     state = thermal_state(H.layout, [1.0, 1.0], [1.0, 1.0], temperature)
     grid = np.linspace(0.0, 45.0, 901)
     accepted, gate, calls = _assert_gate_matches_eigvalsh(
-        monkeypatch, H, state.cov, grid)
-    assert gate == "uncertainty relation" and accepted < len(grid)
+        monkeypatch, state, H, grid)
+    assert gate == "uncertainty relation"
+    assert grid[accepted] == pytest.approx(t_refused, rel=1e-15)
     # the bound decides some times and eigvalsh the rest
     assert 1 < calls < accepted
-    # past the first refusal too, the bound clears no time eigvalsh refuses
-    floor, min_eig = _floor_and_min_eig(monkeypatch, H, state.cov, grid)
+    # past the first refusal too, neither bound clears a time eigvalsh
+    # refuses, and the trace never reads below the norm
+    floor, floor_tr, min_eig = _floor_and_min_eig(monkeypatch, state, H, grid)
     assert np.any(min_eig < -1e-10)
     assert not np.any((floor >= -1e-10) & (min_eig < -1e-10))
+    assert np.all(floor_tr <= floor)
 
 
 @pytest.mark.parametrize("frame", [0, 1], ids=["S+E", "CM+R"])
@@ -486,9 +569,27 @@ def test_uncertainty_bound_refuses_where_eigvalsh_refuses_on_chain(
     t_cap = oscidec.dynamics._T_NORM_CAP / np.linalg.norm(H.h, 2)
     grid = np.linspace(0.0, 1.01 * t_cap, 400)
     accepted, gate, calls = _assert_gate_matches_eigvalsh(
-        monkeypatch, H, base.cov, grid)
+        monkeypatch, base, H, grid)
     assert gate == "certified-time cap" and accepted == np.sum(grid <= t_cap)
     assert calls < accepted
+
+
+@pytest.mark.parametrize("t_max, t_steps, t_refused", [
+    (5000.0, 26, 200.0),    # `evolve` on two_mode_oracle.cfg, run.t_max = 5000
+    (60.0, 61, 31.0),       # `oracle` on it, run.t_max = 60, run.t_steps = 61
+], ids=["evolve", "oracle"])
+def test_branch_pass_and_evolve_grid_refuse_alike(t_max, t_steps, t_refused):
+    # the CLI's refused two-mode grids, from the state both commands evolve:
+    # the branch pass must stop where evolve_grid stops, with its message
+    H = build_two_mode(TwoModeParams(1.0, 1.0, 1.0, 0.25))
+    state = coherent_state(H.layout, [1.0, 1.0], [1.0, 1.0],
+                           [CoherentAmplitude("S", 0.4)])
+    grid = [t_max * i / (t_steps - 1) for i in range(t_steps)]
+    covs, exc = _gated_pass(state, H, grid)
+    assert exc.gate == "uncertainty relation"
+    assert f"evolved state at t = {t_refused!r}:" in str(exc)
+    assert grid[len(covs)] == t_refused
+    assert str(_branch_refusal(state, H, grid)) == str(exc)
 
 
 def test_compare_makes_no_per_time_eigvalsh_call(monkeypatch):
@@ -512,19 +613,47 @@ def test_uncertainty_bound_reads_the_defect_and_the_initial_deficit(
     M = _expm_propagator(build_two_mode(TwoModeParams(1.0, 1.0, 1.0, 0.25)),
                          3.0)
     calls = _count_eigvalsh(monkeypatch)
-    half_iJ = 0.5j * symplectic_form(2)
-    gate = oscidec.dynamics._evolved_cov
+    J = symplectic_form(2)
+    check = oscidec.dynamics._check_uncertainty
+
+    def gates(M, cov0, t, eps0):
+        """The gate as the branch pass calls it (tr sigma = ||M L||_F^2, no
+        sigma) and as evolve_grid calls it (sigma and ||sigma||_F)."""
+        ML = M @ np.linalg.cholesky(cov0)
+        cov = oscidec.dynamics._evolved_cov(M, cov0)
+        return (lambda: check(M, cov0, t, J, eps0, np.vdot(ML, ML)),
+                lambda: check(M, cov0, t, J, eps0, np.linalg.norm(cov),
+                              cov))
+
     vac = np.eye(4) / 2
     # a symplectic M and a valid state: the bound decides, eigvalsh never runs
-    gate(M, vac, 3.0, half_iJ, 0.0)
+    for gate in gates(M, vac, 3.0, 0.0):
+        gate()
     assert calls == []
-    # M J M^T = 0.81 J: sigma = 0.405 I, min eig -0.095, seen only through
-    # the symplectic defect
-    with pytest.raises(DynamicsTrustError, match="uncertainty relation"):
-        gate(0.9 * np.eye(4), vac, 1.0, half_iJ, 0.0)
-    # an exact symplectic M carries an initial deficit of 1e-6 forward
     bad = vac - 1e-6 * np.eye(4)
-    eps0 = oscidec.dynamics._uncertainty_deficit(bad, half_iJ)
+    eps0 = oscidec.dynamics._uncertainty_deficit(bad, J)
     assert eps0 == pytest.approx(1e-6)
-    with pytest.raises(DynamicsTrustError, match="uncertainty relation"):
-        gate(np.eye(4), bad, 1.0, half_iJ, eps0)
+    # M J M^T = 0.81 J: sigma = 0.405 I, min eig -0.095, seen only through
+    # the symplectic defect; an exact symplectic M carries an initial
+    # deficit of 1e-6 forward
+    for gate in (*gates(0.9 * np.eye(4), vac, 1.0, 0.0),
+                 *gates(np.eye(4), bad, 1.0, eps0)):
+        with pytest.raises(DynamicsTrustError, match="uncertainty relation"):
+            gate()
+
+
+@pytest.mark.parametrize("n_times", [201, 2001])
+def test_branch_pass_memory_does_not_grow_with_the_environment(n_times):
+    # the reference chain (33 modes): a (T, 64, 64) environment-covariance
+    # stack alone would take 6.6 MB at 201 times; the pass keeps a 3x3 Gram
+    # matrix per time and O(n^2) working arrays
+    base, H, alpha, beta = _chain_frames(32, 10.0)[0]
+    grid = np.linspace(0.0, 2.0, n_times)
+    tracemalloc.start()
+    try:
+        traj = evolve_branches_from(base, alpha, beta, H, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.gram.shape == (n_times, 3, 3)
+    assert peak < 2e6
