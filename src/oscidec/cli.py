@@ -134,13 +134,12 @@ def _cmd_decohere(cfg: ScenarioConfig, out: Path, digest: str) -> int:
     ham = cfg.hamiltonian()
     masses, freqs = _scales(cfg)
     alpha, beta = _amplitudes(cfg, "S")
-    env_labels = ham.layout.mode_labels[1:]
-    env = thermal_state(PhaseSpaceLayout(env_labels), masses[1:], freqs[1:],
-                        cfg["state.temperature"])
+    env = thermal_state(PhaseSpaceLayout(ham.layout.mode_labels[1:]),
+                        masses[1:], freqs[1:], cfg["state.temperature"])
     t_grid = np.asarray(cfg.t_grid())
     open_scale = (masses[0], freqs[0])
     branches = evolve_branches(alpha, beta, env, ham, t_grid, open_scale)
-    report = build_report("S+E", branches, env_labels, open_scale, ham)
+    report = build_report("S+E", branches, open_scale, ham)
     write_decoherence(out / "decoherence.csv", [report], digest)
     print(f"tau={report.tau_dec!r} lambda(t_end)={float(report.lambda_fit[-1])!r}")
     print(f"wrote {out / 'decoherence.csv'}")
@@ -149,9 +148,7 @@ def _cmd_decohere(cfg: ScenarioConfig, out: Path, digest: str) -> int:
 
 def _cmd_compare(cfg: ScenarioConfig, out: Path, digest: str) -> int:
     if cfg["model.kind"] != "caldeira_leggett":
-        print("compare requires model.kind = caldeira_leggett",
-              file=sys.stderr)
-        return 1
+        raise ConfigError(["compare requires model.kind = caldeira_leggett"])
     pair_s = _amplitudes(cfg, "S")
     pair_cm = _amplitudes(cfg, "CM", prefix="cm_")
     t_grid = np.asarray(cfg.t_grid())
@@ -172,8 +169,7 @@ def _cmd_compare(cfg: ScenarioConfig, out: Path, digest: str) -> int:
 
 def _cmd_oracle(cfg: ScenarioConfig, out: Path, digest: str) -> int:
     if cfg["model.kind"] != "two_mode":
-        print("oracle requires model.kind = two_mode", file=sys.stderr)
-        return 1
+        raise ConfigError(["oracle requires model.kind = two_mode"])
     p = cfg.two_mode()
     t_grid = np.asarray(cfg.t_grid())
     d = cfg["oracle.dim"]
@@ -189,9 +185,8 @@ def _cmd_oracle(cfg: ScenarioConfig, out: Path, digest: str) -> int:
           f"projection_norm={report.negativity_projection_norm!r}")
     print(f"wrote {out / 'crosscheck.csv'}")
     if not any(row.trusted for row in report.rows):
-        print("trust gate 'oracle leakage': no trusted times: truncation "
-              "leakage above gate everywhere", file=sys.stderr)
-        return 2
+        raise TrustGateError("oracle leakage", "no trusted times: truncation "
+                             "leakage above gate everywhere")
     return 0
 
 

@@ -6,6 +6,7 @@ applied) round-trips through the emitted manifest.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -31,8 +32,15 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    return tuple(_parse_float(tok) for tok in text.split(",") if tok.strip())
 
 
 def _fmt(value: Any) -> str:
@@ -54,42 +62,42 @@ def _uniform_grid(tmax: float, n: int) -> list[float]:
 # checked separately, "" means no default (key optional)
 _SCHEMA: dict[str, tuple[Any, Any]] = {
     "model.kind": (str, "two_mode"),
-    "model.m_s": (float, 1.0),
-    "model.m_e": (float, 1.0),
-    "model.omega": (float, 1.0),
-    "model.coupling": (float, 0.25),
+    "model.m_s": (_parse_float, 1.0),
+    "model.m_e": (_parse_float, 1.0),
+    "model.omega": (_parse_float, 1.0),
+    "model.coupling": (_parse_float, 0.25),
     "model.potential": (str, "harmonic"),
-    "model.omega_s": (float, 1.0),
+    "model.omega_s": (_parse_float, 1.0),
     "model.coupling_sign": (int, -1),
     "bath.kind": (str, "ohmic"),
     "bath.n": (int, 32),
-    "bath.omega_cutoff": (float, 5.0),
-    "bath.eta": (float, 0.1),
+    "bath.omega_cutoff": (_parse_float, 5.0),
+    "bath.eta": (_parse_float, 0.1),
     "bath.masses": (_parse_float_list, ()),
     "bath.freqs": (_parse_float_list, ()),
     "bath.couplings": (_parse_float_list, ()),
-    "state.alpha_x": (float, 1.0),
-    "state.alpha_p": (float, 0.0),
-    "state.beta_x": (float, -1.0),
-    "state.beta_p": (float, 0.0),
-    "state.cm_alpha_x": (float, None),
-    "state.cm_alpha_p": (float, None),
-    "state.cm_beta_x": (float, None),
-    "state.cm_beta_p": (float, None),
-    "state.temperature": (float, 0.0),
-    "run.t_max": (float, 2.0),
+    "state.alpha_x": (_parse_float, 1.0),
+    "state.alpha_p": (_parse_float, 0.0),
+    "state.beta_x": (_parse_float, -1.0),
+    "state.beta_p": (_parse_float, 0.0),
+    "state.cm_alpha_x": (_parse_float, None),
+    "state.cm_alpha_p": (_parse_float, None),
+    "state.cm_beta_x": (_parse_float, None),
+    "state.cm_beta_p": (_parse_float, None),
+    "state.temperature": (_parse_float, 0.0),
+    "run.t_max": (_parse_float, 2.0),
     "run.t_steps": (int, 101),
     "run.allow_positivity_violation": (_parse_bool, False),
-    "run.open_freq_ref": (float, 1.0),
+    "run.open_freq_ref": (_parse_float, 1.0),
     "oracle.dim": (int, 24),
-    "oracle.x0": (float, 0.4),
-    "oracle.negativity_time": (float, None),
+    "oracle.x0": (_parse_float, 0.4),
+    "oracle.negativity_time": (_parse_float, None),
     "master.variant": (str, "harmonic"),
-    "master.lam": (float, 0.25),
+    "master.lam": (_parse_float, 0.25),
     "master.dim": (int, 40),
-    "master.t_max": (float, 0.5),
+    "master.t_max": (_parse_float, 0.5),
     "master.t_steps": (int, 11),
-    "master.x0": (float, 1.5),
+    "master.x0": (_parse_float, 1.5),
 }
 
 _ENUMS = {
@@ -97,6 +105,16 @@ _ENUMS = {
     "model.potential": ("free", "harmonic"),
     "bath.kind": ("ohmic", "explicit"),
     "master.variant": ("none", "free", "harmonic"),
+}
+
+# key -> smallest value it may take
+_LOWER_BOUNDS = {
+    "run.t_steps": 1,
+    "run.t_max": 0,
+    "oracle.dim": 2,
+    "master.t_steps": 1,
+    "master.t_max": 0,
+    "state.temperature": 0,
 }
 
 # keys whose defaults derive from other keys rather than the schema table
@@ -218,12 +236,9 @@ def _semantic_errors(values: dict[str, Any]) -> list[str]:
             cfg.bath()
         except ModelError as exc:
             errors.append(f"bath: {exc}")
-    if values["run.t_steps"] < 1:
-        errors.append("run.t_steps: must be >= 1")
-    if values["run.t_max"] < 0:
-        errors.append("run.t_max: must be >= 0")
-    if values["oracle.dim"] < 2:
-        errors.append("oracle.dim: must be >= 2")
+    for key, low in _LOWER_BOUNDS.items():
+        if values[key] < low:
+            errors.append(f"{key}: must be >= {low}")
     try:
         from .master import MasterEqScenario
         MasterEqScenario(values["master.variant"], values["master.lam"],

@@ -89,8 +89,7 @@ def transform_hamiltonian(H: QuadraticHamiltonian,
         raise TransformError("Hamiltonian layout does not match transform source")
     Si = np.linalg.inv(T.S)
     hp = Si.T @ H.h @ Si
-    return QuadraticHamiltonian(T.target, 0.5 * (hp + hp.T),
-                                Si.T @ H.linear, tag=H.tag)
+    return QuadraticHamiltonian(T.target, 0.5 * (hp + hp.T), tag=H.tag)
 
 
 def transform_state(state: GaussianState,

@@ -179,10 +179,9 @@ def _checked_states(state: GaussianState, H: QuadraticHamiltonian,
 
 
 def energy(state: GaussianState, H: QuadraticHamiltonian) -> float:
-    """<H> = 1/2 m^T h m + 1/2 tr(h sigma) + linear . m (conserved quantity)."""
+    """<H> = 1/2 m^T h m + 1/2 tr(h sigma) (conserved quantity)."""
     return float(0.5 * state.mean @ H.h @ state.mean
-                 + 0.5 * np.trace(H.h @ state.cov)
-                 + H.linear @ state.mean)
+                 + 0.5 * np.trace(H.h @ state.cov))
 
 
 @dataclass(frozen=True)
@@ -203,7 +202,6 @@ class BranchTrajectory:
 
     t: FloatArray                  # (T,)
     layout: PhaseSpaceLayout
-    env: PhaseSpaceLayout
     gram: FloatArray               # (T, 3, 3): W, ordered (d_hat, e_x, e_p)
     alpha: CoherentAmplitude
     beta: CoherentAmplitude
@@ -243,7 +241,6 @@ def evolve_branches_from(base: GaussianState, alpha: CoherentAmplitude,
     delta = np.zeros(lay.dim)
     delta[k] = alpha.x0 - beta.x0
     delta[k + n] = alpha.p0 - beta.p0
-    env = PhaseSpaceLayout(tuple(lb for lb in lay.mode_labels if lb != alpha.mode))
     J = symplectic_form(n)
     eps0 = _uncertainty_deficit(base.cov, J)
     L = np.linalg.cholesky(base.cov)
@@ -265,7 +262,7 @@ def evolve_branches_from(base: GaussianState, alpha: CoherentAmplitude,
         gram[i] = z @ z.T
         if t in probes:
             kept[t] = M
-    return BranchTrajectory(ts, lay, env, gram, alpha, beta, kept)
+    return BranchTrajectory(ts, lay, gram, alpha, beta, kept)
 
 
 def evolve_branches(alpha: CoherentAmplitude, beta: CoherentAmplitude,

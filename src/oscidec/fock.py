@@ -56,7 +56,7 @@ class FockSpace:
             raise OracleError("every cutoff must be at least 2")
         if int(np.prod(self.dims)) > _D_CAP:
             raise OracleError(f"total dimension exceeds the cap {_D_CAP}")
-        if any(m <= 0 for m in self.masses) or any(w <= 0 for w in self.freqs):
+        if not all(x > 0 for x in (*self.masses, *self.freqs)):
             raise OracleError("masses and frequencies must be positive")
 
     @property
@@ -110,7 +110,7 @@ def coherent_vector(d: int, mass: float, freq: float, x0: float,
     return v / np.linalg.norm(v)
 
 
-def product_pure_state(space: FockSpace, vectors: Sequence[ComplexArray]) -> ComplexArray:
+def product_pure_state(vectors: Sequence[ComplexArray]) -> ComplexArray:
     psi = np.array([1.0 + 0j])
     for v in vectors:
         psi = np.kron(psi, v)
@@ -138,7 +138,6 @@ def _split_matmul(a: ComplexArray, b: FloatArray | ComplexArray) -> ComplexArray
 class Evolver:
     """Dense eigendecomposition of H, reusable across grid times."""
 
-    space: FockSpace
     energies: FloatArray
     vectors: FloatArray | ComplexArray
 
@@ -157,13 +156,13 @@ class Evolver:
         return _split_matmul(coef[..., None, :] * phase, V.T)
 
 
-def diagonalize(space: FockSpace, H: FloatArray | ComplexArray) -> Evolver:
+def diagonalize(H: FloatArray | ComplexArray) -> Evolver:
     """Eigendecomposition of H as given: a real symmetric H has a real
     eigenbasis."""
     if np.abs(H - H.conj().T).max() > 1e-10 * max(np.abs(H).max(), 1.0):
         raise OracleError("Hamiltonian operator must be Hermitian")
     E, V = np.linalg.eigh(H)
-    return Evolver(space, E, V)
+    return Evolver(E, V)
 
 
 # Per-state quantities below take amplitude stacks of shape (..., *space.dims):
@@ -341,7 +340,6 @@ class CrosscheckReport:
     trusted_horizon: float
     max_dev_mean: float
     max_dev_cov: float
-    max_dev_purity: float
     max_dev_overlap: float
     negativity_gauss: float
     negativity_oracle: float
@@ -375,10 +373,10 @@ def gaussian_crosscheck(p: TwoModeParams, x0: float, t_grid: Sequence[float],
                               reduce_state, vacuum_cov)
 
     space = FockSpace(("S", "E"), dims, (p.m_s, p.m_e), (1.0, p.omega))
-    evo = diagonalize(space, two_mode_hamiltonian(space, p))
+    evo = diagonalize(two_mode_hamiltonian(space, p))
     ve = coherent_vector(dims[1], p.m_e, p.omega, 0.0)
     psi0 = np.array([product_pure_state(
-        space, [coherent_vector(dims[0], p.m_s, 1.0, s * x0), ve])
+        [coherent_vector(dims[0], p.m_s, 1.0, s * x0), ve])
         for s in (1.0, -1.0)])
     ts = [float(t) for t in t_grid]
     # without a negativity time it is the trusted horizon, a grid time or 0
@@ -399,7 +397,7 @@ def gaussian_crosscheck(p: TwoModeParams, x0: float, t_grid: Sequence[float],
 
     rows = []
     horizon = 0.0
-    worst = dict(mean=0.0, cov=0.0, pur=0.0, ov=0.0)
+    worst = dict(mean=0.0, cov=0.0, ov=0.0)
     for k, (t, st) in enumerate(zip(ts, evolve_grid(state0, Hg, ts),
                                     strict=True)):
         trusted = bool(leak[k] < _LEAK_TRUST)
@@ -414,7 +412,6 @@ def gaussian_crosscheck(p: TwoModeParams, x0: float, t_grid: Sequence[float],
             horizon = t
             worst["mean"] = max(worst["mean"], dev_mean)
             worst["cov"] = max(worst["cov"], dev_cov)
-            worst["pur"] = max(worst["pur"], dev_pur)
             worst["ov"] = max(worst["ov"], dev_ov)
         rows.append(CrosscheckRow(t, float(leak[k]), trusted, dev_mean,
                                   dev_cov, dev_pur, dev_ov))
@@ -426,5 +423,4 @@ def gaussian_crosscheck(p: TwoModeParams, x0: float, t_grid: Sequence[float],
     T = cm_relative_transform([p.m_s, p.m_e], labels=("CM", "R1"), source=lay)
     en_g = log_negativity(transform_state(st, T), ["CM"], ["R1"])
     return CrosscheckReport(tuple(rows), horizon, worst["mean"], worst["cov"],
-                            worst["pur"], worst["ov"], en_g, en_o, float(t_neg),
-                            norm_o)
+                            worst["ov"], en_g, en_o, float(t_neg), norm_o)

@@ -58,13 +58,13 @@ class MasterEqScenario:
     def __post_init__(self) -> None:
         if self.variant not in ("none", "free", "harmonic"):
             raise MasterEqError(f"unknown Hamiltonian variant {self.variant!r}")
-        if self.lam < 0:
-            raise MasterEqError("dephasing rate must be non-negative")
+        if not self.lam >= 0:
+            raise MasterEqError("dephasing rate lam must be non-negative")
         if self.dim < 2:
             raise MasterEqError("basis cutoff must be at least 2")
-        if self.mass <= 0 or self.basis_freq <= 0:
-            raise MasterEqError("basis scaling must be positive")
-        if self.variant == "harmonic" and self.omega <= 0:
+        if not (self.mass > 0 and self.basis_freq > 0):
+            raise MasterEqError("basis scaling mass and basis_freq must be positive")
+        if self.variant == "harmonic" and not self.omega > 0:
             raise MasterEqError("harmonic variant needs omega > 0")
 
 

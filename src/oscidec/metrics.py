@@ -52,9 +52,9 @@ def model_fingerprint(H: QuadraticHamiltonian) -> str:
     return f"{H.tag or 'quadratic'}/{H.n_modes}m/{digest}"
 
 
-def decoherence_function(traj: BranchTrajectory,
-                         env_modes: Sequence[str]) -> FloatArray:
-    """Gamma(t) = ln overlap of the two branches' environment marginals.
+def decoherence_function(traj: BranchTrajectory) -> FloatArray:
+    """Gamma(t) = ln overlap of the two branches' environment marginals, the
+    environment being every mode but the open one.
 
     Branch covariances are identical by construction, so the overlap exponent
     is the pure quadratic form -1/4 d_E^T sigma_EE^-1 d_E, which scales
@@ -63,10 +63,6 @@ def decoherence_function(traj: BranchTrajectory,
     W_0s W_ss^-1 W_s0) on the trajectory's Gram matrices W: one batched
     2x2 solve covers the grid.
     """
-    if tuple(env_modes) != traj.env.mode_labels:
-        raise MetricsError(
-            f"Gamma is taken on the whole environment {traj.env.mode_labels}, "
-            f"not on {tuple(env_modes)}")
     W = traj.gram
     w_s0 = W[:, 1:, :1]
     x = np.linalg.solve(W[:, 1:, 1:], w_s0)
@@ -112,9 +108,9 @@ def decoherence_time(t_grid: Sequence[float], gamma: FloatArray) -> float | None
 
 
 def build_report(decomposition: str, traj: BranchTrajectory,
-                 env_modes: Sequence[str], open_scale: tuple[float, float],
+                 open_scale: tuple[float, float],
                  H: QuadraticHamiltonian) -> DecoherenceReport:
-    gamma = decoherence_function(traj, env_modes)
+    gamma = decoherence_function(traj)
     alpha, beta = traj.alpha, traj.beta
     lam = fit_lambda(gamma, alpha, beta, open_scale) \
         if (alpha.x0, alpha.p0) != (beta.x0, beta.p0) else np.zeros_like(gamma)
@@ -184,11 +180,10 @@ def parallel_compare(pot: SystemPotential, bath: BathParams,
         if consts.m_omega_cm_sq > 0 else open_freq_ref
 
     probes = _residual_probe_times(t_grid)
-    report_s, M1 = _pipeline("S+E", base, pair_s, H, t_grid, env_labels,
-                             (pot.m_s, w_s), probes)
+    report_s, M1 = _pipeline("S+E", base, pair_s, H, t_grid, (pot.m_s, w_s),
+                             probes)
     report_cm, M2 = _pipeline("CM+R", base_cm, pair_cm, H2, t_grid,
-                              cm_labels[1:], (consts.total_mass, omega_cm),
-                              probes)
+                              (consts.total_mass, omega_cm), probes)
 
     # the propagators that produced Gamma must agree up to the frame change
     S_tot = T2.S @ T1.S
@@ -204,15 +199,14 @@ def parallel_compare(pot: SystemPotential, bath: BathParams,
 def _pipeline(decomposition: str, base: GaussianState,
               pair: tuple[CoherentAmplitude, CoherentAmplitude],
               H: QuadraticHamiltonian, t_grid: Sequence[float],
-              env_modes: Sequence[str], open_scale: tuple[float, float],
-              probes: Sequence[float]
+              open_scale: tuple[float, float], probes: Sequence[float]
               ) -> tuple[DecoherenceReport, dict[float, FloatArray]]:
     """One decomposition's report and its propagators at the probe times.
 
     The trajectory is freed on return, before the next pipeline evolves.
     """
     traj = evolve_branches_from(base, pair[0], pair[1], H, t_grid, probes)
-    return (build_report(decomposition, traj, env_modes, open_scale, H),
+    return (build_report(decomposition, traj, open_scale, H),
             traj.propagators)
 
 

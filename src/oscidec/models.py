@@ -25,8 +25,8 @@ class TwoModeParams:
     coupling: float  # C, sign fixed positive in the -C x_S x_E convention
 
     def __post_init__(self) -> None:
-        if self.m_s <= 0 or self.m_e <= 0 or self.omega <= 0:
-            raise ModelError("masses and frequency must be positive")
+        if not (self.m_s > 0 and self.m_e > 0 and self.omega > 0):
+            raise ModelError("masses m_s, m_e and frequency omega must be positive")
         # confinement constraint: C < m_E omega^2 / 2
         if not self.coupling < self.m_e * self.omega ** 2 / 2:
             raise ModelError(
@@ -49,8 +49,10 @@ class BathParams:
             raise ModelError("bath must contain at least one oscillator")
         if len(self.freqs) != n or len(self.couplings) != n:
             raise ModelError("bath parameter lists must have equal length")
-        if any(m <= 0 for m in self.masses) or any(w <= 0 for w in self.freqs):
+        if not all(x > 0 for x in (*self.masses, *self.freqs)):
             raise ModelError("bath masses and frequencies must be positive")
+        if not np.isfinite(self.couplings).all():
+            raise ModelError("bath couplings must be finite")
         if self.coupling_sign not in (1, -1):
             raise ModelError("coupling_sign must be +1 or -1")
 
@@ -70,9 +72,9 @@ class SystemPotential:
     def __post_init__(self) -> None:
         if self.variant not in ("free", "harmonic"):
             raise ModelError(f"unknown potential variant {self.variant!r}")
-        if self.m_s <= 0:
-            raise ModelError("open-mode mass must be positive")
-        if self.variant == "harmonic" and self.omega_s <= 0:
+        if not self.m_s > 0:
+            raise ModelError("open-mode mass m_s must be positive")
+        if self.variant == "harmonic" and not self.omega_s > 0:
             raise ModelError("harmonic potential needs omega_s > 0")
 
     @property
@@ -118,7 +120,7 @@ def discretize_ohmic_bath(n: int, omega_cutoff: float, eta: float) -> BathParams
     """
     if n < 1:
         raise ModelError("bath oscillator count must be >= 1")
-    if omega_cutoff <= 0 or eta < 0:
+    if not (omega_cutoff > 0 and eta >= 0):
         raise ModelError("cutoff must be positive and eta non-negative")
     delta = omega_cutoff / n
     w = (np.arange(n) + 1) * delta

@@ -2,12 +2,12 @@
 
 Conventions (natural units, hbar = k_B = 1):
   * coordinates stacked as z = (x_1..x_n, p_1..p_n);
-  * H = 1/2 z^T h z + c^T z with h real symmetric;
+  * H = 1/2 z^T h z with h real symmetric, and no linear term;
   * covariance sigma_ij = 1/2 <{dz_i, dz_j}>, vacuum sigma = I/2 at m = omega = 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -84,26 +84,22 @@ def symplectic_form(n_modes: int) -> FloatArray:
 
 @dataclass(frozen=True)
 class QuadraticHamiltonian:
-    """H = 1/2 z^T h z + linear^T z on a fixed layout."""
+    """H = 1/2 z^T h z on a fixed layout."""
 
     layout: PhaseSpaceLayout
     h: FloatArray
-    linear: FloatArray = field(default=None)  # type: ignore[assignment]
     tag: str = ""
 
     def __post_init__(self) -> None:
         h = np.asarray(self.h, dtype=float)
         if h.shape != (self.layout.dim, self.layout.dim):
             raise PhaseSpaceError("h matrix shape does not match layout")
+        if not np.isfinite(h).all():
+            raise PhaseSpaceError("h matrix must be finite")
         scale = max(np.abs(h).max(), 1.0)
         if np.abs(h - h.T).max() > 1e-12 * scale:
             raise PhaseSpaceError("h matrix must be symmetric")
         object.__setattr__(self, "h", 0.5 * (h + h.T))
-        lin = self.linear
-        lin = np.zeros(self.layout.dim) if lin is None else np.asarray(lin, float)
-        if lin.shape != (self.layout.dim,):
-            raise PhaseSpaceError("linear term shape does not match layout")
-        object.__setattr__(self, "linear", lin)
         n = self.layout.n_modes
         pp = self.h[n:, n:]
         if np.linalg.eigvalsh(pp).min() <= 0:
@@ -213,14 +209,15 @@ def thermal_occupation(freq: float, temperature: float) -> float:
 def thermal_state(lay: PhaseSpaceLayout,
                   masses: Sequence[float],
                   freqs: Sequence[float],
-                  temperature: float | Sequence[float]) -> GaussianState:
+                  temperature: float) -> GaussianState:
     """Zero-mean Gibbs state, per-mode covariance (nbar + 1/2) scaled by (m w)."""
     m = np.asarray(masses, float)
     w = np.asarray(freqs, float)
     if np.any(m <= 0) or np.any(w <= 0):
         raise PhaseSpaceError("masses and frequencies must be positive")
-    temps = np.broadcast_to(np.asarray(temperature, float), w.shape)
-    nbar = np.array([thermal_occupation(wi, ti) for wi, ti in zip(w, temps)])
+    if not temperature >= 0:
+        raise PhaseSpaceError(f"temperature must be >= 0, not {temperature!r}")
+    nbar = np.array([thermal_occupation(wi, temperature) for wi in w])
     cov = np.diag(np.concatenate([(nbar + 0.5) / (m * w), (nbar + 0.5) * m * w]))
     return GaussianState(lay, np.zeros(lay.dim), cov)
 

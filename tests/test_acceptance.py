@@ -199,8 +199,7 @@ def test_c06_overlap_exponent_scaling():
         br = evolve_branches(CoherentAmplitude("S", x0),
                              CoherentAmplitude("S", -x0), env, H, t_grid,
                              (pot.m_s, pot.omega_s))
-        reports[s] = build_report("S+E", br, env_labels,
-                                  (pot.m_s, pot.omega_s), H)
+        reports[s] = build_report("S+E", br, (pot.m_s, pot.omega_s), H)
     g1 = reports[1].gamma
     dev_g = 0.0
     dev_l = 0.0
@@ -251,8 +250,8 @@ def test_c08_entanglement_relativity():
     en_gauss = log_negativity(transform_state(st, T), ("CM",), ("R1",))
 
     space = FockSpace(("S", "E"), (24, 24), (m_s, m_e), (w_s, w_e))
-    psi = product_pure_state(space, [coherent_vector(24, m_s, w_s, 0.0),
-                                     coherent_vector(24, m_e, w_e, 0.0)])
+    psi = product_pure_state([coherent_vector(24, m_s, w_s, 0.0),
+                              coherent_vector(24, m_e, w_e, 0.0)])
     en_oracle, norm = cm_relative_log_negativity(psi, space, d_out=40,
                                                  n_quad=140)
     ok = (en_gauss > 0.01 and en_oracle > 0.01

@@ -73,7 +73,10 @@ def test_semantic_errors_collected():
     text = ("model.coupling = 5.0\n"       # violates the confinement bound
             "run.t_steps = 0\n"
             "oracle.dim = 1\n"
-            "master.lam = -0.1\n")
+            "master.lam = -0.1\n"
+            "master.t_steps = 0\n"
+            "master.t_max = -0.5\n"
+            "state.temperature = -5\n")
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
     joined = "\n".join(exc.value.errors)
@@ -81,6 +84,21 @@ def test_semantic_errors_collected():
     assert "run.t_steps" in joined
     assert "oracle.dim" in joined
     assert "master:" in joined
+    assert "master.t_steps: must be >= 1" in joined
+    assert "master.t_max: must be >= 0" in joined
+    assert "state.temperature: must be >= 0" in joined
+
+
+@pytest.mark.parametrize("key, value", [
+    ("master.lam", "nan"), ("bath.eta", "nan"), ("master.x0", "nan"),
+    ("model.m_s", "nan"), ("state.temperature", "inf"),
+    ("run.t_max", "-inf"), ("bath.couplings", "0.1,nan")])
+def test_non_finite_values_are_refused_by_key(tmp_path, capsys, key, value):
+    cfg = _cfg_file(tmp_path, f"{key} = {value}\n")
+    assert main(["build", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    bad = value.split(",")[-1]
+    assert capsys.readouterr().err == (
+        f"config error: {key}: not a finite number: {bad!r}\n")
 
 
 def test_run_workers_is_an_unknown_key():
@@ -223,6 +241,26 @@ def test_cli_compare_requires_chain(tmp_path, capsys):
     cfg = _cfg_file(tmp_path, TWO_MODE_FAST)
     assert main(["compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "caldeira_leggett" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text, code, err", [
+    ("compare", TWO_MODE_FAST, 1,
+     "error: compare requires model.kind = caldeira_leggett\n"),
+    ("oracle", CHAIN_FAST, 1, "error: oracle requires model.kind = two_mode\n"),
+    ("oracle",
+     TWO_MODE_FAST.replace("oracle.dim = 16", "oracle.dim = 4")
+     + "oracle.x0 = 2.5\n", 2,
+     "trust gate 'oracle leakage': no trusted times: truncation leakage "
+     "above gate everywhere\n")],
+    ids=["compare-on-two-mode", "oracle-on-chain", "oracle-leakage"])
+def test_cli_refusals_are_reported_by_main(tmp_path, capsys, command, text,
+                                           code, err):
+    cfg = _cfg_file(tmp_path, text)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == code
+    assert capsys.readouterr().err == err
+    # the leakage refusal comes after crosscheck.csv is written
+    assert (out / "crosscheck.csv").exists() == (code == 2)
 
 
 def test_cli_compare_chain(tmp_path, capsys):

@@ -53,8 +53,8 @@ def test_transform_hamiltonian_preserves_energy_scalar():
     for _ in range(5):
         z = rng.normal(size=4)
         zp = T.S @ z
-        e = 0.5 * z @ H.h @ z + H.linear @ z
-        ep = 0.5 * zp @ Hp.h @ zp + Hp.linear @ zp
+        e = 0.5 * z @ H.h @ z
+        ep = 0.5 * zp @ Hp.h @ zp
         assert ep == pytest.approx(e, rel=1e-12)
 
 

@@ -107,11 +107,10 @@ def test_energy_value_and_conservation():
         assert energy(st, H) == pytest.approx(e0, rel=1e-12)
 
 
-def test_energy_includes_linear_term():
-    lay = layout("S")
-    H = QuadraticHamiltonian(lay, np.eye(2), linear=np.array([2.0, 0.0]))
-    state = GaussianState(lay, np.array([0.5, 0.0]), np.eye(2) / 2)
-    assert energy(state, H) == pytest.approx(0.5 * 0.25 + 0.5 + 1.0, rel=1e-13)
+def test_hamiltonian_has_no_linear_term():
+    # evolution reads h alone, so a linear term would be silently dropped
+    with pytest.raises(TypeError, match="linear"):
+        QuadraticHamiltonian(layout("S"), np.eye(2), linear=np.array([2.0, 0.0]))
 
 
 def test_branch_pair_shares_covariance_bitwise():
@@ -127,11 +126,11 @@ def test_branch_pair_shares_covariance_bitwise():
     swapped = evolve_branches(b, a, env, H, [0.0, 0.7, 1.9], (1.0, 1.0))
     sign = np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]])
     assert np.array_equal(swapped.gram, sign * traj.gram)
-    assert np.array_equal(decoherence_function(swapped, ["E"]),
-                          decoherence_function(traj, ["E"]))
+    assert np.array_equal(decoherence_function(swapped),
+                          decoherence_function(traj))
     # the covariance genuinely evolves, and Gamma with it
     assert np.abs(traj.gram[2, 1:, 1:] - traj.gram[0, 1:, 1:]).max() > 1e-3
-    assert decoherence_function(traj, ["E"])[2] < -1e-3
+    assert decoherence_function(traj)[2] < -1e-3
 
 
 def test_branch_displacement_at_t0():
@@ -151,7 +150,7 @@ def test_branch_displacement_at_t0():
     d = M @ np.array([0.6, 0.0, 0.9, 0.0])
     cov = M @ base.cov @ M.T
     env_cov = cov[np.ix_([1, 3], [1, 3])]
-    gamma = decoherence_function(traj, ["E"])
+    gamma = decoherence_function(traj)
     assert gamma[0] == 0.0
     assert gamma[1] == pytest.approx(
         -0.25 * d[[1, 3]] @ np.linalg.solve(env_cov, d[[1, 3]]), rel=1e-12)
@@ -172,7 +171,6 @@ def test_evolve_branches_product_base():
                         vacuum_cov([2.0], [1.5]))
     a, b = CoherentAmplitude("S", 1.0), CoherentAmplitude("S", -1.0)
     traj = evolve_branches(a, b, env, H, [0.0, 0.9], (1.0, 3.0))
-    assert traj.env.mode_labels == ("E",)
     # the open mode is the vacuum at open_scale: 1/(2 m0 w0), m0 w0 / 2, and
     # at t = 0 W's open-mode block is its inverse
     assert traj.gram[0, 1:, 1:] == pytest.approx(np.diag([6.0, 2.0 / 3.0]))
@@ -258,8 +256,8 @@ def _assert_matches_reference(base, alpha, beta, H, t_grid):
     covariance block to 1e-12 relative."""
     got = evolve_branches_from(base, alpha, beta, H, t_grid)
     want = _reference_branches(base, alpha, beta, H, t_grid)
-    env = got.env.mode_labels
-    idx = H.layout.z_indices(env)
+    idx = H.layout.z_indices(
+        [lb for lb in H.layout.mode_labels if lb != alpha.mode])
     assert got.t.tolist() == [t for t, *_ in want]
     gamma = []
     for i, (_, wa, wb, wcov, wgram) in enumerate(want):
@@ -267,7 +265,7 @@ def _assert_matches_reference(base, alpha, beta, H, t_grid):
                                    atol=1e-12 * np.abs(wgram).max())
         d = wa[idx] - wb[idx]
         gamma.append(-0.25 * d @ np.linalg.solve(wcov[np.ix_(idx, idx)], d))
-    np.testing.assert_allclose(decoherence_function(got, env), gamma,
+    np.testing.assert_allclose(decoherence_function(got), gamma,
                                rtol=1e-12, atol=0)
 
 
@@ -328,7 +326,8 @@ def test_branch_probes_are_the_pass_propagators():
     grid = np.linspace(0.0, 2.0, 21)
     traj = evolve_branches_from(base, alpha, beta, H, grid, [grid[1], 2.0])
     assert sorted(traj.propagators) == [grid[1], 2.0]
-    idx = H.layout.z_indices(traj.env.mode_labels)
+    idx = H.layout.z_indices(
+        [lb for lb in H.layout.mode_labels if lb != alpha.mode])
     n = H.n_modes
     delta = np.zeros(2 * n)
     delta[0], delta[n] = alpha.x0 - beta.x0, alpha.p0 - beta.p0

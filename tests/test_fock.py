@@ -39,8 +39,8 @@ def build_operators(space):
     return FockOperators(space, tuple(xs), tuple(ps))
 
 
-def quadratic_hamiltonian_operator(ops, h, linear=None):
-    """Generic 1/2 z^T h z + c^T z with symmetrized operator products."""
+def quadratic_hamiltonian_operator(ops, h):
+    """Generic 1/2 z^T h z with symmetrized operator products."""
     n = len(ops.space.labels)
     zops = list(ops.x) + list(ops.p)
     D = ops.space.total_dim
@@ -54,10 +54,6 @@ def quadratic_hamiltonian_operator(ops, h, linear=None):
             if i != j:
                 term = term + zops[j] @ zops[i]
             H += 0.5 * hij * term
-    if linear is not None:
-        for i, ci in enumerate(np.asarray(linear, float)):
-            if ci != 0.0:
-                H += ci * zops[i]
     return 0.5 * (H + H.conj().T)
 
 
@@ -186,7 +182,7 @@ def test_evolve_pure_matches_unitary():
     psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
     ts = (0.0, 0.9, 3.7)
     for H, dtype in ((H_complex, np.complex128), (H_real, np.float64)):
-        evo = diagonalize(space, H)
+        evo = diagonalize(H)
         assert evo.vectors.dtype == dtype
         stack = evo.evolve_pure(psi0, ts)
         assert stack.shape == (2, len(ts), D)
@@ -201,7 +197,7 @@ def test_oracle_trajectory_matches_classical_rotation():
     space = FockSpace(("S",), (48,), (m,), (w,))
     H = quadratic_hamiltonian_operator(build_operators(space),
                                        np.diag([m * w * w, 1.0 / m]))
-    evo = diagonalize(space, H)
+    evo = diagonalize(H)
     psi0 = coherent_vector(48, m, w, x0, p0)
     ts = (0.5, 1.7, 4.2)
     means, _ = moments(evo.evolve_pure(psi0, ts), space)
@@ -222,9 +218,9 @@ def test_leakage_decreases_with_cutoff_and_gates_trust():
     # a too-small cutoff flags the evolved state untrusted
     p = TwoModeParams(1.0, 1.0, 1.0, 0.25)
     space = FockSpace(("S", "E"), (4, 4), (1.0, 1.0), (1.0, 1.0))
-    psi = product_pure_state(space, [coherent_vector(4, 1, 1, 1.5),
-                                     coherent_vector(4, 1, 1, 0.0)])
-    evo = diagonalize(space, two_mode_hamiltonian(space, p))
+    psi = product_pure_state([coherent_vector(4, 1, 1, 1.5),
+                              coherent_vector(4, 1, 1, 0.0)])
+    evo = diagonalize(two_mode_hamiltonian(space, p))
     amp = evo.evolve_pure(psi, [1.0]).reshape(space.dims)
     assert leakage(amp, space) >= _LEAK_TRUST
 
@@ -255,8 +251,8 @@ def test_reduced_density_vector_and_matrix_paths_agree():
         assert np.abs(rv - rm).max() < 1e-12
         assert abs(np.trace(rv).real - 1.0) < 1e-12
     # product states reduce to pure marginals
-    prod = product_pure_state(space, [coherent_vector(6, 1, 1, 0.4),
-                                      coherent_vector(5, 1, 1, -0.2)])
+    prod = product_pure_state([coherent_vector(6, 1, 1, 0.4),
+                               coherent_vector(5, 1, 1, -0.2)])
     rs = reduced_density(prod.reshape(6, 5), space, 0)
     assert np.real(np.trace(rs @ rs)) == pytest.approx(1.0, abs=1e-12)
 
@@ -286,9 +282,9 @@ def _oracle_cm_relative_amplitude(monkeypatch):
     import oscidec.fock as fock
     p = TwoModeParams(1.0, 1.0, 1.0, 0.2)
     space = FockSpace(("S", "E"), (16, 16), (1.0, 1.0), (1.0, 1.0))
-    evo = diagonalize(space, two_mode_hamiltonian(space, p))
-    psi0 = product_pure_state(space, [coherent_vector(16, 1, 1, 0.35),
-                                      coherent_vector(16, 1, 1, 0.0)])
+    evo = diagonalize(two_mode_hamiltonian(space, p))
+    psi0 = product_pure_state([coherent_vector(16, 1, 1, 0.35),
+                               coherent_vector(16, 1, 1, 0.0)])
     seen = []
     schmidt = fock.pt_log_negativity_pure
     monkeypatch.setattr(fock, "pt_log_negativity_pure",
@@ -390,7 +386,7 @@ def _crosscheck_reference(p, x0, t_grid, dims, negativity_time):
 
     ve = coherent_vector(dims[1], p.m_e, p.omega, 0.0)
     psi_a0, psi_b0 = (product_pure_state(
-        space, [coherent_vector(dims[0], p.m_s, 1.0, s), ve]) for s in (x0, -x0))
+        [coherent_vector(dims[0], p.m_s, 1.0, s), ve]) for s in (x0, -x0))
     Hg = build_two_mode(p)
     state0 = GaussianState(Hg.layout, np.array([x0, 0.0, 0.0, 0.0]),
                            vacuum_cov([p.m_s, p.m_e], [1.0, p.omega]))
@@ -444,8 +440,8 @@ def test_crosscheck_matches_per_time_reference(dims, coupling, x0, t_neg):
 
 def test_cm_relative_negativity_zero_for_symmetric_vacuum():
     space = FockSpace(("S", "E"), (10, 10), (1.0, 1.0), (1.0, 1.0))
-    psi = product_pure_state(space, [coherent_vector(10, 1, 1, 0.0),
-                                     coherent_vector(10, 1, 1, 0.0)])
+    psi = product_pure_state([coherent_vector(10, 1, 1, 0.0),
+                              coherent_vector(10, 1, 1, 0.0)])
     en, norm = cm_relative_log_negativity(psi, space, d_out=12, n_quad=90)
     assert norm == pytest.approx(1.0, abs=1e-8)
     assert abs(en) < 1e-8
@@ -454,8 +450,8 @@ def test_cm_relative_negativity_zero_for_symmetric_vacuum():
 def test_cm_relative_negativity_matches_gaussian():
     masses, freqs = (1.0, 2.0), (1.0, 2.0)   # distinct freqs: CM|R entangled
     space = FockSpace(("S", "E"), (10, 10), masses, freqs)
-    psi = product_pure_state(space, [coherent_vector(10, masses[0], freqs[0], 0.0),
-                                     coherent_vector(10, masses[1], freqs[1], 0.0)])
+    psi = product_pure_state([coherent_vector(10, masses[0], freqs[0], 0.0),
+                              coherent_vector(10, masses[1], freqs[1], 0.0)])
     en_o, norm = cm_relative_log_negativity(psi, space, d_out=14, n_quad=100)
     lay = layout("S", "E")
     vac = GaussianState(lay, np.zeros(4), vacuum_cov(masses, freqs))

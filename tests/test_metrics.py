@@ -21,30 +21,24 @@ def _two_mode_branches(coupling: float, x0: float, t_grid):
 
 def test_gamma_zero_without_coupling():
     branches, _ = _two_mode_branches(0.0, 1.0, np.linspace(0.0, 3.0, 7))
-    gamma = decoherence_function(branches, ["E"])
+    gamma = decoherence_function(branches)
     assert np.array_equal(gamma, np.zeros(7))
 
 
 def test_gamma_nonpositive_and_zero_at_t0():
     branches, _ = _two_mode_branches(0.3, 1.0, np.linspace(0.0, 3.0, 13))
-    gamma = decoherence_function(branches, ["E"])
+    gamma = decoherence_function(branches)
     assert gamma[0] == 0.0
     assert np.all(gamma <= 0.0)
     assert gamma.min() < -1e-3
-
-
-def test_gamma_needs_the_whole_environment():
-    branches, _ = _two_mode_branches(0.3, 1.0, [0.0, 0.5])
-    with pytest.raises(MetricsError, match="whole environment"):
-        decoherence_function(branches, ["S"])
 
 
 def test_gamma_scales_exactly_with_squared_separation():
     t_grid = np.linspace(0.0, 2.0, 9)
     b1, _ = _two_mode_branches(0.3, 0.4, t_grid)
     b2, _ = _two_mode_branches(0.3, 0.8, t_grid)
-    g1 = decoherence_function(b1, ["E"])
-    g2 = decoherence_function(b2, ["E"])
+    g1 = decoherence_function(b1)
+    g2 = decoherence_function(b2)
     assert np.array_equal(g2, 4.0 * g1)
 
 
@@ -86,7 +80,7 @@ def test_build_report_identical_amplitudes():
     env = thermal_state(layout("E"), [1.0], [1.0], 0.0)
     a = CoherentAmplitude("S", 0.6)
     branches = evolve_branches(a, a, env, H, t_grid, (1.0, 1.0))
-    rep = build_report("S+E", branches, ["E"], (1.0, 1.0), H)
+    rep = build_report("S+E", branches, (1.0, 1.0), H)
     assert np.array_equal(rep.lambda_fit, np.zeros(5))
     assert rep.tau_dec is None
     assert not rep.saturated.any()

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from oscidec.fock import FockSpace
+from oscidec.master import MasterEqScenario
 from oscidec.models import (BathParams, ModelError, SystemPotential,
                             TwoModeParams, build_caldeira_leggett,
                             build_two_mode, discretize_ohmic_bath)
+
+NAN = float("nan")
 
 
 def test_two_mode_params_constraint():
@@ -14,6 +18,32 @@ def test_two_mode_params_constraint():
         TwoModeParams(-1.0, 1.0, 1.0, 0.1)
     with pytest.raises(ModelError):
         TwoModeParams(1.0, 1.0, 0.0, 0.1)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: SystemPotential("harmonic", NAN, 1.0), "m_s"),
+    (lambda: SystemPotential("harmonic", 1.0, NAN), "omega_s"),
+    (lambda: TwoModeParams(NAN, 1.0, 1.0, 0.1), "m_s"),
+    (lambda: TwoModeParams(1.0, NAN, 1.0, 0.1), "m_e"),
+    (lambda: TwoModeParams(1.0, 1.0, NAN, 0.1), "omega"),
+    (lambda: TwoModeParams(1.0, 1.0, 1.0, NAN), "coupling"),
+    (lambda: BathParams((NAN,), (1.0,), (0.1,)), "masses"),
+    (lambda: BathParams((1.0,), (NAN,), (0.1,)), "frequencies"),
+    (lambda: BathParams((1.0,), (1.0,), (NAN,)), "couplings"),
+    (lambda: discretize_ohmic_bath(4, NAN, 0.1), "cutoff"),
+    (lambda: discretize_ohmic_bath(4, 5.0, NAN), "eta"),
+    (lambda: MasterEqScenario("none", NAN, 8), "lam"),
+    (lambda: MasterEqScenario("none", 0.1, 8, mass=NAN), "mass"),
+    (lambda: MasterEqScenario("none", 0.1, 8, basis_freq=NAN), "basis_freq"),
+    (lambda: MasterEqScenario("harmonic", 0.1, 8, omega=NAN), "omega"),
+    (lambda: FockSpace(("S",), (4,), (NAN,), (1.0,)), "masses")],
+    ids=["potential-m_s", "potential-omega_s", "two_mode-m_s", "two_mode-m_e",
+         "two_mode-omega", "two_mode-coupling", "bath-masses", "bath-freqs",
+         "bath-couplings", "ohmic-cutoff", "ohmic-eta", "master-lam",
+         "master-mass", "master-basis_freq", "master-omega", "fock-masses"])
+def test_nan_parameters_are_refused_by_name(make, name):
+    with pytest.raises(ValueError, match=name):
+        make()
 
 
 def test_build_two_mode_matrix():

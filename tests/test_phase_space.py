@@ -41,6 +41,15 @@ def test_hamiltonian_rejects_asymmetric_and_bad_momentum_block():
         QuadraticHamiltonian(lay, h_bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_hamiltonian_rejects_non_finite_entries(bad):
+    # an infinite coupling passes the symmetry check, since inf - inf is NaN
+    h = np.diag([1.0, 1.0, 1.0, 1.0])
+    h[0, 1] = h[1, 0] = bad
+    with pytest.raises(PhaseSpaceError, match="finite"):
+        QuadraticHamiltonian(layout("S", "E"), h)
+
+
 def test_state_rejects_uncertainty_violation():
     lay = layout("S")
     with pytest.raises(PhaseSpaceError):
@@ -70,6 +79,12 @@ def test_vacuum_is_pure_and_thermal_is_mixed():
     th = thermal_state(lay, [1.0, 2.0], [1.0, 0.5], 2.0)
     assert purity(th) < 1.0
     assert log_purity(th) == pytest.approx(np.log(purity(th)), rel=1e-12)
+
+
+@pytest.mark.parametrize("temperature", [-5.0, np.nan])
+def test_thermal_state_refuses_negative_temperature(temperature):
+    with pytest.raises(PhaseSpaceError, match="temperature"):
+        thermal_state(layout("S"), [1.0], [1.0], temperature)
 
 
 def test_thermal_occupation_limits():
