@@ -239,12 +239,12 @@ def _semantic_errors(values: dict[str, Any]) -> list[str]:
     for key, low in _LOWER_BOUNDS.items():
         if values[key] < low:
             errors.append(f"{key}: must be >= {low}")
+    from .master import MasterEqError, MasterEqScenario
     try:
-        from .master import MasterEqScenario
         MasterEqScenario(values["master.variant"], values["master.lam"],
                          values["master.dim"], values["model.m_s"],
                          values["model.omega_s"])
-    except Exception as exc:
+    except MasterEqError as exc:
         errors.append(f"master: {exc}")
     return errors
 

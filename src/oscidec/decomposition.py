@@ -68,7 +68,7 @@ def cm_relative_transform(masses, labels: tuple[str, ...] | None = None,
     n = len(m)
     if n < 2:
         raise TransformError("need at least two modes for a CM split")
-    if np.any(m <= 0):
+    if not (m > 0).all():
         raise TransformError("masses must be positive")
     A = np.zeros((n, n))
     A[0] = m / m.sum()

@@ -1,8 +1,10 @@
 """Exact closed-system Gaussian evolution: stepped trajectories over a time
 grid, and branch-pair evolution for coherent-superposition initial states.
 
-Every evolved state comes from one stepped pass, `_stepped_trajectory`, the
-only place the symplectic map M(t) = exp(t J h) is formed.
+Every evolved state comes from one gated stepped pass,
+`_certified_trajectory`: `_stepped_trajectory` is the only place the
+symplectic map M(t) = exp(t J h) is formed, and `_check_uncertainty` the only
+check an evolved covariance gets.
 """
 from __future__ import annotations
 
@@ -13,16 +15,14 @@ import numpy as np
 from scipy.linalg import expm
 
 from .phase_space import (CoherentAmplitude, FloatArray, GaussianState,
-                          PhaseSpaceLayout, QuadraticHamiltonian,
-                          TrustGateError, coherent_state, layout,
-                          product_state, symplectic_form)
+                          QuadraticHamiltonian, TrustGateError,
+                          _UNCERTAINTY_TOL, _uncertainty_min_eig,
+                          coherent_state, layout, product_state,
+                          symplectic_form)
 
 # Symplecticity budget holds for t * ||h|| up to this; beyond it the
 # exponential conditioning is no longer certified and the scenario is rejected.
 _T_NORM_CAP = 1e3
-# Smallest eigenvalue of sigma + iJ/2 an evolved covariance may have: the
-# tolerance GaussianState applies to its input.
-_UNCERTAINTY_TOL = 1e-10
 # Grid steps equal to within this many ulps of max|t| share one step
 # propagator, so the rounding of t_max * i / (n - 1) does not split them.
 _SAME_STEP_ULPS = 4
@@ -49,12 +49,6 @@ def _certify_time(t: float, h_norm: float) -> None:
             f"t*||h|| = {reach:.3e} exceeds the certified cap {_T_NORM_CAP:.0e}")
 
 
-def _uncertainty_deficit(cov0: FloatArray, J: FloatArray) -> float:
-    """eps0 = max(0, -lambda_min(sigma0 + iJ/2)): how far the initial state
-    falls short of the uncertainty relation, taken once per pass."""
-    return max(0.0, -float(np.linalg.eigvalsh(cov0 + 0.5j * J).min()))
-
-
 def _uncertainty_floor(M: FloatArray, J: FloatArray, eps0: float,
                        sigma_scale: float) -> float:
     """A lower bound on lambda_min(sigma + iJ/2) for sigma = M sigma0 M^T,
@@ -72,13 +66,12 @@ def _uncertainty_floor(M: FloatArray, J: FloatArray, eps0: float,
     A non-finite M or s gives -inf or NaN, which clears nothing.
     """
     n = M.shape[0] // 2
-    with np.errstate(over="ignore", invalid="ignore"):
-        G = M[:, :n] @ M[:, n:].T
-        defect = G - G.T
-        defect -= J
-        return -(eps0 * float(np.vdot(M, M))
-                 + 0.5 * np.sqrt(np.vdot(defect, defect))
-                 + 2 * n * _EPS * sigma_scale)
+    G = M[:, :n] @ M[:, n:].T
+    defect = G - G.T
+    defect -= J
+    return -(eps0 * float(np.vdot(M, M))
+             + 0.5 * np.sqrt(np.vdot(defect, defect))
+             + 2 * n * _EPS * sigma_scale)
 
 
 def _evolved_cov(M: FloatArray, cov0: FloatArray) -> FloatArray:
@@ -89,31 +82,26 @@ def _evolved_cov(M: FloatArray, cov0: FloatArray) -> FloatArray:
 
 
 def _check_uncertainty(M: FloatArray, cov0: FloatArray, t: float,
-                       J: FloatArray, eps0: float, sigma_scale: float,
-                       cov: FloatArray | None = None) -> None:
-    """Refuse sigma = M sigma0 M^T unless sigma + iJ/2 >= 0: the one check an
-    evolved covariance gets.
+                       J: FloatArray, eps0: float) -> None:
+    """Refuse sigma = M sigma0 M^T unless sigma + iJ/2 >= 0.
 
-    It passes at once when `_uncertainty_floor` clears the tolerance, given
-    eps0 = `_uncertainty_deficit(cov0, J)` and any sigma_scale >= ||sigma||_F.
-    `evolve_grid` passes the cov it built and its exact ||sigma||_F; the
-    branch pass passes tr sigma = ||M L||_F^2 (sigma0 = L L^T) and no cov,
-    which is then built only where that bound fails, and the bound read again
-    with its exact norm before eigvalsh decides.  So both passes accept the
-    same times and call eigvalsh at the same ones.  A failure is a loss of
-    numerical trust in the propagation, not bad input.  A covariance that
-    overflowed fails too: eigvalsh of a non-finite matrix may return NaN,
-    finite garbage or raise.
+    Three reads, each only where the one before fails to clear the
+    tolerance: `_uncertainty_floor` with s = tr sigma, the sum of the
+    entries of (M sigma0) * M, which needs no sigma; then, with sigma built,
+    the same bound with s = ||sigma||_F <= tr sigma; then eigvalsh, which
+    decides.  A failure is a loss of numerical trust in the propagation, not
+    bad input.  A covariance that overflowed fails too: its eigenvalue is
+    NaN.
     """
-    if _uncertainty_floor(M, J, eps0, sigma_scale) >= -_UNCERTAINTY_TOL:
-        return
-    if cov is None:
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = np.vdot(M @ cov0, M)
+        if _uncertainty_floor(M, J, eps0, trace) >= -_UNCERTAINTY_TOL:
+            return
         cov = _evolved_cov(M, cov0)
-        _check_uncertainty(M, cov0, t, J, eps0, np.linalg.norm(cov), cov)
-        return
-    min_eig = np.nan
-    if np.isfinite(cov).all():
-        min_eig = float(np.linalg.eigvalsh(cov + 0.5j * J).min())
+        if _uncertainty_floor(M, J, eps0,
+                              np.linalg.norm(cov)) >= -_UNCERTAINTY_TOL:
+            return
+    min_eig = _uncertainty_min_eig(cov)
     if not min_eig >= -_UNCERTAINTY_TOL:
         raise DynamicsTrustError(
             "uncertainty relation",
@@ -124,7 +112,7 @@ def _check_uncertainty(M: FloatArray, cov0: FloatArray, t: float,
 def _stepped_trajectory(H: QuadraticHamiltonian, t_grid: Sequence[float]
                         ) -> Iterator[tuple[float, FloatArray]]:
     """(t, M(t)) at each grid time, in grid order, unchecked for the
-    uncertainty relation: each caller runs `_check_uncertainty` on it.
+    uncertainty relation: `_certified_trajectory` checks it.
 
     M(t_0) = exp(t_0 A) and M(t_k) = E(t_k - t_{k-1}) M(t_{k-1}) with A = J h,
     so a grid costs one matrix exponential per distinct step: one in all on
@@ -152,6 +140,18 @@ def _stepped_trajectory(H: QuadraticHamiltonian, t_grid: Sequence[float]
         yield t, M
 
 
+def _certified_trajectory(cov0: FloatArray, H: QuadraticHamiltonian,
+                          t_grid: Sequence[float]
+                          ) -> Iterator[tuple[float, FloatArray]]:
+    """(t, M(t)) from one stepped pass, each M yielded once its time passed
+    the certified-time cap and M sigma0 M^T passed `_check_uncertainty`."""
+    J = symplectic_form(H.n_modes)
+    eps0 = max(0.0, -_uncertainty_min_eig(cov0))   # initial deficit
+    for t, M in _stepped_trajectory(H, t_grid):
+        _check_uncertainty(M, cov0, t, J, eps0)
+        yield t, M
+
+
 def symplectic_residual(M: FloatArray) -> float:
     """max |M^T J M - J|, the canonical-structure defect of a propagator."""
     n = M.shape[0] // 2
@@ -164,18 +164,9 @@ def evolve_grid(state: GaussianState, H: QuadraticHamiltonian,
     """The evolved state at each grid time, in order, from one stepped pass."""
     if state.layout != H.layout:
         raise DynamicsError("state layout does not match propagator")
-    return _checked_states(state, H, t_grid)
-
-
-def _checked_states(state: GaussianState, H: QuadraticHamiltonian,
-                    t_grid: Sequence[float]) -> Iterator[GaussianState]:
-    """`evolve_grid` after its eager layout check."""
-    J = symplectic_form(H.n_modes)
-    eps0 = _uncertainty_deficit(state.cov, J)
-    for t, M in _stepped_trajectory(H, t_grid):
-        cov = _evolved_cov(M, state.cov)
-        _check_uncertainty(M, state.cov, t, J, eps0, np.linalg.norm(cov), cov)
-        yield GaussianState._prechecked(state.layout, M @ state.mean, cov)
+    return (GaussianState._prechecked(state.layout, M @ state.mean,
+                                      _evolved_cov(M, state.cov))
+            for _, M in _certified_trajectory(state.cov, H, t_grid))
 
 
 def energy(state: GaussianState, H: QuadraticHamiltonian) -> float:
@@ -201,7 +192,6 @@ class BranchTrajectory:
     """
 
     t: FloatArray                  # (T,)
-    layout: PhaseSpaceLayout
     gram: FloatArray               # (T, 3, 3): W, ordered (d_hat, e_x, e_p)
     alpha: CoherentAmplitude
     beta: CoherentAmplitude
@@ -216,15 +206,14 @@ def evolve_branches_from(base: GaussianState, alpha: CoherentAmplitude,
     """Displace the base state by alpha / beta on the open mode, then evolve
     both branches over the grid in one stepped pass.
 
-    Per time the pass checks the shared covariance without forming it, then
-    reads only rows k and k + n of M(t), the open mode's x(t) and p(t) in
-    the initial coordinates, and the same rows of M(t) delta.  M^-1 =
-    -J M^T J maps e_x and e_p back to J times those rows, and d_hat to delta
-    minus their combination by those entries of M delta, so no inverse,
-    solve, covariance or environment block is formed: beyond the propagator
-    and its check a time costs O(n^2), and the pass keeps its 3x3 Gram
-    matrix.  The propagators at `probe_times`, which must be grid times, are
-    kept.
+    Per time the pass certifies the shared covariance, then reads only rows
+    k and k + n of M(t), the open mode's x(t) and p(t) in the initial
+    coordinates, and the same rows of M(t) delta.  M^-1 = -J M^T J maps e_x
+    and e_p back to J times those rows, and d_hat to delta minus their
+    combination by those entries of M delta, so no inverse, solve or
+    environment block is formed: beyond the propagator and its check a time
+    costs O(n^2), and the pass keeps its 3x3 Gram matrix.  The propagators
+    at `probe_times`, which must be grid times, are kept.
     """
     if alpha.mode != beta.mode:
         raise DynamicsError("branch amplitudes must target the same mode")
@@ -242,7 +231,6 @@ def evolve_branches_from(base: GaussianState, alpha: CoherentAmplitude,
     delta[k] = alpha.x0 - beta.x0
     delta[k + n] = alpha.p0 - beta.p0
     J = symplectic_form(n)
-    eps0 = _uncertainty_deficit(base.cov, J)
     L = np.linalg.cholesky(base.cov)
     whiten = np.linalg.inv(L).T        # y @ whiten = (L^-1 y^T)^T
     # rows of Y^T are coef @ (rows @ J^T), plus delta on the first:
@@ -250,9 +238,7 @@ def evolve_branches_from(base: GaussianState, alpha: CoherentAmplitude,
     coef = np.array([[0.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     gram = np.empty((len(ts), 3, 3))
     kept = {}
-    for i, (t, M) in enumerate(_stepped_trajectory(H, ts)):
-        ML = M @ L
-        _check_uncertainty(M, base.cov, t, J, eps0, float(np.vdot(ML, ML)))
+    for i, (t, M) in enumerate(_certified_trajectory(base.cov, H, ts)):
         rows = M[k::n]                 # r_x, r_p: rows k and k + n
         c_x, c_p = rows @ delta
         coef[0] = c_p, -c_x
@@ -262,7 +248,7 @@ def evolve_branches_from(base: GaussianState, alpha: CoherentAmplitude,
         gram[i] = z @ z.T
         if t in probes:
             kept[t] = M
-    return BranchTrajectory(ts, lay, gram, alpha, beta, kept)
+    return BranchTrajectory(ts, gram, alpha, beta, kept)
 
 
 def evolve_branches(alpha: CoherentAmplitude, beta: CoherentAmplitude,

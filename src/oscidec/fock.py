@@ -343,7 +343,6 @@ class CrosscheckReport:
     max_dev_overlap: float
     negativity_gauss: float
     negativity_oracle: float
-    negativity_time: float
     negativity_projection_norm: float  # ~1 when d_out captures the state
 
     @property
@@ -423,4 +422,4 @@ def gaussian_crosscheck(p: TwoModeParams, x0: float, t_grid: Sequence[float],
     T = cm_relative_transform([p.m_s, p.m_e], labels=("CM", "R1"), source=lay)
     en_g = log_negativity(transform_state(st, T), ["CM"], ["R1"])
     return CrosscheckReport(tuple(rows), horizon, worst["mean"], worst["cov"],
-                            worst["ov"], en_g, en_o, float(t_neg), norm_o)
+                            worst["ov"], en_g, en_o, norm_o)

@@ -83,9 +83,8 @@ def scenario_operators(scn: MasterEqScenario) -> tuple[ComplexArray, ComplexArra
 
 @dataclass(frozen=True)
 class MasterEvolution:
-    """The sampled solve: states[k] is rho at t_grid[k], shape (T, d, d)."""
+    """The sampled solve: states[k] is rho at grid time k, shape (T, d, d)."""
 
-    t_grid: FloatArray
     states: ComplexArray
     max_trace_drift: float
 
@@ -220,6 +219,9 @@ def evolve_master(rho0: ComplexArray, scn: MasterEqScenario,
     check: the truncated generator is of Lindblad form, so its exact flow
     keeps rho positive.
     """
+    if np.shape(rho0) != (scn.dim, scn.dim):
+        raise MasterEqError(f"initial state has shape {np.shape(rho0)}, the "
+                            f"basis needs ({scn.dim}, {scn.dim})")
     validate_density(rho0)
     t_grid = np.asarray(t_grid, float)
     if not (t_grid.size and np.isfinite(t_grid).all() and t_grid[0] >= 0
@@ -242,7 +244,7 @@ def evolve_master(rho0: ComplexArray, scn: MasterEqScenario,
         raise MasterEqTrustError(
             "master trace drift",
             f"trace drift {drift:.3e} exceeds the bound {_TRACE_KEEP}")
-    return MasterEvolution(t_grid, states, drift)
+    return MasterEvolution(states, drift)
 
 
 def position_kernel(rho: ComplexArray, xs: FloatArray, mass: float,

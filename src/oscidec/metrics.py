@@ -41,8 +41,6 @@ class DecoherenceReport:
     gamma: FloatArray
     lambda_fit: FloatArray
     tau_dec: float | None
-    alpha: CoherentAmplitude
-    beta: CoherentAmplitude
     saturated: np.ndarray
     fingerprint: str
 
@@ -115,7 +113,7 @@ def build_report(decomposition: str, traj: BranchTrajectory,
     lam = fit_lambda(gamma, alpha, beta, open_scale) \
         if (alpha.x0, alpha.p0) != (beta.x0, beta.p0) else np.zeros_like(gamma)
     return DecoherenceReport(decomposition, traj.t, gamma, lam,
-                             decoherence_time(traj.t, gamma), alpha, beta,
+                             decoherence_time(traj.t, gamma),
                              saturation_flags(gamma), model_fingerprint(H))
 
 

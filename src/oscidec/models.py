@@ -3,6 +3,7 @@ and discretized Ohmic baths.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -27,6 +28,8 @@ class TwoModeParams:
     def __post_init__(self) -> None:
         if not (self.m_s > 0 and self.m_e > 0 and self.omega > 0):
             raise ModelError("masses m_s, m_e and frequency omega must be positive")
+        if not math.isfinite(self.coupling):
+            raise ModelError(f"coupling C must be finite, not {self.coupling}")
         # confinement constraint: C < m_E omega^2 / 2
         if not self.coupling < self.m_e * self.omega ** 2 / 2:
             raise ModelError(

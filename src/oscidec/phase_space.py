@@ -18,6 +18,8 @@ FloatArray = NDArray[np.float64]
 # Pure-state determinant floor: det(2 sigma) >= 1, degeneracy below this is an
 # invalid construction, not something to regularize.
 _DET_FLOOR = 1e-12
+# Smallest eigenvalue of sigma + iJ/2 any covariance, input or evolved, may have.
+_UNCERTAINTY_TOL = 1e-10
 
 
 class PhaseSpaceError(ValueError):
@@ -82,6 +84,15 @@ def symplectic_form(n_modes: int) -> FloatArray:
     return J
 
 
+def _uncertainty_min_eig(cov: FloatArray) -> float:
+    """lambda_min(sigma + iJ/2); NaN for a non-finite sigma, on which eigvalsh
+    may raise, return NaN or return finite garbage."""
+    if not np.isfinite(cov).all():
+        return np.nan
+    J = symplectic_form(cov.shape[0] // 2)
+    return float(np.linalg.eigvalsh(cov + 0.5j * J).min())
+
+
 @dataclass(frozen=True)
 class QuadraticHamiltonian:
     """H = 1/2 z^T h z on a fixed layout."""
@@ -133,12 +144,10 @@ class GaussianState:
         cov = 0.5 * (cov + cov.T)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-        J = symplectic_form(self.layout.n_modes)
-        # uncertainty relation sigma + iJ/2 >= 0
-        ev = np.linalg.eigvalsh(cov + 0.5j * J)
-        if ev.min() < -1e-10:
+        min_eig = _uncertainty_min_eig(cov)
+        if min_eig < -_UNCERTAINTY_TOL:
             raise PhaseSpaceError(
-                f"covariance violates the uncertainty relation (min eig {ev.min():.3e})")
+                f"covariance violates the uncertainty relation (min eig {min_eig:.3e})")
 
     @classmethod
     def _prechecked(cls, lay: PhaseSpaceLayout, mean: FloatArray,
@@ -178,7 +187,7 @@ def vacuum_cov(masses: Sequence[float], freqs: Sequence[float]) -> FloatArray:
     """Ground-state covariance diag(1/(2 m w), m w / 2) per mode."""
     m = np.asarray(masses, float)
     w = np.asarray(freqs, float)
-    if np.any(m <= 0) or np.any(w <= 0):
+    if not ((m > 0).all() and (w > 0).all()):
         raise PhaseSpaceError("masses and frequencies must be positive")
     return np.diag(np.concatenate([1.0 / (2 * m * w), m * w / 2]))
 
@@ -213,7 +222,7 @@ def thermal_state(lay: PhaseSpaceLayout,
     """Zero-mean Gibbs state, per-mode covariance (nbar + 1/2) scaled by (m w)."""
     m = np.asarray(masses, float)
     w = np.asarray(freqs, float)
-    if np.any(m <= 0) or np.any(w <= 0):
+    if not ((m > 0).all() and (w > 0).all()):
         raise PhaseSpaceError("masses and frequencies must be positive")
     if not temperature >= 0:
         raise PhaseSpaceError(f"temperature must be >= 0, not {temperature!r}")

@@ -89,6 +89,17 @@ def test_semantic_errors_collected():
     assert "state.temperature: must be >= 0" in joined
 
 
+def test_master_programming_error_is_not_a_config_error(monkeypatch):
+    import oscidec.master as master
+
+    def broken(*args):
+        raise TypeError("broken scenario class")
+
+    monkeypatch.setattr(master, "MasterEqScenario", broken)
+    with pytest.raises(TypeError, match="broken scenario class"):
+        parse_config("")
+
+
 @pytest.mark.parametrize("key, value", [
     ("master.lam", "nan"), ("bath.eta", "nan"), ("master.x0", "nan"),
     ("model.m_s", "nan"), ("state.temperature", "inf"),

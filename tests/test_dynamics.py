@@ -228,12 +228,12 @@ def _reference_branches(base, alpha, beta, H, t_grid):
     return out
 
 
-def _chain_frames(n_bath, temperature, cutoff=5.0, eta=0.1):
+def _chain_frames(n_bath, temperature, cutoff=5.0, eta=0.1, coupling_sign=-1):
     """(base, H, alpha, beta) of the chain in the S+E frame and in the CM+R
     frame, built as parallel_compare builds them."""
     pot = SystemPotential("harmonic", 1.0, 1.0)
     b = discretize_ohmic_bath(n_bath, cutoff, eta)
-    bath = BathParams(b.masses, b.freqs, b.couplings, -1)
+    bath = BathParams(b.masses, b.freqs, b.couplings, coupling_sign)
     H = build_caldeira_leggett(pot, bath)
     env = thermal_state(PhaseSpaceLayout(H.layout.mode_labels[1:]),
                         bath.masses, bath.freqs, temperature)
@@ -430,18 +430,20 @@ def test_non_finite_evolved_covariance_fails_the_uncertainty_gate():
         evolve_branches_from(state2, CoherentAmplitude("S", 0.1),
                              CoherentAmplitude("S", -0.1), H2, [0.0, 400.0])
     # NaN entries can make eigvalsh raise instead of returning NaN, whether
-    # the caller passes sigma with its norm or a NaN scale and no sigma
+    # sigma takes them from sigma0 or from M
     cov = np.eye(4) / 2
     cov[0, 1] = cov[1, 0] = np.nan
     J = symplectic_form(2)
     check = oscidec.dynamics._check_uncertainty
     with pytest.raises(DynamicsTrustError, match="min eig nan"):
-        check(np.eye(4), cov, 1.0, J, 0.0, np.linalg.norm(cov), cov)
+        check(np.eye(4), cov, 1.0, J, 0.0)
+    M = np.eye(4)
+    M[0, 1] = np.nan
     with pytest.raises(DynamicsTrustError, match="min eig nan"):
-        check(np.eye(4), cov, 1.0, J, 0.0, np.nan)
+        check(M, np.eye(4) / 2, 1.0, J, 0.0)
 
 
-def _eigvalsh_gate(M, cov0, t, J, eps0, sigma_scale, cov=None):
+def _eigvalsh_gate(M, cov0, t, J, eps0):
     """The uncertainty gate without the symplectic-defect bound: one eigvalsh
     of sigma + iJ/2 per time, refusing a minimum below -1e-10.  The
     reference the bounded gate must agree with."""
@@ -493,8 +495,8 @@ def _assert_gate_matches_eigvalsh(monkeypatch, state, H, grid):
     """Run `evolve_grid` with the bounded gate and with the eigvalsh
     reference on the same M stack: both must accept the same covariances,
     bit for bit, and refuse at the same first time with the same gate.  The
-    branch pass, which reads tr sigma where `evolve_grid` reads ||sigma||_F,
-    must refuse with the same message and call eigvalsh as often.  Returns
+    branch pass, which runs the same gate on the same pass, must refuse
+    with the same message and call eigvalsh as often.  Returns
     (times accepted, refusing gate, eigvalsh calls made by the bounded
     pass)."""
     with monkeypatch.context() as m:
@@ -521,7 +523,7 @@ def _floor_and_min_eig(monkeypatch, state, H, grid):
     L = np.linalg.cholesky(state.cov)
     out = []
 
-    def recording_gate(M, cov0, t, J, eps0, sigma_scale, cov=None):
+    def recording_gate(M, cov0, t, J, eps0):
         cov = dyn._evolved_cov(M, cov0)
         ML = M @ L
         out.append((dyn._uncertainty_floor(M, J, eps0, np.linalg.norm(cov)),
@@ -615,30 +617,37 @@ def test_uncertainty_bound_reads_the_defect_and_the_initial_deficit(
     J = symplectic_form(2)
     check = oscidec.dynamics._check_uncertainty
 
-    def gates(M, cov0, t, eps0):
-        """The gate as the branch pass calls it (tr sigma = ||M L||_F^2, no
-        sigma) and as evolve_grid calls it (sigma and ||sigma||_F)."""
-        ML = M @ np.linalg.cholesky(cov0)
-        cov = oscidec.dynamics._evolved_cov(M, cov0)
-        return (lambda: check(M, cov0, t, J, eps0, np.vdot(ML, ML)),
-                lambda: check(M, cov0, t, J, eps0, np.linalg.norm(cov),
-                              cov))
-
     vac = np.eye(4) / 2
     # a symplectic M and a valid state: the bound decides, eigvalsh never runs
-    for gate in gates(M, vac, 3.0, 0.0):
-        gate()
+    check(M, vac, 3.0, J, 0.0)
     assert calls == []
     bad = vac - 1e-6 * np.eye(4)
-    eps0 = oscidec.dynamics._uncertainty_deficit(bad, J)
+    eps0 = -oscidec.phase_space._uncertainty_min_eig(bad)
     assert eps0 == pytest.approx(1e-6)
     # M J M^T = 0.81 J: sigma = 0.405 I, min eig -0.095, seen only through
     # the symplectic defect; an exact symplectic M carries an initial
     # deficit of 1e-6 forward
-    for gate in (*gates(0.9 * np.eye(4), vac, 1.0, 0.0),
-                 *gates(np.eye(4), bad, 1.0, eps0)):
+    for M, cov0, eps0 in ((0.9 * np.eye(4), vac, 0.0), (np.eye(4), bad, eps0)):
         with pytest.raises(DynamicsTrustError, match="uncertainty relation"):
-            gate()
+            check(M, cov0, 1.0, J, eps0)
+
+
+def test_norm_read_clears_times_the_trace_read_fails(monkeypatch):
+    # a hot chain of the chain_compare benchmark: in the CM+R frame tr sigma
+    # overstates ||sigma||_F enough that the gate's first read fails at
+    # times its middle read, on the sigma it then builds, clears; each is
+    # an eigvalsh call the middle read saves
+    base, H, alpha, beta = _chain_frames(32, 11.8372, eta=0.0875,
+                                         coupling_sign=1)[1]
+    dyn = oscidec.dynamics
+    built = []
+    evolved_cov = dyn._evolved_cov
+    monkeypatch.setattr(dyn, "_evolved_cov",
+                        lambda M, cov0: built.append(M) or evolved_cov(M, cov0))
+    calls = _count_eigvalsh(monkeypatch)
+    evolve_branches_from(base, alpha, beta, H, np.linspace(0.0, 2.0, 201))
+    # one eigvalsh call is the initial deficit's; the rest decide times
+    assert len(calls) - 1 < len(built)
 
 
 @pytest.mark.parametrize("n_times", [201, 2001])

@@ -8,8 +8,9 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
-from oscidec import (MasterEqError, MasterEqScenario, coherence_profile,
-                     evolve_master, parse_config, position_kernel)
+from oscidec import (MasterEqError, MasterEqScenario, TrustGateError,
+                     coherence_profile, evolve_master, parse_config,
+                     position_kernel)
 from oscidec.fock import coherent_vector
 from oscidec.master import (_STEP_NORM, MasterEvolution, _dephase, _propagate,
                             _superoperator, scenario_operators)
@@ -279,6 +280,19 @@ def test_grid_validation():
             evolve_master(rho0, scn, grid)
 
 
+@pytest.mark.parametrize("variant", ["none", "harmonic"])
+@pytest.mark.parametrize("d_rho, d_basis", [(64, 40), (40, 64)])
+def test_initial_state_of_another_basis_size_is_refused(variant, d_rho,
+                                                        d_basis):
+    # refused as invalid input before any solve, not as a trust failure,
+    # a bare IndexError or a matmul ValueError
+    rho0 = _cat_density(d_rho, 0.5)
+    with pytest.raises(MasterEqError, match=rf"\({d_rho}, {d_rho}\).*"
+                       rf"\({d_basis}, {d_basis}\)") as exc:
+        evolve_master(rho0, MasterEqScenario(variant, 0.1, d_basis), [0.0, 1.0])
+    assert not isinstance(exc.value, TrustGateError)
+
+
 def test_coherence_profile_visibility():
     lam, x0 = 0.3, 1.5
     scn = MasterEqScenario("none", lam, 30)
@@ -295,7 +309,7 @@ def test_coherence_profile_visibility():
     one = np.zeros((1, 30, 30), complex)
     one[0, 1, 1] = 1.0
     with pytest.raises(MasterEqError, match="vanishing diagonal"):
-        coherence_profile(MasterEvolution(np.zeros(1), one, 0.0),
+        coherence_profile(MasterEvolution(one, 0.0),
                           np.array([0.0, 1.0]), (-0.5, 0.5), (0.5, 1.5),
                           1.0, 1.0)
 
@@ -411,7 +425,7 @@ def test_max_leakage_reads_the_top_two_levels():
     states = np.zeros((2, d, d), complex)
     states[:, 0, 0] = 1.0
     states[1, 0, 0], states[1, d - 2, d - 2], states[1, d - 1, d - 1] = 0.7, 0.2, 0.1
-    res = MasterEvolution(np.array([0.0, 1.0]), states, 0.0)
+    res = MasterEvolution(states, 0.0)
     assert res.max_leakage == pytest.approx(0.3, abs=1e-15)
     clean = evolve_master(_cat_density(40, 1.5),
                           MasterEqScenario("harmonic", 0.25, 40), [0.0, 0.5])

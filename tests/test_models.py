@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+from oscidec.decomposition import cm_relative_transform
 from oscidec.fock import FockSpace
 from oscidec.master import MasterEqScenario
+from oscidec.phase_space import layout, thermal_state, vacuum_cov
 from oscidec.models import (BathParams, ModelError, SystemPotential,
                             TwoModeParams, build_caldeira_leggett,
                             build_two_mode, discretize_ohmic_bath)
@@ -36,11 +40,17 @@ def test_two_mode_params_constraint():
     (lambda: MasterEqScenario("none", 0.1, 8, mass=NAN), "mass"),
     (lambda: MasterEqScenario("none", 0.1, 8, basis_freq=NAN), "basis_freq"),
     (lambda: MasterEqScenario("harmonic", 0.1, 8, omega=NAN), "omega"),
-    (lambda: FockSpace(("S",), (4,), (NAN,), (1.0,)), "masses")],
+    (lambda: FockSpace(("S",), (4,), (NAN,), (1.0,)), "masses"),
+    (lambda: vacuum_cov([NAN], [1.0]), "masses"),
+    (lambda: thermal_state(layout("S"), [NAN], [1.0], 1.0), "masses"),
+    (lambda: cm_relative_transform([1.0, NAN]), "masses"),
+    (lambda: TwoModeParams(1.0, 1.0, 1.0, -math.inf), "coupling")],
     ids=["potential-m_s", "potential-omega_s", "two_mode-m_s", "two_mode-m_e",
          "two_mode-omega", "two_mode-coupling", "bath-masses", "bath-freqs",
          "bath-couplings", "ohmic-cutoff", "ohmic-eta", "master-lam",
-         "master-mass", "master-basis_freq", "master-omega", "fock-masses"])
+         "master-mass", "master-basis_freq", "master-omega", "fock-masses",
+         "vacuum_cov-masses", "thermal_state-masses", "cm_relative-masses",
+         "two_mode-coupling-inf"])
 def test_nan_parameters_are_refused_by_name(make, name):
     with pytest.raises(ValueError, match=name):
         make()
