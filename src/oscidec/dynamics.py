@@ -231,7 +231,11 @@ def evolve_branches_from(base: GaussianState, alpha: CoherentAmplitude,
     delta[k] = alpha.x0 - beta.x0
     delta[k + n] = alpha.p0 - beta.p0
     J = symplectic_form(n)
-    L = np.linalg.cholesky(base.cov)
+    try:
+        L = np.linalg.cholesky(base.cov)
+    except np.linalg.LinAlgError:
+        raise DynamicsError("branch base covariance is not positive "
+                            "definite") from None
     whiten = np.linalg.inv(L).T        # y @ whiten = (L^-1 y^T)^T
     # rows of Y^T are coef @ (rows @ J^T), plus delta on the first:
     # d_hat -> delta + c_p J r_x - c_x J r_p, e_x -> J r_p, e_p -> -J r_x

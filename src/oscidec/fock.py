@@ -3,16 +3,20 @@ modes.
 
 Everything here is built independently of the Gaussian engine: ladder-operator
 matrices, dense eigendecomposition evolution, reduced density matrices,
-Hilbert-Schmidt overlaps, and a quadrature-based re-expression of pure
-two-mode wavefunctions in CM/relative coordinates for an independent
-entanglement check.  The two-mode Hamiltonian is real symmetric, so its
-eigenbasis is real, and every grid time is evolved in one batched pass.
-The per-time quantities work on the (T, d1, d2) stack of amplitude
-matrices; moments apply each mode's single-mode quadratures to its own axis,
-so no full-space operator is formed.  The log-negativity of the CM/relative
-state is read from its Schmidt coefficients, which fix the spectrum of the
-partial transpose exactly; the tests keep the literal partial-transpose
-eigendecomposition as the reference it is checked against.
+Hilbert-Schmidt overlaps, and an exact re-expression of pure two-mode states
+in CM/relative oscillator bases for an independent entanglement check.  The
+two-mode Hamiltonian is real symmetric and keeps total parity
+(-1)^(n_S + n_E), so its eigenbasis is real and comes from one
+eigendecomposition per parity block; every grid time is evolved in one
+batched pass.  The per-time quantities work on the (T, d1, d2) stack of
+amplitude matrices; moments apply each mode's single-mode quadratures to its
+own axis, so no full-space operator is formed.  The change of basis contracts
+the amplitudes with the overlap tensor of the two bases, filled by a Hermite
+recurrence from its Gaussian generating function; the tests keep the old
+Gauss-Hermite quadrature projection as its reference.  The log-negativity of
+the CM/relative state is read from its Schmidt coefficients, which fix the
+spectrum of the partial transpose exactly; the tests keep the literal
+partial-transpose eigendecomposition as the reference it is checked against.
 """
 from __future__ import annotations
 
@@ -21,7 +25,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 from numpy.typing import NDArray
 
 from .models import TwoModeParams
@@ -156,12 +159,33 @@ class Evolver:
         return _split_matmul(coef[..., None, :] * phase, V.T)
 
 
-def diagonalize(H: FloatArray | ComplexArray) -> Evolver:
-    """Eigendecomposition of H as given: a real symmetric H has a real
-    eigenbasis."""
+def total_parity(dims: Sequence[int]) -> NDArray[np.int_]:
+    """(-1)^(n_1 + .. + n_k) as 0 (even) or 1 (odd) per flat basis index."""
+    return sum(np.ix_(*(np.arange(d) for d in dims))).ravel() % 2
+
+
+def diagonalize(H: FloatArray | ComplexArray, dims: Sequence[int]) -> Evolver:
+    """Eigendecomposition of H on the Fock space of per-mode cutoffs dims,
+    one total-parity block at a time.
+
+    Every Hamiltonian here is a sum of products of two quadratures, so it
+    keeps total parity (-1)^(n_1 + .. + n_k); H must have exactly zero
+    entries between the even and odd blocks.  Each block is decomposed on its
+    own and its eigenvectors fill the columns of the same indices, so V keeps
+    the block structure with exact zeros outside it.  A real symmetric H has a
+    real eigenbasis.
+    """
     if np.abs(H - H.conj().T).max() > 1e-10 * max(np.abs(H).max(), 1.0):
         raise OracleError("Hamiltonian operator must be Hermitian")
-    E, V = np.linalg.eigh(H)
+    parity = total_parity(dims)
+    if np.any(H[parity[:, None] != parity[None, :]]):
+        raise OracleError("Hamiltonian couples the total-parity blocks")
+    E = np.empty(len(H))
+    V = np.zeros_like(H)
+    for s in (0, 1):
+        idx = np.flatnonzero(parity == s)
+        block = np.ix_(idx, idx)
+        E[idx], V[block] = np.linalg.eigh(H[block])
     return Evolver(E, V)
 
 
@@ -227,10 +251,6 @@ def moments(amp: ComplexArray,
     return mean, cov
 
 
-# ---------------------------------------------------------------------------
-# CM/relative re-expression of pure two-mode states (quadrature projection)
-# ---------------------------------------------------------------------------
-
 def _hermite_functions(xi: FloatArray, d: int) -> FloatArray:
     """Normalized Hermite functions phi_0..phi_{d-1} via stable recurrence."""
     out = np.zeros((d, len(xi)))
@@ -244,43 +264,80 @@ def _hermite_functions(xi: FloatArray, d: int) -> FloatArray:
 
 
 def _mode_wavefunctions(x: FloatArray, d: int, mass: float, freq: float) -> FloatArray:
+    """One mode's number-state wavefunctions phi_0..phi_{d-1} at x."""
     s = np.sqrt(mass * freq)
     return np.sqrt(s) * _hermite_functions(s * x, d)
+
+
+# ---------------------------------------------------------------------------
+# CM/relative re-expression of pure two-mode states (exact overlap tensor)
+# ---------------------------------------------------------------------------
+
+def _overlap_tensor(B: FloatArray, d_out: int,
+                    dims: tuple[int, int]) -> FloatArray:
+    """T[a, b, j, k] = <a b| U |j k> for the unitary U psi(v) =
+    |det B|^-1/2 psi(B^-1 v) between two-mode Hermite-function bases.
+
+    The generating function sum_n T[n] z^n / sqrt(n!), z = (alpha, beta),
+    is the Gaussian integral T0 exp(z^T Q z / 2) with P = (I + B^T B)^-1,
+    Q = [[2 B P B^T - I, 2 B P], [2 P B^T, 2 P - I]] and
+    T0 = 2 |det B|^1/2 / sqrt(det(I + B^T B)).  Differentiating it gives
+    g[n + e_i] = sum_l Q_il sqrt(n_l) g[n - e_l] / sqrt(n_i + 1)
+    (Miatto & Quesada, Quantum 4, 366, 2020).  g is stored as [k, j, b, a]
+    and filled from its last axis to its first: along axis i every earlier
+    index is 0, so only l >= i contribute, and each step fills one slice
+    over all later axes.  Filling the output axes first and the input axes
+    last kept the rounding smallest of the axis orders tried: against an
+    extended-precision fill it grows from 1e-16 on the lowest input shells
+    j + k to about 1e-11 on the top shell of a 24 x 24 input, where a state
+    the leakage gate trusts has amplitudes below 1e-3.  The return value is
+    a transposed view.
+    """
+    eye = np.eye(2)
+    K = eye + B.T @ B
+    P = np.linalg.inv(K)
+    Q = np.block([[2 * B @ P @ B.T - eye, 2 * B @ P],
+                  [2 * P @ B.T, 2 * P - eye]])[::-1, ::-1]
+    shape = tuple(dims)[::-1] + (d_out, d_out)
+    g = np.zeros(shape)
+    g[0, 0, 0, 0] = 2 * np.sqrt(abs(np.linalg.det(B)) / np.linalg.det(K))
+    roots = [np.sqrt(np.arange(d, dtype=float)) for d in shape]
+    for i in reversed(range(4)):
+        v = g[(0,) * i]                # axis i first, every later axis after
+        for n in range(1, shape[i]):
+            acc = (Q[i, i] * roots[i][n - 1] * v[n - 2] if n >= 2
+                   else np.zeros(v.shape[1:]))
+            for ax, l in enumerate(range(i + 1, 4)):
+                # sqrt(m) g[.., m - 1, ..] along axis l, into index m
+                lead = (slice(None),) * ax
+                bcast = (slice(None),) + (None,) * (3 - l)
+                acc[lead + (slice(1, None),)] += (
+                    Q[i, l] * roots[l][1:][bcast]
+                    * v[n - 1][lead + (slice(None, -1),)])
+            v[n] = acc / roots[i][n]
+    return g.T
 
 
 def project_to_transformed_basis(c: ComplexArray,
                                  scales_in: Sequence[tuple[float, float]],
                                  scales_out: Sequence[tuple[float, float]],
-                                 A: FloatArray, d_out: int,
-                                 n_quad: int = 140) -> ComplexArray:
+                                 A: FloatArray, d_out: int) -> ComplexArray:
     """Amplitudes of a pure two-mode state in the x' = A x coordinate bases.
 
     c is the Fock amplitude matrix in the original per-mode oscillator bases;
-    the return value is the amplitude matrix in oscillator bases of the new
-    coordinates (Gauss-Hermite quadrature on both axes).  The Frobenius norm
-    of the result measures projection completeness.
+    the return value is the d_out x d_out amplitude matrix in oscillator bases
+    of the new coordinates, contracted exactly with the overlap tensor of the
+    dimensionless map B = D_out A D_in^-1, D = diag(sqrt(m w)).  The Frobenius
+    norm of the result measures projection completeness.
     """
-    (m1, w1), (m2, w2) = scales_in
-    (M1, W1), (M2, W2) = scales_out
-    y, q = hermgauss(n_quad)
-    s1 = np.sqrt(M1 * W1)
-    s2 = np.sqrt(M2 * W2)
-    g1 = y / s1
-    g2 = y / s2
-    Ai = np.linalg.inv(A)
-    X1 = Ai[0, 0] * g1[:, None] + Ai[0, 1] * g2[None, :]
-    X2 = Ai[1, 0] * g1[:, None] + Ai[1, 1] * g2[None, :]
-    d1, d2 = c.shape
-    phi1 = _mode_wavefunctions(X1.ravel(), d1, m1, w1)
-    phi2 = _mode_wavefunctions(X2.ravel(), d2, m2, w2)
-    # psi(a, b) = sum_jk c_jk phi1_j phi2_k with real wavefunctions: one real
-    # product for the real and imaginary parts of c together, then the k sum
-    ct = np.concatenate([c.real.T, c.imag.T]).reshape(2, d2, d1)
-    psi = np.einsum("rka,ka->ra", ct @ phi1, phi2).reshape(2, n_quad, n_quad)
-    out1 = _mode_wavefunctions(g1, d_out, M1, W1) * (q * np.exp(y ** 2)) / s1
-    out2 = _mode_wavefunctions(g2, d_out, M2, W2) * (q * np.exp(y ** 2)) / s2
-    re, im = out1 @ psi @ out2.T
-    return np.sqrt(abs(np.linalg.det(Ai))) * (re + 1j * im)
+    d_in, d_new = (np.array([np.sqrt(m * w) for m, w in s])
+                   for s in (scales_in, scales_out))
+    B = d_new[:, None] * A / d_in[None, :]
+    # T.T is the contiguous [k, j, b, a] array: one real product for the
+    # real and imaginary parts of c together
+    flat = _overlap_tensor(B, d_out, c.shape).T.reshape(c.size, -1)
+    re, im = np.stack([c.real.T.ravel(), c.imag.T.ravel()]) @ flat
+    return (re + 1j * im).reshape(d_out, d_out).T
 
 
 def pt_log_negativity_pure(amp: ComplexArray) -> float:
@@ -298,8 +355,7 @@ def pt_log_negativity_pure(amp: ComplexArray) -> float:
 
 
 def cm_relative_log_negativity(psi: ComplexArray, space: FockSpace,
-                               d_out: int = 24,
-                               n_quad: int = 140) -> tuple[float, float]:
+                               d_out: int = 24) -> tuple[float, float]:
     """CM|relative entanglement of a pure two-mode state.
 
     Returns (log_negativity, projection_norm); the projection norm should be
@@ -313,8 +369,7 @@ def cm_relative_log_negativity(psi: ComplexArray, space: FockSpace,
     A = np.array([[m1 / M, m2 / M], [1.0, -1.0]])
     c = psi.reshape(space.dims)
     amp = project_to_transformed_basis(
-        c, list(zip(space.masses, space.freqs)), [(M, 1.0), (mu, 1.0)], A, d_out,
-        n_quad)
+        c, list(zip(space.masses, space.freqs)), [(M, 1.0), (mu, 1.0)], A, d_out)
     norm = float(np.linalg.norm(amp))
     return pt_log_negativity_pure(amp), norm
 
@@ -357,12 +412,13 @@ def gaussian_crosscheck(p: TwoModeParams, x0: float, t_grid: Sequence[float],
 
     Branches are coherent displacements +-x0 of the open mode over the E
     vacuum (T = 0).  Deviations are tabulated per grid time together with the
-    leakage trust flag; the max columns aggregate trusted times only.  The
-    oracle evolves both branches to every grid time and the negativity time
-    in one batched pass, and its per-time quantities come from that stack.
-    The Gaussian side is the +x0 branch from one stepped pass over the grid;
-    the -x0 branch is its mirror image, so the branches differ by twice its
-    mean.
+    leakage trust flag; the max columns aggregate trusted times only.  H
+    keeps total parity, so the oracle decomposes it one parity block at a
+    time and evolves the +x0 branch to every grid time and the negativity
+    time in one batched pass; the -x0 branch is that stack's total-parity
+    image.  The Gaussian side is the +x0 branch from one stepped pass over
+    the grid; the -x0 branch is its mirror image, so the branches differ by
+    twice its mean.
     """
     # deferred: keeps the oracle standalone
     from .decomposition import cm_relative_transform, transform_state
@@ -372,22 +428,24 @@ def gaussian_crosscheck(p: TwoModeParams, x0: float, t_grid: Sequence[float],
                               reduce_state, vacuum_cov)
 
     space = FockSpace(("S", "E"), dims, (p.m_s, p.m_e), (1.0, p.omega))
-    evo = diagonalize(two_mode_hamiltonian(space, p))
-    ve = coherent_vector(dims[1], p.m_e, p.omega, 0.0)
-    psi0 = np.array([product_pure_state(
-        [coherent_vector(dims[0], p.m_s, 1.0, s * x0), ve])
-        for s in (1.0, -1.0)])
+    evo = diagonalize(two_mode_hamiltonian(space, p), dims)
+    psi0 = product_pure_state([coherent_vector(dims[0], p.m_s, 1.0, x0),
+                               coherent_vector(dims[1], p.m_e, p.omega, 0.0)])
     ts = [float(t) for t in t_grid]
     # without a negativity time it is the trusted horizon, a grid time or 0
     t_all = ts + [0.0 if negativity_time is None else float(negativity_time)]
-    amps = evo.evolve_pure(psi0, t_all).reshape((2, len(t_all)) + dims)
-    grid = amps[:, :len(ts)]
-    leak = leakage(grid[0], space)
-    mean_o, cov_o = moments(grid[0], space)
-    rs_o = reduced_density(grid[0], space, keep=0)
+    amps = evo.evolve_pure(psi0, t_all).reshape((len(t_all),) + dims)
+    grid = amps[:len(ts)]
+    leak = leakage(grid, space)
+    mean_o, cov_o = moments(grid, space)
+    rs_o = reduced_density(grid, space, keep=0)
     pur_o = _trace_of_product(rs_o, rs_o)
+    # E starts in vacuum, so the -x0 branch starts as the total-parity image
+    # of the +x0 one, and H keeps total parity: it stays that image
     re_o = reduced_density(grid, space, keep=1)
-    ov_o = hs_overlap(re_o[0], re_o[1])
+    odd = total_parity(dims).reshape(dims)
+    re_minus = reduced_density(np.where(odd, -grid, grid), space, keep=1)
+    ov_o = hs_overlap(re_o, re_minus)
 
     Hg = build_two_mode(p)
     lay = Hg.layout
@@ -416,8 +474,7 @@ def gaussian_crosscheck(p: TwoModeParams, x0: float, t_grid: Sequence[float],
                                   dev_cov, dev_pur, dev_ov))
 
     t_neg = negativity_time if negativity_time is not None else horizon
-    en_o, norm_o = cm_relative_log_negativity(amps[0, t_all.index(t_neg)],
-                                              space)
+    en_o, norm_o = cm_relative_log_negativity(amps[t_all.index(t_neg)], space)
     (st,) = evolve_grid(state0, Hg, [t_neg])
     T = cm_relative_transform([p.m_s, p.m_e], labels=("CM", "R1"), source=lay)
     en_g = log_negativity(transform_state(st, T), ["CM"], ["R1"])

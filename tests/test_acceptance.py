@@ -252,8 +252,7 @@ def test_c08_entanglement_relativity():
     space = FockSpace(("S", "E"), (24, 24), (m_s, m_e), (w_s, w_e))
     psi = product_pure_state([coherent_vector(24, m_s, w_s, 0.0),
                               coherent_vector(24, m_e, w_e, 0.0)])
-    en_oracle, norm = cm_relative_log_negativity(psi, space, d_out=40,
-                                                 n_quad=140)
+    en_oracle, norm = cm_relative_log_negativity(psi, space, d_out=40)
     ok = (en_gauss > 0.01 and en_oracle > 0.01
           and abs(en_gauss - en_oracle) < 1e-6 and abs(norm - 1.0) < 1e-6)
     _record(8, ok, "entanglement relativity",

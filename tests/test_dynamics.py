@@ -165,6 +165,23 @@ def test_branch_amplitudes_must_share_mode():
                              CoherentAmplitude("E", -0.3), H, [0.0])
 
 
+def test_branch_pass_refuses_a_singular_base_covariance(monkeypatch):
+    # sigma + iJ/2 stays inside the state's tolerance (min eig -8.3e-11), so
+    # the state is accepted and evolve_grid evolves it; the branch pass needs
+    # a Cholesky factor and refuses it by name before its first time
+    H = _sho(1.0, 1.0)
+    base = GaussianState(H.layout, np.zeros(2), np.diag([0.0, 3e9]))
+    assert len(list(evolve_grid(base, H, [0.0, 1.0]))) == 2
+    steps = []
+    trajectory = oscidec.dynamics._certified_trajectory
+    monkeypatch.setattr(oscidec.dynamics, "_certified_trajectory",
+                        lambda *a: steps.append(a) or trajectory(*a))
+    with pytest.raises(DynamicsError, match="not positive definite"):
+        evolve_branches_from(base, CoherentAmplitude("S", 0.3),
+                             CoherentAmplitude("S", -0.3), H, [0.0, 1.0])
+    assert steps == []
+
+
 def test_evolve_branches_product_base():
     H = build_two_mode(TwoModeParams(1.0, 2.0, 1.5, 0.1))
     env = GaussianState(layout("E"), np.array([0.4, -0.1]),

@@ -3,6 +3,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 
 from oscidec import (BathParams, FockSpace, GaussianState, OracleError,
                      SystemPotential, TwoModeParams, build_caldeira_leggett,
@@ -10,10 +11,11 @@ from oscidec import (BathParams, FockSpace, GaussianState, OracleError,
                      cm_relative_transform, evolve_grid, gaussian_crosscheck,
                      layout, leakage, log_negativity, pt_log_negativity_pure,
                      purity, reduce_state, transform_state, vacuum_cov)
-from oscidec.fock import (_LEAK_TRUST, _quadratures, coherent_vector,
-                          diagonalize, hs_overlap, moments, product_pure_state,
+from oscidec.fock import (_LEAK_TRUST, _mode_wavefunctions, _overlap_tensor,
+                          _quadratures, coherent_vector, diagonalize,
+                          hs_overlap, moments, product_pure_state,
                           project_to_transformed_basis, reduced_density,
-                          two_mode_hamiltonian, validate_density)
+                          total_parity, two_mode_hamiltonian, validate_density)
 
 
 # References the oracle is checked against; none of them is on a CLI path.
@@ -61,6 +63,29 @@ def unitary(evo, t):
     """U(t) formed from the eigendecomposition, for U(t) psi0 products."""
     phase = np.exp(-1j * evo.energies * t)
     return (evo.vectors * phase) @ evo.vectors.conj().T
+
+
+def quadrature_projection(c, scales_in, scales_out, A, d_out, n_quad=140):
+    """The amplitude matrix of project_to_transformed_basis by Gauss-Hermite
+    quadrature: the state's wavefunction on the n_quad x n_quad grid of the
+    new coordinates, integrated against the new bases' wavefunctions."""
+    (m1, w1), (m2, w2) = scales_in
+    (M1, W1), (M2, W2) = scales_out
+    y, q = hermgauss(n_quad)
+    s1 = np.sqrt(M1 * W1)
+    s2 = np.sqrt(M2 * W2)
+    g1 = y / s1
+    g2 = y / s2
+    Ai = np.linalg.inv(A)
+    X1 = Ai[0, 0] * g1[:, None] + Ai[0, 1] * g2[None, :]
+    X2 = Ai[1, 0] * g1[:, None] + Ai[1, 1] * g2[None, :]
+    d1, d2 = c.shape
+    phi1 = _mode_wavefunctions(X1.ravel(), d1, m1, w1)
+    phi2 = _mode_wavefunctions(X2.ravel(), d2, m2, w2)
+    psi = np.einsum("jk,ja,ka->a", c, phi1, phi2).reshape(n_quad, n_quad)
+    out1 = _mode_wavefunctions(g1, d_out, M1, W1) * (q * np.exp(y ** 2)) / s1
+    out2 = _mode_wavefunctions(g2, d_out, M2, W2) * (q * np.exp(y ** 2)) / s2
+    return np.sqrt(abs(np.linalg.det(Ai))) * (out1 @ psi @ out2.T)
 
 
 def literal_pt_log_negativity(amp):
@@ -182,7 +207,7 @@ def test_evolve_pure_matches_unitary():
     psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
     ts = (0.0, 0.9, 3.7)
     for H, dtype in ((H_complex, np.complex128), (H_real, np.float64)):
-        evo = diagonalize(H)
+        evo = diagonalize(H, space.dims)
         assert evo.vectors.dtype == dtype
         stack = evo.evolve_pure(psi0, ts)
         assert stack.shape == (2, len(ts), D)
@@ -197,7 +222,7 @@ def test_oracle_trajectory_matches_classical_rotation():
     space = FockSpace(("S",), (48,), (m,), (w,))
     H = quadratic_hamiltonian_operator(build_operators(space),
                                        np.diag([m * w * w, 1.0 / m]))
-    evo = diagonalize(H)
+    evo = diagonalize(H, space.dims)
     psi0 = coherent_vector(48, m, w, x0, p0)
     ts = (0.5, 1.7, 4.2)
     means, _ = moments(evo.evolve_pure(psi0, ts), space)
@@ -220,7 +245,7 @@ def test_leakage_decreases_with_cutoff_and_gates_trust():
     space = FockSpace(("S", "E"), (4, 4), (1.0, 1.0), (1.0, 1.0))
     psi = product_pure_state([coherent_vector(4, 1, 1, 1.5),
                               coherent_vector(4, 1, 1, 0.0)])
-    evo = diagonalize(two_mode_hamiltonian(space, p))
+    evo = diagonalize(two_mode_hamiltonian(space, p), space.dims)
     amp = evo.evolve_pure(psi, [1.0]).reshape(space.dims)
     assert leakage(amp, space) >= _LEAK_TRUST
 
@@ -276,13 +301,124 @@ def test_projection_identity_transform():
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
 
 
+def _cm_relative_map(masses):
+    m1, m2 = masses
+    M = m1 + m2
+    return np.array([[m1 / M, m2 / M], [1.0, -1.0]]), [(M, 1.0),
+                                                       (m1 * m2 / M, 1.0)]
+
+
+# mass, frequency, per-mode cutoff and d_out sets; the second is criterion 8's
+@pytest.mark.parametrize("masses, freqs, dims, d_out", [
+    ((1.0, 1.0), (1.0, 1.0), (16, 16), 24),
+    ((1.0, 3.0), (1.0, 2.0), (24, 24), 40),
+    ((1.0, 2.0), (1.0, 2.0), (10, 10), 14),
+    ((2.0, 0.5), (1.5, 0.7), (20, 12), 24),
+    ((1.0, 1.0), (1.0, 0.8), (24, 24), 24)])
+def test_projection_matches_quadrature_reference(masses, freqs, dims, d_out):
+    """The overlap tensor against Gauss-Hermite quadrature, on states whose
+    amplitudes fall off with the level as trusted oracle states do: coherent
+    products, one of them evolved, and a random state damped by e^-(j+k)/4.
+    The recurrence's rounding grows toward the top input shells (about 1e-11
+    on the top shell of a 24 x 24 input), which such states do not weight."""
+    A, scales_out = _cm_relative_map(masses)
+    scales_in = list(zip(masses, freqs))
+    space = FockSpace(("S", "E"), dims, masses, freqs)
+    vac = product_pure_state([coherent_vector(d, m, w, 0.0)
+                              for d, m, w in zip(dims, masses, freqs)])
+    cat = product_pure_state([coherent_vector(d, m, w, x0, 0.3)
+                              for d, m, w, x0 in zip(dims, masses, freqs,
+                                                     (0.8, -0.5))])
+    (evolved,) = diagonalize(two_mode_hamiltonian(
+        space, TwoModeParams(masses[0], masses[1], freqs[1], 0.1)),
+        dims).evolve_pure(cat, [0.9])
+    rng = np.random.default_rng(19)
+    damped = ((rng.normal(size=dims) + 1j * rng.normal(size=dims))
+              * np.exp(-0.25 * np.add.outer(*(np.arange(d) for d in dims))))
+    for psi in (vac, cat, evolved, damped.ravel() / np.linalg.norm(damped)):
+        c = psi.reshape(dims)
+        got = project_to_transformed_basis(c, scales_in, scales_out, A, d_out)
+        want = quadrature_projection(c, scales_in, scales_out, A, d_out)
+        assert got.shape == (d_out, d_out)
+        assert np.abs(got - want).max() <= 1e-13
+
+
+@pytest.mark.parametrize("B", [
+    np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]]),
+    np.array([[np.cos(1.1), np.sin(1.1)], [np.sin(1.1), -np.cos(1.1)]]),
+    np.sqrt(0.5) * np.array([[1.0, 1.0], [1.0, -1.0]])])
+def test_overlap_tensor_of_an_orthogonal_map_keeps_each_shell(B):
+    # equal scales make B orthogonal, the generating function is then
+    # exp(alpha^T B beta): T joins only equal total numbers a + b = j + k,
+    # and is orthogonal on every shell whose states all fit every cutoff
+    T = _overlap_tensor(B, 10, (8, 9))
+    a, b, j, k = np.ix_(*(np.arange(d) for d in T.shape))
+    assert np.abs(T[np.broadcast_to(a + b != j + k, T.shape)]).max() < 1e-14
+    for N in range(8):
+        shell = [(n, N - n) for n in range(N + 1)]
+        blk = np.array([[T[p + q] for q in shell] for p in shell])
+        assert np.abs(blk @ blk.T - np.eye(N + 1)).max() < 1e-13
+        assert np.abs(blk.T @ blk - np.eye(N + 1)).max() < 1e-13
+
+
+@pytest.mark.parametrize("p, dims", [
+    (TwoModeParams(1.0, 1.0, 1.0, 0.25), (16, 16)),
+    (TwoModeParams(1.3, 0.7, 1.6, -0.4), (9, 12)),
+    (TwoModeParams(2.0, 0.5, 1.8, 0.6), (11, 7))])
+def test_two_mode_hamiltonian_keeps_total_parity(p, dims):
+    space = FockSpace(("S", "E"), dims, (p.m_s, p.m_e), (1.0, p.omega))
+    H = two_mode_hamiltonian(space, p)
+    parity = total_parity(dims)
+    assert np.array_equal(parity.reshape(dims),
+                          np.add.outer(np.arange(dims[0]),
+                                       np.arange(dims[1])) % 2)
+    even, odd = parity == 0, parity == 1
+    assert np.all(H[np.ix_(even, odd)] == 0.0)
+    # the coupling does act inside each block
+    assert np.abs(H[np.ix_(even, even)] - np.diag(np.diag(H)[even])).max() > 0.1
+    evo = diagonalize(H, dims)
+    assert evo.vectors.dtype == np.float64
+    assert np.all(evo.vectors[np.ix_(even, odd)] == 0.0)
+    assert np.all(evo.vectors[np.ix_(odd, even)] == 0.0)
+    assert np.sort(evo.energies) == pytest.approx(np.linalg.eigvalsh(H),
+                                                  abs=1e-12)
+    assert np.abs(H @ evo.vectors - evo.vectors * evo.energies).max() < 1e-12
+
+
+def test_diagonalize_refuses_a_hamiltonian_that_breaks_total_parity():
+    space = FockSpace(("S", "E"), (6, 6), (1.0, 1.0), (1.0, 1.0))
+    H = two_mode_hamiltonian(space, TwoModeParams(1.0, 1.0, 1.0, 0.25))
+    H[0, 1] = H[1, 0] = 1e-300
+    with pytest.raises(OracleError, match="couples the total-parity blocks"):
+        diagonalize(H, space.dims)
+
+
+def test_minus_branch_is_the_total_parity_image():
+    # E starts in vacuum, so the -x0 branch starts as the image of the +x0
+    # one under (-1)^(n_S + n_E); with the block-structured eigenbasis,
+    # evolving both branches gives that image bit for bit
+    p = TwoModeParams(1.0, 1.0, 1.0, 0.25)
+    dims = (16, 12)
+    space = FockSpace(("S", "E"), dims, (p.m_s, p.m_e), (1.0, p.omega))
+    parity = total_parity(dims)
+    evo = diagonalize(two_mode_hamiltonian(space, p), dims)
+    ve = coherent_vector(dims[1], p.m_e, p.omega, 0.0)
+    psi0 = np.array([product_pure_state(
+        [coherent_vector(dims[0], p.m_s, 1.0, s), ve]) for s in (0.4, -0.4)])
+    assert np.array_equal(psi0[1], np.where(parity, -psi0[0], psi0[0]))
+    both = evo.evolve_pure(psi0, [0.0, 0.35, 1.0, 2.7])
+    assert np.array_equal(both[1], np.where(parity, -both[0], both[0]))
+    assert np.abs(evo.evolve_pure(psi0[0], [0.0, 0.35, 1.0, 2.7])
+                  - both[0]).max() < 1e-15
+
+
 def _oracle_cm_relative_amplitude(monkeypatch):
     """The CM|relative amplitude that cm_relative_log_negativity hands to
     pt_log_negativity_pure, for a cutoff-16 oracle state at t = 0.7."""
     import oscidec.fock as fock
     p = TwoModeParams(1.0, 1.0, 1.0, 0.2)
     space = FockSpace(("S", "E"), (16, 16), (1.0, 1.0), (1.0, 1.0))
-    evo = diagonalize(two_mode_hamiltonian(space, p))
+    evo = diagonalize(two_mode_hamiltonian(space, p), space.dims)
     psi0 = product_pure_state([coherent_vector(16, 1, 1, 0.35),
                                coherent_vector(16, 1, 1, 0.0)])
     seen = []
@@ -321,10 +457,10 @@ def test_crosscheck_decomposes_nothing_larger_than_the_fock_space(monkeypatch):
                               np.linspace(0.0, 1.0, 3), dims=(16, 16),
                               negativity_time=0.7)
     assert rep.negativity_oracle > 0
-    # the Fock Hamiltonian is decomposed once; the negativity adds no
-    # d_out^2-sized partial transpose
-    assert (256, 256) in shapes
-    assert max(max(s) for s in shapes) <= 256
+    # the Fock Hamiltonian is decomposed once per total-parity block; the
+    # negativity adds no d_out^2-sized partial transpose
+    assert shapes.count((128, 128)) == 2
+    assert max(max(s) for s in shapes) <= 128
 
 
 def test_oracle_diagonalizes_once_in_real_arithmetic(monkeypatch):
@@ -336,7 +472,7 @@ def test_oracle_diagonalizes_once_in_real_arithmetic(monkeypatch):
     gaussian_crosscheck(TwoModeParams(1.0, 1.0, 1.0, 0.25), 0.4,
                         np.linspace(0.0, 1.0, 3), dims=(16, 16),
                         negativity_time=0.7)
-    assert calls == [((256, 256), np.float64)]
+    assert calls == [((128, 128), np.float64)] * 2
 
 
 def _two_mode_hamiltonian_reference(ops, p):
@@ -442,7 +578,7 @@ def test_cm_relative_negativity_zero_for_symmetric_vacuum():
     space = FockSpace(("S", "E"), (10, 10), (1.0, 1.0), (1.0, 1.0))
     psi = product_pure_state([coherent_vector(10, 1, 1, 0.0),
                               coherent_vector(10, 1, 1, 0.0)])
-    en, norm = cm_relative_log_negativity(psi, space, d_out=12, n_quad=90)
+    en, norm = cm_relative_log_negativity(psi, space, d_out=12)
     assert norm == pytest.approx(1.0, abs=1e-8)
     assert abs(en) < 1e-8
 
@@ -452,7 +588,7 @@ def test_cm_relative_negativity_matches_gaussian():
     space = FockSpace(("S", "E"), (10, 10), masses, freqs)
     psi = product_pure_state([coherent_vector(10, masses[0], freqs[0], 0.0),
                               coherent_vector(10, masses[1], freqs[1], 0.0)])
-    en_o, norm = cm_relative_log_negativity(psi, space, d_out=14, n_quad=100)
+    en_o, norm = cm_relative_log_negativity(psi, space, d_out=14)
     lay = layout("S", "E")
     vac = GaussianState(lay, np.zeros(4), vacuum_cov(masses, freqs))
     T = cm_relative_transform(masses, labels=("CM", "R1"), source=lay)
