@@ -6,14 +6,12 @@ decompositions of one run, cross-check against the dense solver, and evolve
 the position-coupling master equation.
 
 Exit codes: 0 success, 1 invalid config/arguments, 2 numerical-trust failure.
-A trust failure names its gate on stderr: oracle leakage (dense-solver
-leakage above gate at every grid time), confinement positivity (the chain's
-potential is not confining and the override is off), certified-time cap
-(t*||h|| beyond the certified propagation range), uncertainty relation (an
-evolved covariance violates it), master trace drift (an evolved density
-matrix is not finite or its trace left 1) or master leakage (an evolved
-density matrix holds the oracle's leakage bound or more in the top two Fock
-levels).
+A trust failure names its gate on stderr: oracle leakage (dense-solver leakage
+above gate at every grid time), confinement positivity (the chain's potential
+is not confining and the override is off), uncertainty relation (an evolved
+covariance violates it), master trace drift (an evolved density matrix is not
+finite or its trace left 1) or master leakage (an evolved density matrix holds
+the oracle's leakage bound or more in the top two Fock levels).
 """
 from __future__ import annotations
 

@@ -222,6 +222,17 @@ def verify_constants(Hp: QuadraticHamiltonian,
     return res
 
 
+def _normal_modes(V: FloatArray, T: FloatArray) -> tuple[FloatArray, ...]:
+    """(lam, U, T^1/2, T^-1/2), T^1/2 V T^1/2 = U diag(lam) U^T for T > 0."""
+    eT, UT = np.linalg.eigh(T)
+    if eT.min() <= 0:
+        raise TransformError("kinetic block must be positive definite")
+    Th = UT @ np.diag(np.sqrt(eT)) @ UT.T        # T^{1/2}
+    Thi = UT @ np.diag(1 / np.sqrt(eT)) @ UT.T   # T^{-1/2}
+    lam, U = np.linalg.eigh(Th @ V @ Th)
+    return lam, U, Th, Thi
+
+
 def normal_mode_transform(H: QuadraticHamiltonian, env_modes) -> tuple[
         LinearCoordinateTransform, QuadraticHamiltonian]:
     """Diagonalize the environment block into unit-mass normal modes.
@@ -236,31 +247,19 @@ def normal_mode_transform(H: QuadraticHamiltonian, env_modes) -> tuple[
     env = [lay.index(lb) for lb in env_modes]
     if len(env) == 0:
         raise TransformError("no environment modes given")
-    open_idx = [k for k in range(n) if k not in env]
+    p_open = [n + k for k in range(n) if k not in env]
+    p_env = [n + j for j in env]
     h = H.h
     tol = 1e-12 * max(1.0, float(np.abs(h).max()))
-    for k in open_idx:
-        if np.any(np.abs(h[n + k, [n + j for j in env]]) > tol):
-            raise TransformError("open-mode momentum couples to the environment")
-    T = h[np.ix_([n + j for j in env], [n + j for j in env])]
-    V = h[np.ix_(env, env)]
-    eT, UT = np.linalg.eigh(T)
-    if eT.min() <= 0:
-        raise TransformError("environment kinetic block must be positive definite")
-    Th = UT @ np.diag(np.sqrt(eT)) @ UT.T        # T^{1/2}
-    Thi = UT @ np.diag(1 / np.sqrt(eT)) @ UT.T   # T^{-1/2}
-    G = Th @ V @ Th
-    ev, U = np.linalg.eigh(G)
+    if np.any(np.abs(h[np.ix_(p_open, p_env)]) > tol):
+        raise TransformError("open-mode momentum couples to the environment")
+    ev, U, _, Thi = _normal_modes(h[np.ix_(env, env)], h[np.ix_(p_env, p_env)])
     if ev.min() <= 0:
         raise TransformError(
             f"environment potential block is not positive definite "
             f"(eigenvalue {ev.min():.6e})")
     # deterministic eigenvector signs: first non-negligible component positive
-    for col in range(U.shape[1]):
-        v = U[:, col]
-        lead = v[np.argmax(np.abs(v) > 1e-12)]
-        if lead < 0:
-            U[:, col] = -v
+    U *= np.sign(U[np.argmax(np.abs(U) > 1e-12, axis=0), np.arange(len(env))])
     A = np.eye(n)
     A[np.ix_(env, env)] = U.T @ Thi
     T_lct = LinearCoordinateTransform(lay, lay, A)

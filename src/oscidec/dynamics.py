@@ -3,8 +3,8 @@ grid, and branch-pair evolution for coherent-superposition initial states.
 
 Every evolved state comes from one gated stepped pass,
 `_certified_trajectory`: `_stepped_trajectory` is the only place the
-symplectic map M(t) = exp(t J h) is formed, and `_check_uncertainty` the only
-check an evolved covariance gets.
+symplectic map M(t) = exp(t J h) is formed, in closed form (`_propagator`),
+and `_check_uncertainty` the only check an evolved covariance gets.
 """
 from __future__ import annotations
 
@@ -12,17 +12,14 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
+from .decomposition import _normal_modes
 from .phase_space import (CoherentAmplitude, FloatArray, GaussianState,
                           QuadraticHamiltonian, TrustGateError,
                           _UNCERTAINTY_TOL, _uncertainty_min_eig,
                           coherent_state, layout, product_state,
                           symplectic_form)
 
-# Symplecticity budget holds for t * ||h|| up to this; beyond it the
-# exponential conditioning is no longer certified and the scenario is rejected.
-_T_NORM_CAP = 1e3
 # Grid steps equal to within this many ulps of max|t| share one step
 # propagator, so the rounding of t_max * i / (n - 1) does not split them.
 _SAME_STEP_ULPS = 4
@@ -34,19 +31,7 @@ class DynamicsError(ValueError):
 
 
 class DynamicsTrustError(DynamicsError, TrustGateError):
-    """Propagation outside the certified regime, or an evolved state that
-    fails the uncertainty relation."""
-
-
-def _certify_time(t: float, h_norm: float) -> None:
-    """Refuse a non-finite time, or one beyond the certified cap."""
-    if not np.isfinite(t):
-        raise DynamicsError("time must be finite")
-    reach = abs(t) * h_norm
-    if reach > _T_NORM_CAP:
-        raise DynamicsTrustError(
-            "certified-time cap",
-            f"t*||h|| = {reach:.3e} exceeds the certified cap {_T_NORM_CAP:.0e}")
+    """An evolved state that fails the uncertainty relation."""
 
 
 def _uncertainty_floor(M: FloatArray, J: FloatArray, eps0: float,
@@ -62,7 +47,7 @@ def _uncertainty_floor(M: FloatArray, J: FloatArray, eps0: float,
     the last, 2n u s with u the machine epsilon and s >= ||sigma||_F, pads for
     the rounding of sigma and of eigvalsh, the check the bound stands in for.
     Without it the bound clears a covariance of the free two-mode model that
-    eigvalsh refuses (-8.1e-11 against -1.9e-10 at t = 31.3, vacuum state).
+    eigvalsh refuses (-9.3e-11 against -1.1e-10 at t = 29.3, vacuum state).
     A non-finite M or s gives -inf or NaN, which clears nothing.
     """
     n = M.shape[0] // 2
@@ -109,32 +94,49 @@ def _check_uncertainty(M: FloatArray, cov0: FloatArray, t: float,
             f"relation (min eig {min_eig:.3e})")
 
 
+def _propagator(modes: tuple[FloatArray, ...], t: float) -> FloatArray:
+    """M(t) = exp(t J h), exact, from modes = (B, B^-1, lam), B = T^1/2 U of
+    `_normal_modes`: x = B q, p = B^-T pi decouple H into (pi^2 + lam q^2)/2.
+
+    Each mode maps (q, pi) to (c q + s pi, -lam s q + c pi), so M(t) - I is
+    [[B (c-1) B^-1, B s B^T], [-B^-T (lam s) B^-1, B^-T (c-1) B^T]], with
+    c - 1 = -2 sin^2(w t/2) and s = sin(w t)/w for a complex w = sqrt(lam):
+    rotation, shear (s = t) or growth as lam > 0, = 0 or < 0.  No entry is a
+    difference of nearby numbers, and M(0) = I exactly."""
+    B, Bi, lam = modes
+    w = np.sqrt(lam.astype(complex))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        s = np.where(w == 0, t, np.sin(w * t) / w).real
+        cm1 = (-2 * np.sin(0.5 * w * t) ** 2).real
+        return np.eye(2 * len(lam)) + np.block(
+            [[(B * cm1) @ Bi, (B * s) @ B.T],
+             [-(Bi.T * (lam * s)) @ Bi, (Bi.T * cm1) @ B.T]])
+
+
 def _stepped_trajectory(H: QuadraticHamiltonian, t_grid: Sequence[float]
                         ) -> Iterator[tuple[float, FloatArray]]:
     """(t, M(t)) at each grid time, in grid order, unchecked for the
     uncertainty relation: `_certified_trajectory` checks it.
 
-    M(t_0) = exp(t_0 A) and M(t_k) = E(t_k - t_{k-1}) M(t_{k-1}) with A = J h,
-    so a grid costs one matrix exponential per distinct step: one in all on
-    a uniform grid.  Each time passes the certified-time cap before its
-    propagator is formed.
+    M(t_0) and each distinct step E come from `_propagator`, and
+    M(t_k) = E M(t_{k-1}): one matrix product per time.
     """
     ts = np.asarray(t_grid, dtype=float)
     if not np.isfinite(ts).all():
         raise DynamicsError("time must be finite")
     ts = ts.tolist()
-    h_norm = np.linalg.norm(H.h, 2)
-    A = symplectic_form(H.n_modes) @ H.h
+    n = H.n_modes
+    lam, U, Th, Thi = _normal_modes(H.h[:n, :n], H.h[n:, n:])
+    modes = (Th @ U, U.T @ Thi, lam)
     same_step = _SAME_STEP_ULPS * np.spacing(max(map(abs, ts), default=0.0))
     M = E = step = t_prev = None
     for t in ts:
-        _certify_time(t, h_norm)
         if M is None:
-            M = expm(t * A)
+            M = _propagator(modes, t)
         else:
             dt = t - t_prev
             if step is None or abs(dt - step) > same_step:
-                step, E = dt, expm(dt * A)
+                step, E = dt, _propagator(modes, dt)
             M = E @ M
         t_prev = t
         yield t, M
@@ -143,8 +145,8 @@ def _stepped_trajectory(H: QuadraticHamiltonian, t_grid: Sequence[float]
 def _certified_trajectory(cov0: FloatArray, H: QuadraticHamiltonian,
                           t_grid: Sequence[float]
                           ) -> Iterator[tuple[float, FloatArray]]:
-    """(t, M(t)) from one stepped pass, each M yielded once its time passed
-    the certified-time cap and M sigma0 M^T passed `_check_uncertainty`."""
+    """(t, M(t)) from one stepped pass, each M yielded once M sigma0 M^T
+    passed `_check_uncertainty`."""
     J = symplectic_form(H.n_modes)
     eps0 = max(0.0, -_uncertainty_min_eig(cov0))   # initial deficit
     for t, M in _stepped_trajectory(H, t_grid):

@@ -2,7 +2,7 @@
 
 Conventions (natural units, hbar = k_B = 1):
   * coordinates stacked as z = (x_1..x_n, p_1..p_n);
-  * H = 1/2 z^T h z with h real symmetric, and no linear term;
+  * H = 1/2 z^T h z, h = blockdiag(V, T) with T > 0: no x-p or linear term;
   * covariance sigma_ij = 1/2 <{dz_i, dz_j}>, vacuum sigma = I/2 at m = omega = 1.
 """
 from __future__ import annotations
@@ -95,7 +95,7 @@ def _uncertainty_min_eig(cov: FloatArray) -> float:
 
 @dataclass(frozen=True)
 class QuadraticHamiltonian:
-    """H = 1/2 z^T h z on a fixed layout."""
+    """H = 1/2 z^T h z = 1/2 x^T V x + 1/2 p^T T p on a fixed layout."""
 
     layout: PhaseSpaceLayout
     h: FloatArray
@@ -112,8 +112,9 @@ class QuadraticHamiltonian:
             raise PhaseSpaceError("h matrix must be symmetric")
         object.__setattr__(self, "h", 0.5 * (h + h.T))
         n = self.layout.n_modes
-        pp = self.h[n:, n:]
-        if np.linalg.eigvalsh(pp).min() <= 0:
+        if np.any(self.h[:n, n:]):
+            raise PhaseSpaceError("position-momentum coupling h[:n, n:] must be 0")
+        if np.linalg.eigvalsh(self.h[n:, n:]).min() <= 0:
             raise PhaseSpaceError("momentum block must be positive definite")
 
     @property

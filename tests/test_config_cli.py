@@ -363,8 +363,6 @@ def _drifting_dephasing(monkeypatch):
 
 
 @pytest.mark.parametrize("command, name, values, gate, message, rig", [
-    ("compare", "chain_compare.cfg", {"bath.n": 64, "run.t_steps": 3},
-     "certified-time cap", "exceeds the certified cap", None),
     ("master-eq", "dephasing_master.cfg", {},
      "master trace drift", "exceeds the bound 1e-08", _drifting_master_solver),
     ("evolve", "two_mode_oracle.cfg", {"run.t_max": 5000},
@@ -383,6 +381,17 @@ def test_cli_trust_refusals_exit_2_and_name_the_gate(
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert f"trust gate '{gate}'" in err and message in err
+
+
+@pytest.mark.parametrize("values", [{"bath.n": 64}, {"run.t_max": 10}],
+                         ids=["n64", "t10"])
+def test_cli_compare_runs_a_larger_bath_and_longer_times(tmp_path, values):
+    # a larger bath and longer times, t ||h|| = 1.03e3 and 2.6e3 in the
+    # CM+R frame: the propagator is exact at any t
+    cfg = _shipped(tmp_path, "chain_compare.cfg", values)
+    out = tmp_path / "o"
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "comparison.csv").exists()
 
 
 @pytest.mark.parametrize("eta, sign, code", [
@@ -440,16 +449,31 @@ def test_cli_master_eq_refuses_a_leaking_basis(tmp_path, capsys):
     assert not (out / "visibility.csv").exists()
 
 
-def test_cli_import_leaves_out_unused_scipy_modules():
-    # scipy.special has no user; scipy.sparse.linalg loads on the first
-    # master-eq solve, so compare and oracle runs never pay for it
-    code = ("import sys, oscidec.cli; "
-            "print([m for m in ('scipy.special', 'scipy.sparse.linalg') "
-            "if m in sys.modules])")
+def _fresh_interpreter(code: str) -> str:
+    """The stdout of `code` run by a new Python process on this source."""
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.strip() == "[]"
+    return out.stdout
+
+
+def test_cli_import_leaves_out_unused_scipy_modules():
+    # the Gaussian engine and the oracle need only NumPy; scipy.sparse loads
+    # on the first master-eq solve, so importing the CLI never pays for SciPy
+    code = ("import sys, oscidec.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    assert _fresh_interpreter(code).strip() == "[]"
+
+
+@pytest.mark.parametrize("command, name", [
+    ("compare", "chain_compare.cfg"), ("oracle", "two_mode_oracle.cfg")])
+def test_cli_gaussian_and_oracle_runs_never_load_scipy(tmp_path, command, name):
+    argv = [command, "--config", str(CONFIGS / name),
+            "--out", str(tmp_path / "o")]
+    code = ("import sys; from oscidec.cli import main; "
+            f"code = main({argv!r}); "
+            "print(code, 'scipy' in sys.modules)")
+    assert _fresh_interpreter(code).strip().splitlines()[-1] == "0 False"
 
 
 @pytest.mark.parametrize("variant, loaded", [
@@ -464,10 +488,7 @@ def test_cli_master_eq_none_leaves_out_sparse_solver(tmp_path, variant, loaded):
             f"code = main({argv!r}); "
             "print(code, [m for m in ('scipy.sparse', 'scipy.sparse.linalg') "
             "if m in sys.modules])")
-    src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.strip().splitlines()[-1] == f"0 {loaded}"
+    assert _fresh_interpreter(code).strip().splitlines()[-1] == f"0 {loaded}"
 
 
 def test_cli_missing_config_exits_1(tmp_path, capsys):

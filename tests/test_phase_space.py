@@ -41,6 +41,19 @@ def test_hamiltonian_rejects_asymmetric_and_bad_momentum_block():
         QuadraticHamiltonian(lay, h_bad)
 
 
+@pytest.mark.parametrize("entry", [(0, 2), (0, 3), (3, 0)])
+def test_hamiltonian_refuses_position_momentum_coupling(entry):
+    # evolution assumes h = blockdiag(V, T); one x-p entry, in either
+    # off-diagonal block and however small, is refused by name (a lone
+    # 1e-300 passes the symmetry check and survives symmetrisation)
+    h = np.diag([1.0, 2.0, 1.0, 1.0])
+    h[entry] = 1e-300
+    with pytest.raises(PhaseSpaceError, match="position-momentum coupling"):
+        QuadraticHamiltonian(layout("S", "E"), h)
+    h[entry] = 0.0
+    QuadraticHamiltonian(layout("S", "E"), h)
+
+
 @pytest.mark.parametrize("bad", [np.nan, -np.inf])
 def test_hamiltonian_rejects_non_finite_entries(bad):
     # an infinite coupling passes the symmetry check, since inf - inf is NaN
