@@ -8,7 +8,7 @@ used as independent cross-checks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +29,8 @@ class LinearCoordinateTransform:
     source: PhaseSpaceLayout
     target: PhaseSpaceLayout
     A: FloatArray
+    # symplectic action blockdiag(A, A^-T) on (x, p), built once from A
+    S: FloatArray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.source.n_modes
@@ -40,20 +42,14 @@ class LinearCoordinateTransform:
         cond = np.linalg.cond(A)
         if not np.isfinite(cond) or cond > 1e12:
             raise TransformError(f"A is singular or ill-conditioned (cond {cond:.3e})")
-        object.__setattr__(self, "A", A)
-        S = self.S
+        S = np.zeros((2 * n, 2 * n))
+        S[:n, :n] = A
+        S[n:, n:] = np.linalg.inv(A).T
         J = symplectic_form(n)
         if np.abs(S.T @ J @ S - J).max() > 1e-10:
             raise TransformError("induced action is not symplectic")
-
-    @property
-    def S(self) -> FloatArray:
-        """Symplectic action blockdiag(A, A^-T) on (x, p)."""
-        n = self.source.n_modes
-        S = np.zeros((2 * n, 2 * n))
-        S[:n, :n] = self.A
-        S[n:, n:] = np.linalg.inv(self.A).T
-        return S
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "S", S)
 
 
 def cm_relative_transform(masses, labels: tuple[str, ...] | None = None,

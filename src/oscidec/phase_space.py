@@ -156,9 +156,9 @@ class GaussianState:
         """Skip the checks for a covariance known to pass them already.
 
         Only for an evolved covariance that passed the dynamics uncertainty
-        gate, or a principal submatrix of a checked covariance: by Cauchy
-        interlacing a principal submatrix of sigma + iJ/2 has no smaller
-        minimum eigenvalue.
+        gate, a principal submatrix of a checked covariance (by Cauchy
+        interlacing its sigma + iJ/2 has no smaller minimum eigenvalue), or a
+        product of checked states (its sigma + iJ/2 is theirs, block diagonal).
         """
         state = object.__new__(cls)
         object.__setattr__(state, "layout", lay)
@@ -232,12 +232,17 @@ def thermal_state(lay: PhaseSpaceLayout,
     return GaussianState(lay, np.zeros(lay.dim), cov)
 
 
+def _log_purity_of_cov(cov: FloatArray) -> FloatArray:
+    """-1/2 ln det(2 sigma) per covariance of a stack; refuses a degenerate one."""
+    sign, logdet = np.linalg.slogdet(2.0 * cov)
+    if np.any((sign <= 0) | (logdet < np.log(1.0 - _DET_FLOOR) - 1e-9)):
+        raise PhaseSpaceError("degenerate covariance: invalid state construction")
+    return -0.5 * logdet
+
+
 def log_purity(state: GaussianState) -> float:
     """ln tr rho^2; stays finite where purity itself underflows."""
-    sign, logdet = np.linalg.slogdet(2.0 * state.cov)
-    if sign <= 0 or logdet < np.log(1.0 - _DET_FLOOR) - 1e-9:
-        raise PhaseSpaceError("degenerate covariance: invalid state construction")
-    return float(-0.5 * logdet)
+    return float(_log_purity_of_cov(state.cov))
 
 
 def purity(state: GaussianState) -> float:
@@ -270,7 +275,7 @@ def product_state(lay: PhaseSpaceLayout, open_mode: str,
                       (lay.z_indices(env_labels), env)):
         mean[idx] = part.mean
         cov[np.ix_(idx, idx)] = part.cov
-    return GaussianState(lay, mean, cov)
+    return GaussianState._prechecked(lay, mean, cov)
 
 
 def log_negativity(state: GaussianState, part_a: Sequence[str],

@@ -44,6 +44,14 @@ def test_transform_rejects_singular_matrix():
         LinearCoordinateTransform(lay, lay, np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
+def test_transform_builds_its_symplectic_action_once():
+    T = cm_relative_transform(np.array([1.0, 3.0]))
+    assert T.S is T.S
+    zero = np.zeros((2, 2))
+    assert np.array_equal(T.S, np.block([[T.A, zero],
+                                         [zero, np.linalg.inv(T.A).T]]))
+
+
 def test_transform_hamiltonian_preserves_energy_scalar():
     p = TwoModeParams(1.2, 0.7, 1.4, 0.2)
     H = build_two_mode(p)

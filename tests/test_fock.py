@@ -393,6 +393,17 @@ def test_diagonalize_refuses_a_hamiltonian_that_breaks_total_parity():
         diagonalize(H, space.dims)
 
 
+@pytest.mark.parametrize("entry", [(0, 2), (0, 1)])
+def test_diagonalize_refuses_a_non_hermitian_hamiltonian(entry):
+    # (0, 2) lies inside the even block, (0, 1) between the blocks: a
+    # one-sided entry there is named non-Hermitian before any coupling
+    space = FockSpace(("S", "E"), (6, 6), (1.0, 1.0), (1.0, 1.0))
+    H = two_mode_hamiltonian(space, TwoModeParams(1.0, 1.0, 1.0, 0.25))
+    H[entry] += 1e-6
+    with pytest.raises(OracleError, match="must be Hermitian"):
+        diagonalize(H, space.dims)
+
+
 def test_minus_branch_is_the_total_parity_image():
     # E starts in vacuum, so the -x0 branch starts as the image of the +x0
     # one under (-1)^(n_S + n_E); with the block-structured eigenbasis,
@@ -472,11 +483,33 @@ def test_oracle_diagonalizes_once_in_real_arithmetic(monkeypatch):
     gaussian_crosscheck(TwoModeParams(1.0, 1.0, 1.0, 0.25), 0.4,
                         np.linspace(0.0, 1.0, 3), dims=(16, 16),
                         negativity_time=0.7)
-    # the Gaussian side's two passes (the grid and the negativity time)
-    # each take two 2x2 calls for their normal modes
+    # the Gaussian side's one pass over the grid and the negativity time
+    # takes two 2x2 calls for its normal modes
     fock_calls = [c for c in calls if c[0] != (2, 2)]
     assert fock_calls == [((128, 128), np.float64)] * 2
-    assert len(calls) == 2 + 2 * 2
+    assert len(calls) == 2 + 2
+
+
+def test_crosscheck_evolves_the_gaussian_branch_in_one_pass(monkeypatch):
+    import oscidec.dynamics as dynamics
+    passes, normal_modes = [], []
+    certified, modes = dynamics._certified_trajectory, dynamics._normal_modes
+    monkeypatch.setattr(dynamics, "_certified_trajectory",
+                        lambda cov0, H, ts: passes.append(list(ts))
+                        or certified(cov0, H, ts))
+    monkeypatch.setattr(dynamics, "_normal_modes",
+                        lambda *a: normal_modes.append(1) or modes(*a))
+    t_grid = np.linspace(0.0, 1.0, 3)
+    for t_neg, expect in ((0.7, 0.7), (None, 0.5)):
+        passes.clear()
+        normal_modes.clear()
+        rep = gaussian_crosscheck(TwoModeParams(1.0, 1.0, 1.0, 0.25), 0.4,
+                                  t_grid, dims=(16, 16),
+                                  negativity_time=t_neg)
+        # the grid, then the negativity time (else the trusted horizon)
+        assert rep.trusted_horizon == 0.5
+        assert passes == [[0.0, 0.5, 1.0, expect]]
+        assert len(normal_modes) == 1
 
 
 def _two_mode_hamiltonian_reference(ops, p):

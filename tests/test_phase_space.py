@@ -4,10 +4,11 @@ import pytest
 from oscidec.phase_space import (CoherentAmplitude, GaussianState,
                                  PhaseSpaceError, PhaseSpaceLayout,
                                  QuadraticHamiltonian, coherent_state, layout,
-                                 log_negativity, log_purity, purity,
-                                 reduce_state, symplectic_form,
+                                 log_negativity, log_purity, product_state,
+                                 purity, reduce_state, symplectic_form,
                                  thermal_occupation, thermal_state,
                                  vacuum_cov)
+from oscidec.phase_space import _log_purity_of_cov, _uncertainty_min_eig
 
 
 def test_layout_basics():
@@ -92,6 +93,37 @@ def test_vacuum_is_pure_and_thermal_is_mixed():
     th = thermal_state(lay, [1.0, 2.0], [1.0, 0.5], 2.0)
     assert purity(th) < 1.0
     assert log_purity(th) == pytest.approx(np.log(purity(th)), rel=1e-12)
+
+
+def test_log_purity_refuses_a_degenerate_covariance():
+    flat = np.diag([0.5, 0.0])
+    with pytest.raises(PhaseSpaceError, match="degenerate covariance"):
+        log_purity(GaussianState._prechecked(layout("S"), np.zeros(2), flat))
+    # a stack is refused if any member is degenerate
+    stack = np.stack([vacuum_cov([1.0], [2.0]), flat])
+    with pytest.raises(PhaseSpaceError, match="degenerate covariance"):
+        _log_purity_of_cov(stack)
+    assert _log_purity_of_cov(stack[:1]) == pytest.approx([0.0], abs=1e-15)
+
+
+def test_product_of_checked_states_needs_no_eigendecomposition(monkeypatch):
+    env = thermal_state(layout("E", "F"), [2.0, 0.5], [1.5, 0.7], 1.2)
+    open_state = GaussianState(layout("S"), np.array([0.3, -0.2]),
+                               np.array([[0.3, 0.1], [0.1, 1.0]]))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, *args, **kw:
+                        calls.append(a.shape) or eigvalsh(a, *args, **kw))
+    prod = product_state(layout("E", "S", "F"), "S", open_state, env)
+    assert calls == []
+    monkeypatch.undo()
+    checked = GaussianState(prod.layout, prod.mean, prod.cov)
+    assert np.array_equal(checked.cov, prod.cov)
+    # sigma + iJ/2 of the product is block diagonal in the parts' matrices
+    assert _uncertainty_min_eig(prod.cov) == pytest.approx(
+        min(_uncertainty_min_eig(open_state.cov),
+            _uncertainty_min_eig(env.cov)), abs=1e-14)
 
 
 @pytest.mark.parametrize("temperature", [-5.0, np.nan])
