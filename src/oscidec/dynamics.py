@@ -1,10 +1,13 @@
-"""Exact closed-system Gaussian evolution: stepped trajectories over a time
-grid, and branch-pair evolution for coherent-superposition initial states.
+"""Exact closed-system Gaussian evolution over a time grid, and branch-pair
+evolution for coherent-superposition initial states.
 
-Every evolved state comes from one gated stepped pass,
-`_certified_trajectory`: `_stepped_trajectory` is the only place the
-symplectic map M(t) = exp(t J h) is formed, in closed form (`_propagator`),
-and `_check_uncertainty` the only check an evolved covariance gets.
+A pass decomposes H into normal modes once and forms the symplectic map
+M(t) = exp(t J h) in closed form, in chunks of at most `_CHUNK` times.
+`evolve_grid` forms all of M(t) (`_propagators`) and checks each evolved
+covariance with `_check_uncertainty`.  The branch pass forms only the two
+rows of M(t) that Gamma reads and certifies each time with a bound built
+once per pass (`_Certificate`); where the bound does not clear a time, that
+time's full M(t) is formed and `_check_uncertainty` decides.
 """
 from __future__ import annotations
 
@@ -20,9 +23,8 @@ from .phase_space import (CoherentAmplitude, FloatArray, GaussianState,
                           coherent_state, layout, product_state,
                           symplectic_form)
 
-# Grid steps equal to within this many ulps of max|t| share one step
-# propagator, so the rounding of t_max * i / (n - 1) does not split them.
-_SAME_STEP_ULPS = 4
+# Times per batched closed-form evaluation: bounds a pass's working arrays.
+_CHUNK = 64
 _EPS = np.finfo(float).eps
 
 
@@ -34,6 +36,16 @@ class DynamicsTrustError(DynamicsError, TrustGateError):
     """An evolved state that fails the uncertainty relation."""
 
 
+def _symplectic_defect(X: FloatArray, J: FloatArray) -> float:
+    """||X J X^T - J||_F, with X J X^T = G - G^T for G = X_x X_p^T (XJ swaps
+    X's column halves)."""
+    n = X.shape[1] // 2
+    G = X[:, :n] @ X[:, n:].T
+    defect = G - G.T
+    defect -= J
+    return float(np.sqrt(np.vdot(defect, defect)))
+
+
 def _uncertainty_floor(M: FloatArray, J: FloatArray, eps0: float,
                        sigma_scale: float) -> float:
     """A lower bound on lambda_min(sigma + iJ/2) for sigma = M sigma0 M^T,
@@ -42,20 +54,15 @@ def _uncertainty_floor(M: FloatArray, J: FloatArray, eps0: float,
     sigma + iJ/2 = M (sigma0 + iJ/2) M^T + (i/2)(J - M J M^T).  The congruence
     keeps the first term >= -eps0 ||M||_2^2, and by Weyl's inequality the
     second shifts no eigenvalue by more than its spectral norm, at most
-    1/2 ||M J M^T - J||_F, where M J M^T = G - G^T with G = M_x M_p^T (MJ
-    swaps M's column halves).  Those two terms hold for the exact product;
-    the last, 2n u s with u the machine epsilon and s >= ||sigma||_F, pads for
+    1/2 ||M J M^T - J||_F.  Those two terms hold for the exact product; the
+    last, 2n u s with u the machine epsilon and s >= ||sigma||_F, pads for
     the rounding of sigma and of eigvalsh, the check the bound stands in for.
     Without it the bound clears a covariance of the free two-mode model that
     eigvalsh refuses (-9.3e-11 against -1.1e-10 at t = 29.3, vacuum state).
     A non-finite M or s gives -inf or NaN, which clears nothing.
     """
     n = M.shape[0] // 2
-    G = M[:, :n] @ M[:, n:].T
-    defect = G - G.T
-    defect -= J
-    return -(eps0 * float(np.vdot(M, M))
-             + 0.5 * np.sqrt(np.vdot(defect, defect))
+    return -(eps0 * float(np.vdot(M, M)) + 0.5 * _symplectic_defect(M, J)
              + 2 * n * _EPS * sigma_scale)
 
 
@@ -94,64 +101,165 @@ def _check_uncertainty(M: FloatArray, cov0: FloatArray, t: float,
             f"relation (min eig {min_eig:.3e})")
 
 
-def _propagator(modes: tuple[FloatArray, ...], t: float) -> FloatArray:
-    """M(t) = exp(t J h), exact, from modes = (B, B^-1, lam), B = T^1/2 U of
-    `_normal_modes`: x = B q, p = B^-T pi decouple H into (pi^2 + lam q^2)/2.
-
-    Each mode maps (q, pi) to (c q + s pi, -lam s q + c pi), so M(t) - I is
-    [[B (c-1) B^-1, B s B^T], [-B^-T (lam s) B^-1, B^-T (c-1) B^T]], with
-    c - 1 = -2 sin^2(w t/2) and s = sin(w t)/w for a complex w = sqrt(lam):
-    rotation, shear (s = t) or growth as lam > 0, = 0 or < 0.  No entry is a
-    difference of nearby numbers, and M(0) = I exactly."""
-    B, Bi, lam = modes
-    w = np.sqrt(lam.astype(complex))
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        s = np.where(w == 0, t, np.sin(w * t) / w).real
-        cm1 = (-2 * np.sin(0.5 * w * t) ** 2).real
-        return np.eye(2 * len(lam)) + np.block(
-            [[(B * cm1) @ Bi, (B * s) @ B.T],
-             [-(Bi.T * (lam * s)) @ Bi, (Bi.T * cm1) @ B.T]])
-
-
-def _stepped_trajectory(H: QuadraticHamiltonian, t_grid: Sequence[float]
-                        ) -> Iterator[tuple[float, FloatArray]]:
-    """(t, M(t)) at each grid time, in grid order, unchecked for the
-    uncertainty relation: `_certified_trajectory` checks it.
-
-    M(t_0) and each distinct step E come from `_propagator`, and
-    M(t_k) = E M(t_{k-1}): one matrix product per time.
-    """
-    ts = np.asarray(t_grid, dtype=float)
+def _finite_times(t_grid: Sequence[float]) -> FloatArray:
+    ts = np.array(t_grid, dtype=float)
     if not np.isfinite(ts).all():
         raise DynamicsError("time must be finite")
-    ts = ts.tolist()
+    return ts
+
+
+def _normal_mode_factors(H: QuadraticHamiltonian
+                         ) -> tuple[FloatArray, FloatArray, FloatArray]:
+    """(B, B^-1, lam), B = T^1/2 U of `_normal_modes`: x = B q, p = B^-T pi
+    decouple H into (pi^2 + lam q^2)/2."""
     n = H.n_modes
     lam, U, Th, Thi = _normal_modes(H.h[:n, :n], H.h[n:, n:])
-    modes = (Th @ U, U.T @ Thi, lam)
-    same_step = _SAME_STEP_ULPS * np.spacing(max(map(abs, ts), default=0.0))
-    M = E = step = t_prev = None
-    for t in ts:
-        if M is None:
-            M = _propagator(modes, t)
-        else:
-            dt = t - t_prev
-            if step is None or abs(dt - step) > same_step:
-                step, E = dt, _propagator(modes, dt)
-            M = E @ M
-        t_prev = t
-        yield t, M
+    return Th @ U, U.T @ Thi, lam
+
+
+def _modal_weights(lam: FloatArray, ts: FloatArray
+                   ) -> tuple[FloatArray, FloatArray]:
+    """(c - 1, s), each (T, n): mode j maps (q, pi) to (c q + s pi,
+    -lam s q + c pi) in time t, with c - 1 = -2 sin^2(w t/2) and
+    s = sin(w t)/w for a complex w = sqrt(lam): rotation, shear (s = t) or
+    growth as lam > 0, = 0 or < 0.  Neither is a difference of nearby
+    numbers, and both are exactly 0 at t = 0."""
+    w = np.sqrt(lam.astype(complex))
+    wt = np.multiply.outer(ts, w)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        s = np.where(w == 0, ts[:, None], np.sin(wt) / w).real
+        cm1 = (-2 * np.sin(0.5 * wt) ** 2).real
+    return cm1, s
+
+
+def _propagators(modes: tuple[FloatArray, ...], ts: Sequence[float]
+                 ) -> FloatArray:
+    """M(t) = exp(t J h) at each time, (T, 2n, 2n), exact, from modes =
+    (B, B^-1, lam) of `_normal_mode_factors`.
+
+    M(t) - I = P (R(t) - I) Q with P = blockdiag(B, B^-T), Q = P^-1 =
+    blockdiag(B^-1, B^T) and R(t) the per-mode maps of `_modal_weights`:
+    [[B (c-1) B^-1, B s B^T], [-B^-T (lam s) B^-1, B^-T (c-1) B^T]], so
+    M(0) = I exactly."""
+    B, Bi, lam = modes
+    n = len(lam)
+    cm1, s = _modal_weights(lam, np.asarray(ts, dtype=float))
+    M = np.empty((len(cm1), 2 * n, 2 * n))
+    with np.errstate(invalid="ignore", over="ignore"):
+        M[:, :n, :n] = (B * cm1[:, None, :]) @ Bi
+        M[:, :n, n:] = (B * s[:, None, :]) @ B.T
+        M[:, n:, :n] = -(Bi.T * (lam * s)[:, None, :]) @ Bi
+        M[:, n:, n:] = (Bi.T * cm1[:, None, :]) @ B.T
+    diag = np.arange(2 * n)
+    M[:, diag, diag] += 1.0
+    return M
 
 
 def _certified_trajectory(cov0: FloatArray, H: QuadraticHamiltonian,
                           t_grid: Sequence[float]
                           ) -> Iterator[tuple[float, FloatArray]]:
-    """(t, M(t)) from one stepped pass, each M yielded once M sigma0 M^T
-    passed `_check_uncertainty`."""
+    """(t, M(t)) at each grid time, in grid order, each yielded once
+    M sigma0 M^T passed `_check_uncertainty`; M(t) comes from
+    `_propagators`, one chunk of times at a time."""
+    ts = _finite_times(t_grid)
+    modes = _normal_mode_factors(H)
     J = symplectic_form(H.n_modes)
     eps0 = max(0.0, -_uncertainty_min_eig(cov0))   # initial deficit
-    for t, M in _stepped_trajectory(H, t_grid):
-        _check_uncertainty(M, cov0, t, J, eps0)
-        yield t, M
+    for lo in range(0, len(ts), _CHUNK):
+        chunk = ts[lo:lo + _CHUNK]
+        for t, M in zip(chunk.tolist(), _propagators(modes, chunk)):
+            _check_uncertainty(M, cov0, t, J, eps0)
+            yield t, M
+
+
+@dataclass(frozen=True)
+class _Certificate:
+    """A lower bound on lambda_min(sigma(t) + iJ/2) for sigma(t) =
+    N(t) sigma0 N(t)^T, N(t) = M(t) S, built once per pass and read per time
+    in O(n^2) from the modal weights alone.
+
+    With P, Q and R(t) as in `_propagators`, the closed form is
+    N = P R Q' + E, where Q' = Q S and E = (I - P Q) S is the constant
+    rounding defect of Q = P^-1.  As in `_uncertainty_floor`, lambda_min is
+    at least -(eps0 ||N||_2^2 + 1/2 ||N J N^T - J||_2), and
+      ||N||_2 <= ||P|| rho ||Q'|| + ||E|| =: nu,
+      N J N^T - J = (P J P^T - J) + P (R J R^T - J) P^T
+                    + P R (Q' J Q'^T - J) R^T P^T + (the terms in E),
+    where rho(t) = max_j ||R_j(t)||_2 and R_j J R_j^T = det(R_j) J, so the
+    middle term has norm at most ||P||^2 max_j |det R_j(t) - 1|.  So
+      2 * defect <= ||PJP^T - J|| + ||P||^2 (max_j |det R_j - 1|
+                    + rho^2 ||Q'JQ'^T - J||) + 2 ||P|| rho ||Q'|| ||E||
+                    + ||E||^2.
+    Every term holds for the exact product of the computed factors; the
+    rounding of det R_j - 1 in floating point is added to it, 4u times the
+    sum of its terms' magnitudes (Higham 2002, section 3.1).  The pad
+    2n u tr sigma(t) covers the rounding of forming N and sigma, as in
+    `_uncertainty_floor`, and tr sigma(t) = tr(R K R^T G), K = Q' sigma0
+    Q'^T, G = P^T P, is a quadratic form v^T Z v in the modal vector
+    v = (c, s, lam s): R's entries are those weights.
+    """
+
+    lam: FloatArray
+    eps0: float
+    norm_p: float          # ||P||_2
+    norm_q: float          # ||Q'||_F >= ||Q'||_2
+    defect_p: float        # ||P J P^T - J||_F
+    defect_q: float        # ||Q' J Q'^T - J||_F
+    err: float             # ||E||_F
+    trace_form: FloatArray  # Z, (3n, 3n)
+
+    @classmethod
+    def build(cls, modes: tuple[FloatArray, ...], cov0: FloatArray,
+              frame: FloatArray | None, eps0: float) -> "_Certificate":
+        B, Bi, lam = modes
+        n = len(lam)
+        zero = np.zeros((n, n))
+        P = np.block([[B, zero], [zero, Bi.T]])
+        Q = np.block([[Bi, zero], [zero, B.T]])
+        E = np.eye(2 * n) - P @ Q
+        if frame is not None:
+            Q, E = Q @ frame, E @ frame
+        J = symplectic_form(n)
+        K = Q @ cov0 @ Q.T
+        G = P.T @ P
+        x, p = slice(0, n), slice(n, 2 * n)
+        # R's entries: (weight index in v, row block, column block, sign)
+        entries = ((0, x, x, 1.0), (0, p, p, 1.0), (1, x, p, 1.0),
+                   (2, p, x, -1.0))
+        Z = np.zeros((3, n, 3, n))
+        for a, ra, ca, sa in entries:
+            for b, rb, cb, sb in entries:
+                Z[a, :, b, :] += sa * sb * K[ca, cb] * G[ra, rb]
+        return cls(lam, eps0,
+                   max(np.linalg.norm(B, 2), np.linalg.norm(Bi, 2)),
+                   float(np.linalg.norm(Q)),
+                   _symplectic_defect(P, J), _symplectic_defect(Q, J),
+                   float(np.linalg.norm(E)), Z.reshape(3 * n, 3 * n))
+
+    def floor(self, cm1: FloatArray, s: FloatArray) -> FloatArray:
+        """The bound at each time of (c - 1, s) from `_modal_weights`; -inf
+        or NaN, which clears nothing, where the weights overflow."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = 1.0 + cm1
+            ls = self.lam * s
+            det_m1 = 2 * cm1 + cm1 * cm1 + ls * s          # det R_j - 1
+            det_err = (np.abs(det_m1)
+                       + 4 * _EPS * (2 * np.abs(cm1) + cm1 * cm1
+                                     + np.abs(ls * s))).max(axis=1)
+            frob = 2 * c * c + s * s + ls * ls              # ||R_j||_F^2
+            det = 1.0 + det_m1
+            rho2 = 0.5 * (frob + np.sqrt(np.maximum(frob * frob
+                                                    - 4 * det * det, 0.0)))
+            rho2 = (1 + 4 * _EPS) * rho2.max(axis=1)
+            rho = np.sqrt(rho2)
+            pq = self.norm_p * rho * self.norm_q
+            defect = (self.defect_p
+                      + self.norm_p ** 2 * (det_err + rho2 * self.defect_q)
+                      + (2 * pq + self.err) * self.err)
+            v = np.concatenate([c, s, ls], axis=1)
+            trace = ((v @ self.trace_form) * v).sum(axis=1)
+            return -(self.eps0 * (pq + self.err) ** 2 + 0.5 * defect
+                     + 2 * len(self.lam) * _EPS * trace)
 
 
 def symplectic_residual(M: FloatArray) -> float:
@@ -163,7 +271,7 @@ def symplectic_residual(M: FloatArray) -> float:
 
 def evolve_grid(state: GaussianState, H: QuadraticHamiltonian,
                 t_grid: Sequence[float]) -> Iterator[GaussianState]:
-    """The evolved state at each grid time, in order, from one stepped pass."""
+    """The evolved state at each grid time, in order, from one pass."""
     if state.layout != H.layout:
         raise DynamicsError("state layout does not match propagator")
     return (GaussianState._prechecked(state.layout, M @ state.mean,
@@ -188,7 +296,8 @@ class BranchTrajectory:
     Gamma reads d and sigma on the environment, every mode but the open one
     (index k), through the pullback Y = M^-1 [d_hat, e_x, e_p]: d_hat is d
     with its open-mode entries zeroed, e_x and e_p the open mode's unit
-    vectors.  Its sigma0^-1 Gram matrix W = Y^T sigma0^-1 Y equals
+    vectors.  Its sigma0^-1 Gram matrix W = Y^T sigma0^-1 Y, sigma0 the base
+    covariance in H's coordinates, equals
     [d_hat, e_x, e_p]^T sigma^-1 [d_hat, e_x, e_p], and its Schur complement
     on the open-mode block is d_E^T sigma_EE^-1 d_E.
     """
@@ -204,57 +313,95 @@ class BranchTrajectory:
 def evolve_branches_from(base: GaussianState, alpha: CoherentAmplitude,
                          beta: CoherentAmplitude, H: QuadraticHamiltonian,
                          t_grid: Sequence[float],
-                         probe_times: Sequence[float] = ()) -> BranchTrajectory:
+                         probe_times: Sequence[float] = (),
+                         frame: FloatArray | None = None) -> BranchTrajectory:
     """Displace the base state by alpha / beta on the open mode, then evolve
-    both branches over the grid in one stepped pass.
+    both branches over the grid in one pass.
 
-    Per time the pass certifies the shared covariance, then reads only rows
-    k and k + n of M(t), the open mode's x(t) and p(t) in the initial
-    coordinates, and the same rows of M(t) delta.  M^-1 = -J M^T J maps e_x
-    and e_p back to J times those rows, and d_hat to delta minus their
-    combination by those entries of M delta, so no inverse, solve or
-    environment block is formed: beyond the propagator and its check a time
-    costs O(n^2), and the pass keeps its 3x3 Gram matrix.  The propagators
-    at `probe_times`, which must be grid times, are kept.
+    With a `frame` S, a symplectic map from the base's coordinates to H's,
+    the pass evolves the base through N(t) = M(t) S: it is the state
+    S sigma0 S^T of H's coordinates, never formed, and the displacements
+    act in H's coordinates.  Per chunk of times the pass forms only rows k
+    and k + n of M(t), the open mode's x(t) and p(t) in H's initial
+    coordinates, as products of the modal weights with B and B^-1, and the
+    same rows of M(t) delta.  M^-1 = -J M^T J maps e_x and e_p back to J
+    times those rows, and d_hat to delta minus their combination by those
+    entries of M delta, so no inverse, solve or environment block is formed;
+    the whitening by (S L)^-1, L L^T = sigma0, is one constant matrix.
+    Each time is certified by `_Certificate`; a time it does not clear has
+    its full N(t) formed and checked by `_check_uncertainty`.  The
+    propagators M(t) at `probe_times`, which must be grid times, are kept.
     """
     if alpha.mode != beta.mode:
         raise DynamicsError("branch amplitudes must target the same mode")
-    if base.layout != H.layout:
-        raise DynamicsError("state layout does not match propagator")
-    lay = base.layout
+    lay = H.layout
+    if frame is None:
+        if base.layout != lay:
+            raise DynamicsError("state layout does not match propagator")
+    else:
+        frame = np.asarray(frame, dtype=float)
+        if base.layout.dim != lay.dim or frame.shape != (lay.dim, lay.dim):
+            raise DynamicsError("frame must map the state's coordinates to "
+                                "the propagator's")
     n = lay.n_modes
-    ts = np.array(t_grid, dtype=float)
-    probes = {float(p) for p in probe_times}
-    missing = probes.difference(ts.tolist())
+    ts = _finite_times(t_grid)
+    probes = sorted({float(p) for p in probe_times})
+    missing = set(probes).difference(ts.tolist())
     if missing:
         raise DynamicsError(f"probe times {sorted(missing)} are not grid times")
     k = lay.index(alpha.mode)
     delta = np.zeros(lay.dim)
     delta[k] = alpha.x0 - beta.x0
     delta[k + n] = alpha.p0 - beta.p0
-    J = symplectic_form(n)
+    cov0 = base.cov
     try:
-        L = np.linalg.cholesky(base.cov)
+        L = np.linalg.cholesky(cov0)
     except np.linalg.LinAlgError:
         raise DynamicsError("branch base covariance is not positive "
                             "definite") from None
-    whiten = np.linalg.inv(L).T        # y @ whiten = (L^-1 y^T)^T
-    # rows of Y^T are coef @ (rows @ J^T), plus delta on the first:
-    # d_hat -> delta + c_p J r_x - c_x J r_p, e_x -> J r_p, e_p -> -J r_x
-    coef = np.array([[0.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    whiten = np.linalg.inv(L if frame is None else frame @ L).T
+    modes = _normal_mode_factors(H)
+    lam = modes[2]
+    J = symplectic_form(n)
+    eps0 = max(0.0, -_uncertainty_min_eig(cov0))   # initial deficit
+    cert = _Certificate.build(modes, cov0, frame, eps0)
     gram = np.empty((len(ts), 3, 3))
-    kept = {}
-    for i, (t, M) in enumerate(_certified_trajectory(base.cov, H, ts)):
-        rows = M[k::n]                 # r_x, r_p: rows k and k + n
-        c_x, c_p = rows @ delta
-        coef[0] = c_p, -c_x
-        y = coef @ (rows @ J.T)
-        y[0] += delta
-        z = y @ whiten
-        gram[i] = z @ z.T
-        if t in probes:
-            kept[t] = M
+    for lo in range(0, len(ts), _CHUNK):
+        chunk = ts[lo:lo + _CHUNK]
+        cm1, s = _modal_weights(lam, chunk)
+        for t in chunk[~(cert.floor(cm1, s) >= -_UNCERTAINTY_TOL)].tolist():
+            N = _propagators(modes, [t])[0]
+            _check_uncertainty(N if frame is None else N @ frame, cov0, t,
+                               J, eps0)
+        gram[lo:lo + _CHUNK] = _branch_gram(modes, k, delta, whiten, cm1, s)
+    kept = dict(zip(probes, _propagators(modes, probes)))
     return BranchTrajectory(ts, gram, alpha, beta, kept)
+
+
+def _branch_gram(modes: tuple[FloatArray, ...], k: int, delta: FloatArray,
+                 whiten: FloatArray, cm1: FloatArray, s: FloatArray
+                 ) -> FloatArray:
+    """W at each time of the modal weights (c - 1, s): rows k and k + n of
+    M(t) - I are [B_k (c-1) B^-1, B_k s B^T] and [-B^-T_k (lam s) B^-1,
+    B^-T_k (c-1) B^T], B_k the k-th row."""
+    B, Bi, lam = modes
+    n = len(lam)
+    T = len(cm1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        rows = np.empty((2, T, 2 * n))        # r_x, r_p
+        rows[:, :, :n] = (np.concatenate([cm1 * B[k], -(lam * s) * Bi[:, k]])
+                          @ Bi).reshape(2, T, n)
+        rows[:, :, n:] = (np.concatenate([s * B[k], cm1 * Bi[:, k]])
+                          @ B.T).reshape(2, T, n)
+        rows[0, :, k] += 1.0
+        rows[1, :, k + n] += 1.0
+        c_x, c_p = (rows @ delta)[:, :, None]
+        jr = np.concatenate([rows[..., n:], -rows[..., :n]], axis=-1)  # J r
+        # d_hat -> delta + c_p J r_x - c_x J r_p, e_x -> J r_p, e_p -> -J r_x
+        y = np.stack([c_p * jr[0] - c_x * jr[1] + delta, jr[1], -jr[0]],
+                     axis=1)
+        z = (y.reshape(3 * T, 2 * n) @ whiten).reshape(T, 3, 2 * n)
+        return np.einsum("tid,tjd->tij", z, z)
 
 
 def evolve_branches(alpha: CoherentAmplitude, beta: CoherentAmplitude,

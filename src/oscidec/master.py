@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Literal, Sequence
 
 import numpy as np
 
-from .dynamics import _SAME_STEP_ULPS
 from .fock import (ComplexArray, _mode_wavefunctions, _quadratures,
                    validate_density)
 from .phase_space import FloatArray, TrustGateError
@@ -25,6 +24,9 @@ if TYPE_CHECKING:
     from scipy.sparse import csr_array
 
 _TRACE_KEEP = 1e-8    # conservation demanded of every sampled state
+# Grid steps equal to within this many ulps of max|t| share one chunk, so the
+# rounding of t_max * i / (n - 1) does not split them.
+_SAME_STEP_ULPS = 4
 # Condition (3.13) of Al-Mohy & Higham for one vector, l = 2 and m_max = 55
 # holds up to a 1-norm of 352 * 9.9 / 55 = 63.36; this leaves rounding room.
 _STEP_NORM = 60.0

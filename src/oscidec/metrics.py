@@ -10,8 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .decomposition import (cm_relative_transform, many_mode_constants,
-                            normal_mode_transform, transform_hamiltonian,
-                            transform_state)
+                            normal_mode_transform, transform_hamiltonian)
 from .dynamics import BranchTrajectory, evolve_branches_from
 from .models import BathParams, SystemPotential, build_caldeira_leggett
 from .phase_space import (CoherentAmplitude, FloatArray, GaussianState,
@@ -145,8 +144,9 @@ def parallel_compare(pot: SystemPotential, bath: BathParams,
     """Run the S+E and CM+R decoherence pipelines off the same global unitary.
 
     The S+E pipeline evolves directly under the chain Hamiltonian; the CM+R
-    pipeline evolves the same global initial state re-expressed through the
-    CM/relative transform followed by environment normal-mode linearization.
+    pipeline evolves the same global initial state under the transformed
+    Hamiltonian, through the frame S of the CM/relative transform followed
+    by environment normal-mode linearization.
     Each pipeline displaces its own open mode by its own amplitude pair (the
     amplitude freedom is part of the comparison's definition).
     """
@@ -173,18 +173,17 @@ def parallel_compare(pot: SystemPotential, bath: BathParams,
     T1 = cm_relative_transform(masses, labels=cm_labels, source=lay)
     H1 = transform_hamiltonian(H, T1)
     T2, H2 = normal_mode_transform(H1, cm_labels[1:])
-    base_cm = transform_state(transform_state(base, T1), T2)
+    S_tot = T2.S @ T1.S
     omega_cm = float(np.sqrt(consts.m_omega_cm_sq / consts.total_mass)) \
         if consts.m_omega_cm_sq > 0 else open_freq_ref
 
     probes = _residual_probe_times(t_grid)
     report_s, M1 = _pipeline("S+E", base, pair_s, H, t_grid, (pot.m_s, w_s),
                              probes)
-    report_cm, M2 = _pipeline("CM+R", base_cm, pair_cm, H2, t_grid,
-                              (consts.total_mass, omega_cm), probes)
+    report_cm, M2 = _pipeline("CM+R", base, pair_cm, H2, t_grid,
+                              (consts.total_mass, omega_cm), probes, S_tot)
 
-    # the propagators that produced Gamma must agree up to the frame change
-    S_tot = T2.S @ T1.S
+    # the propagators of the two passes must agree up to the frame change
     S_inv = np.linalg.inv(S_tot)
     residual = max((float(np.abs(M2[t] - S_tot @ M1[t] @ S_inv).max())
                     for t in probes), default=0.0)
@@ -197,13 +196,15 @@ def parallel_compare(pot: SystemPotential, bath: BathParams,
 def _pipeline(decomposition: str, base: GaussianState,
               pair: tuple[CoherentAmplitude, CoherentAmplitude],
               H: QuadraticHamiltonian, t_grid: Sequence[float],
-              open_scale: tuple[float, float], probes: Sequence[float]
+              open_scale: tuple[float, float], probes: Sequence[float],
+              frame: FloatArray | None = None
               ) -> tuple[DecoherenceReport, dict[float, FloatArray]]:
     """One decomposition's report and its propagators at the probe times.
 
     The trajectory is freed on return, before the next pipeline evolves.
     """
-    traj = evolve_branches_from(base, pair[0], pair[1], H, t_grid, probes)
+    traj = evolve_branches_from(base, pair[0], pair[1], H, t_grid, probes,
+                                frame)
     return (build_report(decomposition, traj, open_scale, H),
             traj.propagators)
 

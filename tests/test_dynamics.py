@@ -6,17 +6,18 @@ import pytest
 from scipy.linalg import expm
 
 import oscidec.dynamics
-from oscidec import (BathParams, CoherentAmplitude, DynamicsError,
-                     DynamicsTrustError, GaussianState, PhaseSpaceError,
-                     PhaseSpaceLayout, QuadraticHamiltonian, SystemPotential,
-                     TrustGateError, build_caldeira_leggett, build_two_mode,
+import oscidec.metrics
+from oscidec import (BathParams, BranchTrajectory, CoherentAmplitude,
+                     DynamicsError, DynamicsTrustError, GaussianState,
+                     PhaseSpaceError, PhaseSpaceLayout, QuadraticHamiltonian,
+                     SystemPotential, TrustGateError, build_caldeira_leggett, build_two_mode,
                      TwoModeParams, cm_relative_transform, coherent_state,
                      decoherence_function, discretize_ohmic_bath, energy,
                      evolve_branches, evolve_branches_from,
                      evolve_grid, layout, normal_mode_transform,
                      parallel_compare, product_state, purity, symplectic_form,
                      symplectic_residual, thermal_state,
-                     transform_hamiltonian, transform_state, vacuum_cov)
+                     transform_hamiltonian, vacuum_cov)
 
 
 def _sho(m: float, w: float) -> QuadraticHamiltonian:
@@ -27,13 +28,63 @@ def _sho(m: float, w: float) -> QuadraticHamiltonian:
 
 def _expm_propagator(H, t):
     """M(t) = expm(t J h), one exponential per time: the slow reference for
-    the stepped pass."""
+    the closed form."""
     return expm(t * symplectic_form(H.n_modes) @ H.h)
 
 
 def _pass_propagators(H, t_grid):
-    """M(t) of the stepped pass at each grid time."""
-    return [M for _, M in oscidec.dynamics._stepped_trajectory(H, t_grid)]
+    """M(t) of the closed form at each grid time."""
+    dyn = oscidec.dynamics
+    return list(dyn._propagators(dyn._normal_mode_factors(H), t_grid))
+
+
+# Grid steps equal to within this many ulps of max|t| share one step
+# propagator, so the rounding of t_max * i / (n - 1) does not split them.
+_SAME_STEP_ULPS = 4
+
+
+def _stepped_trajectory(H, t_grid):
+    """(t, M(t)) at each grid time, in grid order: the stepped reference.
+    M(t_0) and each distinct step E come from the closed form, and
+    M(t_k) = E M(t_{k-1}), one matrix product per time."""
+    dyn = oscidec.dynamics
+    ts = [float(t) for t in t_grid]
+    modes = dyn._normal_mode_factors(H)
+    same_step = _SAME_STEP_ULPS * np.spacing(max(map(abs, ts), default=0.0))
+    M = E = step = t_prev = None
+    for t in ts:
+        if M is None:
+            (M,) = dyn._propagators(modes, [t])
+        else:
+            dt = t - t_prev
+            if step is None or abs(dt - step) > same_step:
+                step, (E,) = dt, dyn._propagators(modes, [dt])
+            M = E @ M
+        t_prev = t
+        yield t, M
+
+
+def _stepped_branch_gram(base, alpha, beta, H, t_grid, frame=None):
+    """W at each grid time from the full stepped M(t), one 2n x 2n product
+    per time: rows k and k + n of N = M S, whitened by (S L)^-1."""
+    n = H.n_modes
+    k = H.layout.index(alpha.mode)
+    delta = np.zeros(2 * n)
+    delta[k], delta[k + n] = alpha.x0 - beta.x0, alpha.p0 - beta.p0
+    L = np.linalg.cholesky(base.cov)
+    whiten = np.linalg.inv(L if frame is None else frame @ L).T
+    J = symplectic_form(n)
+    coef = np.array([[0.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    gram = []
+    for _, M in _stepped_trajectory(H, t_grid):
+        rows = M[k::n]
+        c_x, c_p = rows @ delta
+        coef[0] = c_p, -c_x
+        y = coef @ (rows @ J.T)
+        y[0] += delta
+        z = y @ whiten
+        gram.append(z @ z.T)
+    return np.array(gram)
 
 
 def test_propagator_matches_oscillator_rotation():
@@ -214,9 +265,9 @@ def test_branch_pass_refuses_a_singular_base_covariance(monkeypatch):
     base = GaussianState(H.layout, np.zeros(2), np.diag([0.0, 3e9]))
     assert len(list(evolve_grid(base, H, [0.0, 1.0]))) == 2
     steps = []
-    trajectory = oscidec.dynamics._certified_trajectory
-    monkeypatch.setattr(oscidec.dynamics, "_certified_trajectory",
-                        lambda *a: steps.append(a) or trajectory(*a))
+    normal_modes = oscidec.dynamics._normal_modes
+    monkeypatch.setattr(oscidec.dynamics, "_normal_modes",
+                        lambda *a: steps.append(a) or normal_modes(*a))
     with pytest.raises(DynamicsError, match="not positive definite"):
         evolve_branches_from(base, CoherentAmplitude("S", 0.3),
                              CoherentAmplitude("S", -0.3), H, [0.0, 1.0])
@@ -286,9 +337,11 @@ def _reference_branches(base, alpha, beta, H, t_grid):
     return out
 
 
-def _chain_frames(n_bath, temperature, cutoff=5.0, eta=0.1, coupling_sign=-1):
-    """(base, H, alpha, beta) of the chain in the S+E frame and in the CM+R
-    frame, built as parallel_compare builds them."""
+def _chain_frames(n_bath, temperature, cutoff=5.0, eta=0.1, coupling_sign=-1,
+                  amplitudes=(3.0, 0.25)):
+    """(base, H, alpha, beta, frame) of the chain in the S+E frame and in the
+    CM+R frame, built as parallel_compare builds them: both passes evolve
+    the S+E base, the CM+R one through its frame S = T2.S T1.S."""
     pot = SystemPotential("harmonic", 1.0, 1.0)
     b = discretize_ohmic_bath(n_bath, cutoff, eta)
     bath = BathParams(b.masses, b.freqs, b.couplings, coupling_sign)
@@ -301,19 +354,36 @@ def _chain_frames(n_bath, temperature, cutoff=5.0, eta=0.1, coupling_sign=-1):
     T1 = cm_relative_transform(np.concatenate([[1.0], bath.masses]),
                                labels=labels, source=H.layout)
     T2, H2 = normal_mode_transform(transform_hamiltonian(H, T1), labels[1:])
-    base_cm = transform_state(transform_state(base, T1), T2)
-    return [(base, H, CoherentAmplitude("S", 3.0), CoherentAmplitude("S", -3.0)),
-            (base_cm, H2, CoherentAmplitude("CM", 0.25, 0.1),
-             CoherentAmplitude("CM", -0.25))]
+    a, c = amplitudes
+    return [(base, H, CoherentAmplitude("S", a), CoherentAmplitude("S", -a),
+             None),
+            (base, H2, CoherentAmplitude("CM", c, 0.1),
+             CoherentAmplitude("CM", -c), T2.S @ T1.S)]
 
 
-def _assert_matches_reference(base, alpha, beta, H, t_grid, rtol=1e-12):
-    """The Gram matrices of the stepped pass agree with the per-time
-    reference to rtol of their largest entry, and Gamma agrees with
-    -1/4 d^T sigma_EE^-1 d from the reference means and environment
-    covariance block to rtol relative."""
-    got = evolve_branches_from(base, alpha, beta, H, t_grid)
-    want = _reference_branches(base, alpha, beta, H, t_grid)
+def _framed(base, H, frame):
+    """The base state in H's coordinates: S m and S sigma0 S^T."""
+    if frame is None:
+        return base
+    return GaussianState(H.layout, frame @ base.mean,
+                         frame @ base.cov @ frame.T)
+
+
+def _chain_states(*args, **kwargs):
+    """(state in H's coordinates, H, alpha, beta) of `_chain_frames`."""
+    return [(_framed(base, H, S), H, a, b)
+            for base, H, a, b, S in _chain_frames(*args, **kwargs)]
+
+
+def _assert_matches_reference(base, alpha, beta, H, t_grid, rtol=1e-12,
+                              frame=None):
+    """The Gram matrices of the pass agree with the per-time reference to
+    rtol of their largest entry, and Gamma agrees with -1/4 d^T sigma_EE^-1 d
+    from the reference means and environment covariance block to rtol
+    relative."""
+    got = evolve_branches_from(base, alpha, beta, H, t_grid, frame=frame)
+    want = _reference_branches(_framed(base, H, frame), alpha, beta, H,
+                               t_grid)
     idx = H.layout.z_indices(
         [lb for lb in H.layout.mode_labels if lb != alpha.mode])
     assert got.t.tolist() == [t for t, *_ in want]
@@ -346,48 +416,53 @@ def test_evolve_branches_from_matches_checked_reference():
 
 @pytest.mark.parametrize("frame", [0, 1], ids=["S+E", "CM+R"])
 def test_stepped_reference_chain_matches_per_time_reference(frame):
-    base, H, alpha, beta = _chain_frames(32, 10.0)[frame]
-    _assert_matches_reference(base, alpha, beta, H, np.linspace(0.0, 2.0, 201))
+    base, H, alpha, beta, S = _chain_frames(32, 10.0)[frame]
+    _assert_matches_reference(base, alpha, beta, H, np.linspace(0.0, 2.0, 201),
+                              frame=S)
 
 
 @pytest.mark.parametrize("frame", [0, 1], ids=["S+E", "CM+R"])
 def test_long_grid_gamma_matches_per_time_reference(frame):
-    # 2000 steps to t = 20: the stepped M drifts from exp(tJh) and from
-    # symplecticity with each step, and M^-1 = -J M^T J carries that drift
-    # into Gamma
-    base, H, alpha, beta = _chain_frames(8, 10.0, cutoff=3.0)[frame]
+    # 2001 times to t = 20, 32 chunks of the closed form; M^-1 = -J M^T J
+    # carries any departure from symplecticity into Gamma
+    base, H, alpha, beta, S = _chain_frames(8, 10.0, cutoff=3.0)[frame]
     grid = np.linspace(0.0, 20.0, 2001)
-    _assert_matches_reference(base, alpha, beta, H, grid)
+    _assert_matches_reference(base, alpha, beta, H, grid, frame=S)
 
 
 @pytest.mark.parametrize("frame", [0, 1], ids=["S+E", "CM+R"])
 def test_reference_chain_gamma_to_t60_matches_per_time_reference(frame):
     # the reference chain past its bath recurrence at 2 pi / d_omega = 40.2,
     # where t ||h|| reaches 1.5e3 (S+E) and 1.6e4 (CM+R)
-    base, H, alpha, beta = _chain_frames(32, 10.0)[frame]
+    base, H, alpha, beta, S = _chain_frames(32, 10.0)[frame]
     _assert_matches_reference(base, alpha, beta, H,
-                              np.linspace(0.0, 60.0, 400), rtol=1e-11)
+                              np.linspace(0.0, 60.0, 400), rtol=1e-11, frame=S)
 
 
 def test_stepped_pass_takes_one_exponential_per_distinct_step(monkeypatch):
+    # the stepped reference shares one closed-form step across a grid whose
+    # steps differ only by rounding
     calls = []
-    propagator = oscidec.dynamics._propagator
-    monkeypatch.setattr(oscidec.dynamics, "_propagator",
-                        lambda modes, t: calls.append(t) or propagator(modes, t))
-    base, H, alpha, beta = _chain_frames(4, 1.0)[0]
+    propagators = oscidec.dynamics._propagators
+    monkeypatch.setattr(oscidec.dynamics, "_propagators",
+                        lambda modes, ts: calls.append(list(ts))
+                        or propagators(modes, ts))
+    _, H, _, _, _ = _chain_frames(4, 1.0)[0]
     grid = [2.0 * i / 200 for i in range(201)]   # the config grid's rounding
-    evolve_branches_from(base, alpha, beta, H, grid)
+    list(_stepped_trajectory(H, grid))
     assert len(calls) == 2                       # M(t0) and one step
     calls.clear()
-    evolve_branches_from(base, alpha, beta, H, [0.0, 0.7, 1.9, 3.1])
+    list(_stepped_trajectory(H, [0.0, 0.7, 1.9, 3.1]))
     assert len(calls) == 3                       # M(t0), steps 0.7 and 1.2
 
 
 def test_branch_probes_are_the_pass_propagators():
-    base, H, alpha, beta = _chain_frames(4, 1.0)[1]
+    base, H, alpha, beta, S = _chain_frames(4, 1.0)[1]
     grid = np.linspace(0.0, 2.0, 21)
-    traj = evolve_branches_from(base, alpha, beta, H, grid, [grid[1], 2.0])
+    traj = evolve_branches_from(base, alpha, beta, H, grid, [grid[1], 2.0],
+                                frame=S)
     assert sorted(traj.propagators) == [grid[1], 2.0]
+    cov0 = _framed(base, H, S).cov
     idx = H.layout.z_indices(
         [lb for lb in H.layout.mode_labels if lb != alpha.mode])
     n = H.n_modes
@@ -398,7 +473,7 @@ def test_branch_probes_are_the_pass_propagators():
         # the kept matrix reproduces the stored Gram matrix at its time:
         # W's open-mode block is that of sigma^-1 = M^-T sigma0^-1 M^-1, and
         # W_00 - W_0s W_ss^-1 W_s0 is d^T sigma_EE^-1 d
-        cov = M @ base.cov @ M.T
+        cov = M @ cov0 @ M.T
         cov = 0.5 * (cov + cov.T)
         W = traj.gram[grid.tolist().index(t)]
         ss = [0, n]
@@ -410,7 +485,43 @@ def test_branch_probes_are_the_pass_propagators():
         assert schur == pytest.approx(
             d @ np.linalg.solve(cov[np.ix_(idx, idx)], d), rel=1e-12)
     with pytest.raises(DynamicsError, match="not grid times"):
-        evolve_branches_from(base, alpha, beta, H, grid, [0.05])
+        evolve_branches_from(base, alpha, beta, H, grid, [0.05], frame=S)
+    with pytest.raises(DynamicsError, match="frame must map"):
+        evolve_branches_from(base, alpha, beta, H, grid, frame=S[:, 1:])
+    with pytest.raises(DynamicsError, match="layout"):
+        evolve_branches_from(base, alpha, beta, H, grid)
+
+
+@pytest.mark.parametrize("frame", [0, 1], ids=["S+E", "CM+R"])
+@pytest.mark.parametrize("chain", [
+    (10.0, 0.1, -1, (3.0, 0.25)),               # configs/chain_compare.cfg
+    (12.3488, 0.0441, 1, (3.8166, 0.1505)),     # chain_compare pool, seed 0 #2
+], ids=["reference", "hot"])
+def test_rows_only_pass_matches_stepped_reference(monkeypatch, chain, frame):
+    # Gamma and W agree with the pass that forms the full stepped M(t) per
+    # time, and the pass forms a full M(t) only at parallel_compare's three
+    # probe times: the certificate clears every other time
+    temperature, eta, sign, amplitudes = chain
+    base, H, alpha, beta, S = _chain_frames(
+        32, temperature, eta=eta, coupling_sign=sign,
+        amplitudes=amplitudes)[frame]
+    grid = np.linspace(0.0, 2.0, 201)
+    probes = oscidec.metrics._residual_probe_times(grid)
+    formed = []
+    propagators = oscidec.dynamics._propagators
+    with monkeypatch.context() as m:
+        m.setattr(oscidec.dynamics, "_propagators",
+                  lambda modes, ts: formed.extend(ts)
+                  or propagators(modes, ts))
+        got = evolve_branches_from(base, alpha, beta, H, grid, probes,
+                                   frame=S)
+    assert sorted(formed) == probes and len(probes) == 3
+    want = _stepped_branch_gram(base, alpha, beta, H, grid, S)
+    scale = np.abs(want).max(axis=(1, 2))[:, None, None]
+    assert np.all(np.abs(got.gram - want) <= 1e-12 * scale)
+    ref = BranchTrajectory(got.t, want, alpha, beta, {})
+    np.testing.assert_allclose(decoherence_function(got),
+                               decoherence_function(ref), rtol=1e-12, atol=0)
 
 
 def test_evolve_grid_matches_per_time_evolve():
@@ -598,7 +709,7 @@ def _floor_and_min_eig(monkeypatch, state, H, grid):
     return np.array(out).T
 
 
-@pytest.mark.parametrize("temperature, t_refused", [(0.0, 27.95), (1.0, 35.65)],
+@pytest.mark.parametrize("temperature, t_refused", [(0.0, 27.9), (1.0, 35.75)],
                          ids=["vacuum", "thermal"])
 def test_uncertainty_bound_refuses_where_eigvalsh_refuses_on_two_mode_model(
         monkeypatch, temperature, t_refused):
@@ -622,13 +733,109 @@ def test_uncertainty_bound_refuses_where_eigvalsh_refuses_on_two_mode_model(
     assert np.all(floor_tr <= floor)
 
 
+def _certificate_scan(state, H, grid, frame=None):
+    """(certificate clears, full check refuses) at every grid time, with no
+    gate stopping the scan: the certificate of the branch pass against
+    `_check_uncertainty` on the full closed-form N(t) = M(t) S."""
+    dyn = oscidec.dynamics
+    modes = dyn._normal_mode_factors(H)
+    eps0 = max(0.0, -oscidec.phase_space._uncertainty_min_eig(state.cov))
+    cert = dyn._Certificate.build(modes, state.cov, frame, eps0)
+    clears = cert.floor(*dyn._modal_weights(modes[2], grid)) >= -1e-10
+    J = symplectic_form(H.n_modes)
+    refused = []
+    for t, M in zip(grid, dyn._propagators(modes, grid)):
+        try:
+            dyn._check_uncertainty(M if frame is None else M @ frame,
+                                   state.cov, t, J, eps0)
+        except DynamicsTrustError:
+            refused.append(t)
+    return clears, np.isin(grid, refused)
+
+
+@pytest.mark.parametrize("frame", [False, True], ids=["S+E", "CM+R"])
+@pytest.mark.parametrize("temperature", [0.0, 1.0], ids=["vacuum", "thermal"])
+def test_certificate_clears_no_time_the_full_check_refuses(temperature, frame):
+    # the two-mode scan above, in its own coordinates and through the CM+R
+    # frame: the growing normal mode drives every term of the certificate
+    H = build_two_mode(TwoModeParams(1.0, 1.0, 1.0, 0.25))
+    state = thermal_state(H.layout, [1.0, 1.0], [1.0, 1.0], temperature)
+    S = None
+    if frame:
+        T = cm_relative_transform([1.0, 1.0], labels=("CM", "R1"),
+                                  source=H.layout)
+        H, S = transform_hamiltonian(H, T), T.S
+    grid = np.linspace(0.0, 45.0, 901)
+    clears, refused = _certificate_scan(state, H, grid, S)
+    assert refused.any() and not (clears & refused).any()
+    # it clears every time to t = 19.5, and nothing past the first refusal;
+    # between them the full check decides
+    assert clears[grid <= 19.5].all()
+    assert not clears[np.argmax(refused):].any()
+
+
+def _min_eig_of_factors(modes, cm1, s, cov0, frame):
+    """lambda_min(sigma + iJ/2) per time for N = (I + P (R - I) Q) S built
+    from the given factors and weights, which need not be consistent."""
+    B, Bi, lam = modes
+    n = len(lam)
+    zero = np.zeros((n, n))
+    P = np.block([[B, zero], [zero, Bi.T]])
+    Q = np.block([[Bi, zero], [zero, B.T]])
+    J = symplectic_form(n)
+    out = []
+    for c, w in zip(cm1, s):
+        Rm1 = np.block([[np.diag(c), np.diag(w)],
+                        [-np.diag(lam * w), np.diag(c)]])
+        N = (np.eye(2 * n) + P @ Rm1 @ Q) @ frame
+        cov = N @ cov0 @ N.T
+        out.append(np.linalg.eigvalsh(0.5 * (cov + cov.T) + 0.5j * J).min())
+    return np.array(out)
+
+
+@pytest.mark.parametrize("term", ["eps0", "P", "R", "frame"])
+def test_certificate_bounds_each_defect(term):
+    # one defect at a time, each large enough that sigma + iJ/2 fails the
+    # tolerance: an initial deficit, B^-1 that is not B's inverse, modal
+    # weights that are not a symplectic map, a frame that is not symplectic.
+    # The certificate must stay below the eigenvalue at every time.
+    dyn = oscidec.dynamics
+    T = cm_relative_transform([1.0, 1.0], labels=("CM", "R1"),
+                              source=layout("S", "E"))
+    H = transform_hamiltonian(build_two_mode(TwoModeParams(1.0, 1.0, 1.0,
+                                                           0.25)), T)
+    B, Bi, lam = dyn._normal_mode_factors(H)
+    cov0 = np.eye(4) / 2
+    frame = T.S
+    ts = np.array([0.0, 1.0, 5.0, 15.0])
+    cm1, s = dyn._modal_weights(lam, ts)
+    if term == "eps0":
+        cov0 = cov0 - 1e-6 * np.eye(4)
+    elif term == "P":
+        # the frame undoes the change in Q = blockdiag(B^-1, B^T), so only
+        # P J P^T - J and I - P Q read it
+        Bi = Bi * (1 + 1e-6)
+        frame = np.diag([1 / (1 + 1e-6)] * 2 + [1.0] * 2) @ frame
+    elif term == "R":
+        s = s * (1 + 1e-3)
+    else:
+        frame = frame * (1 - 1e-6)
+    eps0 = max(0.0, -oscidec.phase_space._uncertainty_min_eig(cov0))
+    cert = dyn._Certificate.build((B, Bi, lam), cov0, frame, eps0)
+    floor = cert.floor(cm1, s)
+    min_eig = _min_eig_of_factors((B, Bi, lam), cm1, s, cov0, frame)
+    nonzero = ts > 0 if term == "R" else ts >= 0   # M(0) = I
+    assert np.all(min_eig[nonzero] < -1e-10)
+    assert np.all(floor <= min_eig)
+
+
 @pytest.mark.parametrize("frame", [0, 1], ids=["S+E", "CM+R"])
 def test_uncertainty_bound_refuses_where_eigvalsh_refuses_on_chain(
         monkeypatch, frame):
     # the grid runs to t ||h||_2 = 1.01e3 (t = 40.3 in S+E, 3.88 in CM+R):
     # the chain is confining, so both gates accept every time, and the
     # bound decides most of them
-    base, H, _, _ = _chain_frames(32, 10.0)[frame]
+    base, H, _, _ = _chain_states(32, 10.0)[frame]
     grid = np.linspace(0.0, 1.01e3 / np.linalg.norm(H.h, 2), 400)
     accepted, gate, calls = _assert_gate_matches_eigvalsh(
         monkeypatch, base, H, grid)
@@ -657,17 +864,24 @@ def test_branch_pass_and_evolve_grid_refuse_alike(t_max, t_steps, t_refused):
 def test_compare_makes_no_per_time_eigvalsh_call(monkeypatch):
     calls = _count_eigvalsh(monkeypatch)
     counts = []
-    for n_times in (21, 201):
-        calls.clear()
-        parallel_compare(SystemPotential("harmonic", 1.0, 1.0),
-                         discretize_ohmic_bath(32, 5.0, 0.1),
-                         (CoherentAmplitude("S", 3.0), CoherentAmplitude("S", -3.0)),
-                         (CoherentAmplitude("CM", 0.25),
-                          CoherentAmplitude("CM", -0.25)),
-                         10.0, np.linspace(0.0, 2.0, n_times))
-        counts.append(len(calls))
-    # the reference chain's 201-point pipeline costs what a 21-point one does
-    assert counts[0] == counts[1] < 21
+    for temperature, eta, sign, a, c in (
+            (10.0, 0.1, -1, 3.0, 0.25),             # chain_compare.cfg
+            (12.3488, 0.0441, 1, 3.8166, 0.1505)):  # its pool, seed 0 #2
+        b = discretize_ohmic_bath(32, 5.0, eta)
+        bath = BathParams(b.masses, b.freqs, b.couplings, sign)
+        for n_times in (21, 201):
+            calls.clear()
+            parallel_compare(SystemPotential("harmonic", 1.0, 1.0), bath,
+                             (CoherentAmplitude("S", a),
+                              CoherentAmplitude("S", -a)),
+                             (CoherentAmplitude("CM", c),
+                              CoherentAmplitude("CM", -c)),
+                             temperature, np.linspace(0.0, 2.0, n_times))
+            counts.append(len(calls))
+    # a 201-point pipeline costs what a 21-point one does: four momentum
+    # blocks, the confinement check, the bath's thermal state, the open
+    # mode's vacuum and each pass's initial deficit
+    assert counts == [9] * 4
 
 
 def test_uncertainty_bound_reads_the_defect_and_the_initial_deficit(
@@ -694,21 +908,24 @@ def test_uncertainty_bound_reads_the_defect_and_the_initial_deficit(
 
 
 def test_norm_read_clears_times_the_trace_read_fails(monkeypatch):
-    # a hot chain of the chain_compare benchmark: in the CM+R frame tr sigma
-    # overstates ||sigma||_F enough that the gate's first read fails at
-    # times its middle read, on the sigma it then builds, clears; each is
-    # an eigvalsh call the middle read saves
-    base, H, alpha, beta = _chain_frames(32, 11.8372, eta=0.0875,
-                                         coupling_sign=1)[1]
+    # a hot chain of the chain_compare benchmark, its base transformed to
+    # CM+R coordinates, where eigvalsh reads a rounding deficit eps0 on it:
+    # tr sigma overstates ||sigma||_F enough that the gate's first read
+    # fails at times its middle read, on the sigma it then builds, clears;
+    # each is an eigvalsh call the middle read saves
+    state, H, _, _ = _chain_states(32, 12.3488, eta=0.0441,
+                                   coupling_sign=1)[1]
     dyn = oscidec.dynamics
-    built = []
-    evolved_cov = dyn._evolved_cov
-    monkeypatch.setattr(dyn, "_evolved_cov",
-                        lambda M, cov0: built.append(M) or evolved_cov(M, cov0))
+    reads = []
+    floor = dyn._uncertainty_floor
+    monkeypatch.setattr(dyn, "_uncertainty_floor",
+                        lambda *a: reads.append(1) or floor(*a))
     calls = _count_eigvalsh(monkeypatch)
-    evolve_branches_from(base, alpha, beta, H, np.linspace(0.0, 2.0, 201))
+    grid = np.linspace(0.0, 2.0, 201)
+    assert len(list(evolve_grid(state, H, grid))) == len(grid)
+    middle_reads = len(reads) - len(grid)
     # one eigvalsh call is the initial deficit's; the rest decide times
-    assert len(calls) - 1 < len(built)
+    assert 0 < len(calls) - 1 < middle_reads
 
 
 @pytest.mark.parametrize("n_times", [201, 2001])
@@ -716,7 +933,7 @@ def test_branch_pass_memory_does_not_grow_with_the_environment(n_times):
     # the reference chain (33 modes): a (T, 64, 64) environment-covariance
     # stack alone would take 6.6 MB at 201 times; the pass keeps a 3x3 Gram
     # matrix per time and O(n^2) working arrays
-    base, H, alpha, beta = _chain_frames(32, 10.0)[0]
+    base, H, alpha, beta, _ = _chain_frames(32, 10.0)[0]
     grid = np.linspace(0.0, 2.0, n_times)
     tracemalloc.start()
     try:
