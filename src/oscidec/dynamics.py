@@ -2,12 +2,12 @@
 evolution for coherent-superposition initial states.
 
 A pass decomposes H into normal modes once and forms the symplectic map
-M(t) = exp(t J h) in closed form, in chunks of at most `_CHUNK` times.
-`evolve_grid` forms all of M(t) (`_propagators`) and checks each evolved
-covariance with `_check_uncertainty`.  The branch pass forms only the two
-rows of M(t) that Gamma reads and certifies each time with a bound built
-once per pass (`_Certificate`); where the bound does not clear a time, that
-time's full M(t) is formed and `_check_uncertainty` decides.
+M(t) = exp(t J h) in closed form.  Both passes walk the grid in chunks of at
+most `_CHUNK` times through `_certified_chunks`, which certifies each time
+with a bound built once per pass (`_Certificate`).  `evolve_grid` forms all
+of M(t) and sigma(t) per chunk, the branch pass only the two rows of M(t)
+that Gamma reads; at a time the bound does not clear, each checks its own
+N(t) = M(t) S and sigma(t) with `_check_uncertainty`.
 """
 from __future__ import annotations
 
@@ -67,30 +67,23 @@ def _uncertainty_floor(M: FloatArray, J: FloatArray, eps0: float,
 
 
 def _evolved_cov(M: FloatArray, cov0: FloatArray) -> FloatArray:
-    """The symmetrised M sigma0 M^T, unchecked; it may overflow."""
+    """The symmetrised M sigma0 M^T, one M or a stack; it may overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
-        cov = M @ cov0 @ M.T
-        return 0.5 * (cov + cov.T)
+        cov = M @ cov0 @ M.swapaxes(-1, -2)
+        return 0.5 * (cov + cov.swapaxes(-1, -2))
 
 
-def _check_uncertainty(M: FloatArray, cov0: FloatArray, t: float,
-                       J: FloatArray, eps0: float) -> None:
-    """Refuse sigma = M sigma0 M^T unless sigma + iJ/2 >= 0.
+def _check_uncertainty(N: FloatArray, cov: FloatArray, t: float,
+                       eps0: float) -> None:
+    """Refuse sigma = N sigma0 N^T, given with N, unless sigma + iJ/2 >= 0.
 
-    Three reads, each only where the one before fails to clear the
-    tolerance: `_uncertainty_floor` with s = tr sigma, the sum of the
-    entries of (M sigma0) * M, which needs no sigma; then, with sigma built,
-    the same bound with s = ||sigma||_F <= tr sigma; then eigvalsh, which
-    decides.  A failure is a loss of numerical trust in the propagation, not
-    bad input.  A covariance that overflowed fails too: its eigenvalue is
-    NaN.
+    Two reads: `_uncertainty_floor` with s = ||sigma||_F, then, only where
+    that fails to clear the tolerance, eigvalsh, which decides.  A failure
+    is a loss of numerical trust in the propagation, not bad input.  A
+    covariance that overflowed fails too: its eigenvalue is NaN.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = np.vdot(M @ cov0, M)
-        if _uncertainty_floor(M, J, eps0, trace) >= -_UNCERTAINTY_TOL:
-            return
-        cov = _evolved_cov(M, cov0)
-        if _uncertainty_floor(M, J, eps0,
+        if _uncertainty_floor(N, symplectic_form(len(N) // 2), eps0,
                               np.linalg.norm(cov)) >= -_UNCERTAINTY_TOL:
             return
     min_eig = _uncertainty_min_eig(cov)
@@ -153,23 +146,6 @@ def _propagators(modes: tuple[FloatArray, ...], ts: Sequence[float]
     diag = np.arange(2 * n)
     M[:, diag, diag] += 1.0
     return M
-
-
-def _certified_trajectory(cov0: FloatArray, H: QuadraticHamiltonian,
-                          t_grid: Sequence[float]
-                          ) -> Iterator[tuple[float, FloatArray]]:
-    """(t, M(t)) at each grid time, in grid order, each yielded once
-    M sigma0 M^T passed `_check_uncertainty`; M(t) comes from
-    `_propagators`, one chunk of times at a time."""
-    ts = _finite_times(t_grid)
-    modes = _normal_mode_factors(H)
-    J = symplectic_form(H.n_modes)
-    eps0 = max(0.0, -_uncertainty_min_eig(cov0))   # initial deficit
-    for lo in range(0, len(ts), _CHUNK):
-        chunk = ts[lo:lo + _CHUNK]
-        for t, M in zip(chunk.tolist(), _propagators(modes, chunk)):
-            _check_uncertainty(M, cov0, t, J, eps0)
-            yield t, M
 
 
 @dataclass(frozen=True)
@@ -262,6 +238,21 @@ class _Certificate:
                      + 2 * len(self.lam) * _EPS * trace)
 
 
+def _certified_chunks(modes: tuple[FloatArray, ...], state: GaussianState,
+                      ts: FloatArray, frame: FloatArray | None = None
+                      ) -> Iterator[tuple[slice, FloatArray, FloatArray,
+                                          FloatArray]]:
+    """(chunk, c - 1, s, uncleared) per chunk of at most `_CHUNK` times of
+    ts: its slice, its modal weights and the mask of the times that the
+    pass's `_Certificate`, for state.cov through `frame`, does not clear.
+    The pass checks each of those with `_check_uncertainty` before use."""
+    cert = _Certificate.build(modes, state.cov, frame, state._deficit)
+    for lo in range(0, len(ts), _CHUNK):
+        chunk = slice(lo, lo + _CHUNK)
+        cm1, s = _modal_weights(modes[2], ts[chunk])
+        yield chunk, cm1, s, ~(cert.floor(cm1, s) >= -_UNCERTAINTY_TOL)
+
+
 def symplectic_residual(M: FloatArray) -> float:
     """max |M^T J M - J|, the canonical-structure defect of a propagator."""
     n = M.shape[0] // 2
@@ -271,12 +262,25 @@ def symplectic_residual(M: FloatArray) -> float:
 
 def evolve_grid(state: GaussianState, H: QuadraticHamiltonian,
                 t_grid: Sequence[float]) -> Iterator[GaussianState]:
-    """The evolved state at each grid time, in order, from one pass."""
+    """The evolved state at each grid time, in order, from one pass, each
+    yielded once certified; a chunk's means and covariances are stacks."""
     if state.layout != H.layout:
         raise DynamicsError("state layout does not match propagator")
-    return (GaussianState._prechecked(state.layout, M @ state.mean,
-                                      _evolved_cov(M, state.cov))
-            for _, M in _certified_trajectory(state.cov, H, t_grid))
+    return _grid_states(state, H, t_grid)
+
+
+def _grid_states(state: GaussianState, H: QuadraticHamiltonian,
+                 t_grid: Sequence[float]) -> Iterator[GaussianState]:
+    ts = _finite_times(t_grid)
+    modes = _normal_mode_factors(H)
+    for chunk, _, _, uncleared in _certified_chunks(modes, state, ts):
+        M = _propagators(modes, ts[chunk])
+        with np.errstate(over="ignore", invalid="ignore"):
+            means, covs = M @ state.mean, _evolved_cov(M, state.cov)
+        for i, t in enumerate(ts[chunk].tolist()):
+            if uncleared[i]:
+                _check_uncertainty(M[i], covs[i], t, state._deficit)
+            yield GaussianState._prechecked(state.layout, means[i], covs[i])
 
 
 def energy(state: GaussianState, H: QuadraticHamiltonian) -> float:
@@ -328,8 +332,8 @@ def evolve_branches_from(base: GaussianState, alpha: CoherentAmplitude,
     times those rows, and d_hat to delta minus their combination by those
     entries of M delta, so no inverse, solve or environment block is formed;
     the whitening by (S L)^-1, L L^T = sigma0, is one constant matrix.
-    Each time is certified by `_Certificate`; a time it does not clear has
-    its full N(t) formed and checked by `_check_uncertainty`.  The
+    `_certified_chunks` certifies each time; one it does not clear has its
+    full N(t) and sigma(t) formed and checked by `_check_uncertainty`.  The
     propagators M(t) at `probe_times`, which must be grid times, are kept.
     """
     if alpha.mode != beta.mode:
@@ -353,27 +357,21 @@ def evolve_branches_from(base: GaussianState, alpha: CoherentAmplitude,
     delta = np.zeros(lay.dim)
     delta[k] = alpha.x0 - beta.x0
     delta[k + n] = alpha.p0 - beta.p0
-    cov0 = base.cov
     try:
-        L = np.linalg.cholesky(cov0)
+        L = np.linalg.cholesky(base.cov)
     except np.linalg.LinAlgError:
         raise DynamicsError("branch base covariance is not positive "
                             "definite") from None
     whiten = np.linalg.inv(L if frame is None else frame @ L).T
     modes = _normal_mode_factors(H)
-    lam = modes[2]
-    J = symplectic_form(n)
-    eps0 = max(0.0, -_uncertainty_min_eig(cov0))   # initial deficit
-    cert = _Certificate.build(modes, cov0, frame, eps0)
     gram = np.empty((len(ts), 3, 3))
-    for lo in range(0, len(ts), _CHUNK):
-        chunk = ts[lo:lo + _CHUNK]
-        cm1, s = _modal_weights(lam, chunk)
-        for t in chunk[~(cert.floor(cm1, s) >= -_UNCERTAINTY_TOL)].tolist():
+    for chunk, cm1, s, uncleared in _certified_chunks(modes, base, ts, frame):
+        for t in ts[chunk][uncleared].tolist():
             N = _propagators(modes, [t])[0]
-            _check_uncertainty(N if frame is None else N @ frame, cov0, t,
-                               J, eps0)
-        gram[lo:lo + _CHUNK] = _branch_gram(modes, k, delta, whiten, cm1, s)
+            with np.errstate(over="ignore", invalid="ignore"):
+                N = N if frame is None else N @ frame
+            _check_uncertainty(N, _evolved_cov(N, base.cov), t, base._deficit)
+        gram[chunk] = _branch_gram(modes, k, delta, whiten, cm1, s)
     kept = dict(zip(probes, _propagators(modes, probes)))
     return BranchTrajectory(ts, gram, alpha, beta, kept)
 

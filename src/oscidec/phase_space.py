@@ -8,6 +8,7 @@ Conventions (natural units, hbar = k_B = 1):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -149,22 +150,34 @@ class GaussianState:
         if min_eig < -_UNCERTAINTY_TOL:
             raise PhaseSpaceError(
                 f"covariance violates the uncertainty relation (min eig {min_eig:.3e})")
+        self.__dict__["_deficit"] = max(0.0, -min_eig)
 
     @classmethod
     def _prechecked(cls, lay: PhaseSpaceLayout, mean: FloatArray,
-                    cov: FloatArray) -> "GaussianState":
+                    cov: FloatArray,
+                    deficit: float | None = None) -> "GaussianState":
         """Skip the checks for a covariance known to pass them already.
 
         Only for an evolved covariance that passed the dynamics uncertainty
         gate, a principal submatrix of a checked covariance (by Cauchy
         interlacing its sigma + iJ/2 has no smaller minimum eigenvalue), or a
-        product of checked states (its sigma + iJ/2 is theirs, block diagonal).
+        product of checked states (its sigma + iJ/2 is theirs, block diagonal
+        up to a permutation, so its `deficit` is the larger of theirs).  A
+        state given no deficit computes it once, on first read.
         """
         state = object.__new__(cls)
         object.__setattr__(state, "layout", lay)
         object.__setattr__(state, "mean", mean)
         object.__setattr__(state, "cov", cov)
+        if deficit is not None:
+            state.__dict__["_deficit"] = deficit
         return state
+
+    @cached_property
+    def _deficit(self) -> float:
+        """max(0, -lambda_min(sigma + iJ/2)): the initial deficit eps0 an
+        evolution carries forward, kept from validation where it ran."""
+        return max(0.0, -_uncertainty_min_eig(self.cov))
 
     @property
     def n_modes(self) -> int:
@@ -275,7 +288,8 @@ def product_state(lay: PhaseSpaceLayout, open_mode: str,
                       (lay.z_indices(env_labels), env)):
         mean[idx] = part.mean
         cov[np.ix_(idx, idx)] = part.cov
-    return GaussianState._prechecked(lay, mean, cov)
+    return GaussianState._prechecked(lay, mean, cov,
+                                     max(open_state._deficit, env._deficit))
 
 
 def log_negativity(state: GaussianState, part_a: Sequence[str],

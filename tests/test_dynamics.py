@@ -1,5 +1,6 @@
 """Symplectic propagation: analytic rotations, invariants, branch pairs."""
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.linalg import expm
 
 import oscidec.dynamics
 import oscidec.metrics
+from oscidec.cli import main
 from oscidec import (BathParams, BranchTrajectory, CoherentAmplitude,
                      DynamicsError, DynamicsTrustError, GaussianState,
                      PhaseSpaceError, PhaseSpaceLayout, QuadraticHamiltonian,
@@ -14,7 +16,8 @@ from oscidec import (BathParams, BranchTrajectory, CoherentAmplitude,
                      TwoModeParams, cm_relative_transform, coherent_state,
                      decoherence_function, discretize_ohmic_bath, energy,
                      evolve_branches, evolve_branches_from,
-                     evolve_grid, layout, normal_mode_transform,
+                     evolve_grid, gaussian_crosscheck, layout,
+                     normal_mode_transform,
                      parallel_compare, product_state, purity, symplectic_form,
                      symplectic_residual, thermal_state,
                      transform_hamiltonian, vacuum_cov)
@@ -605,29 +608,45 @@ def test_non_finite_evolved_covariance_fails_the_uncertainty_gate():
     # sigma takes them from sigma0 or from M
     cov = np.eye(4) / 2
     cov[0, 1] = cov[1, 0] = np.nan
-    J = symplectic_form(2)
-    check = oscidec.dynamics._check_uncertainty
+    dyn = oscidec.dynamics
     with pytest.raises(DynamicsTrustError, match="min eig nan"):
-        check(np.eye(4), cov, 1.0, J, 0.0)
+        dyn._check_uncertainty(np.eye(4), dyn._evolved_cov(np.eye(4), cov),
+                               1.0, 0.0)
     M = np.eye(4)
     M[0, 1] = np.nan
     with pytest.raises(DynamicsTrustError, match="min eig nan"):
-        check(M, np.eye(4) / 2, 1.0, J, 0.0)
+        dyn._check_uncertainty(M, dyn._evolved_cov(M, np.eye(4) / 2), 1.0,
+                               0.0)
 
 
-def _eigvalsh_gate(M, cov0, t, J, eps0):
+def _eigvalsh_gate(N, cov, t, eps0):
     """The uncertainty gate without the symplectic-defect bound: one eigvalsh
     of sigma + iJ/2 per time, refusing a minimum below -1e-10.  The
     reference the bounded gate must agree with."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        cov = M @ cov0 @ M.T
-    cov = 0.5 * (cov + cov.T)
+    J = symplectic_form(len(N) // 2)
     min_eig = np.nan
     if np.isfinite(cov).all():
         min_eig = float(np.linalg.eigvalsh(cov + 0.5j * J).min())
     if not min_eig >= -1e-10:
         raise DynamicsTrustError("uncertainty relation",
                                  f"min eig {min_eig:.3e}")
+
+
+def _certificate_off(patcher):
+    """Patch the per-pass certificate through `patcher` (a monkeypatch) to
+    clear no time, so the pass runs its per-time gate at every time."""
+    patcher.setattr(oscidec.dynamics._Certificate, "floor",
+                    lambda self, cm1, s: np.full(len(cm1), -np.inf))
+
+
+def _count_gate(patcher):
+    """Patch the per-time uncertainty gate through `patcher` to record the
+    time of each call; returns the record."""
+    times = []
+    check = oscidec.dynamics._check_uncertainty
+    patcher.setattr(oscidec.dynamics, "_check_uncertainty",
+                    lambda *args: times.append(args[2]) or check(*args))
+    return times
 
 
 def _count_eigvalsh(patcher):
@@ -664,13 +683,13 @@ def _branch_refusal(state, H, grid):
 
 
 def _assert_gate_matches_eigvalsh(monkeypatch, state, H, grid):
-    """Run `evolve_grid` with the bounded gate and with the eigvalsh
-    reference on the same M stack: both must accept the same covariances,
-    bit for bit, and refuse at the same first time with the same gate.  The
-    branch pass, which runs the same gate on the same pass, must refuse
-    with the same message and call eigvalsh as often.  Returns
-    (times accepted, refusing gate, eigvalsh calls made by the bounded
-    pass)."""
+    """Run `evolve_grid` with the certificate and the bounded gate, and with
+    the certificate off and the eigvalsh reference at every time, on the
+    same M stack: both must accept the same covariances, bit for bit, and
+    refuse at the same first time with the same gate.  The branch pass,
+    which reads the same certificate and gate, must refuse with the same
+    message and call eigvalsh as often.  Returns (times accepted, refusing
+    gate, eigvalsh calls made by the bounded pass)."""
     with monkeypatch.context() as m:
         calls = _count_eigvalsh(m)
         got, got_exc = _gated_pass(state, H, grid)
@@ -678,6 +697,7 @@ def _assert_gate_matches_eigvalsh(monkeypatch, state, H, grid):
         calls.clear()
         branch_exc = _branch_refusal(state, H, grid)
     with monkeypatch.context() as m:
+        _certificate_off(m)
         m.setattr(oscidec.dynamics, "_check_uncertainty", _eigvalsh_gate)
         want, want_exc = _gated_pass(state, H, grid)
     got_gate = got_exc and got_exc.gate
@@ -690,19 +710,21 @@ def _assert_gate_matches_eigvalsh(monkeypatch, state, H, grid):
 
 def _floor_and_min_eig(monkeypatch, state, H, grid):
     """The bound with ||sigma||_F, the bound with tr sigma and the eigvalsh
-    minimum at every time of the stepped pass, with no gate stopping it."""
+    minimum at every time of the pass, with the certificate off and no gate
+    stopping it."""
     dyn = oscidec.dynamics
     L = np.linalg.cholesky(state.cov)
+    J = symplectic_form(H.n_modes)
     out = []
 
-    def recording_gate(M, cov0, t, J, eps0):
-        cov = dyn._evolved_cov(M, cov0)
+    def recording_gate(M, cov, t, eps0):
         ML = M @ L
         out.append((dyn._uncertainty_floor(M, J, eps0, np.linalg.norm(cov)),
                     dyn._uncertainty_floor(M, J, eps0, np.vdot(ML, ML)),
                     np.linalg.eigvalsh(cov + 0.5j * J).min()))
 
     with monkeypatch.context() as m:
+        _certificate_off(m)
         m.setattr(dyn, "_check_uncertainty", recording_gate)
         for _ in evolve_grid(state, H, grid):
             pass
@@ -742,12 +764,12 @@ def _certificate_scan(state, H, grid, frame=None):
     eps0 = max(0.0, -oscidec.phase_space._uncertainty_min_eig(state.cov))
     cert = dyn._Certificate.build(modes, state.cov, frame, eps0)
     clears = cert.floor(*dyn._modal_weights(modes[2], grid)) >= -1e-10
-    J = symplectic_form(H.n_modes)
     refused = []
     for t, M in zip(grid, dyn._propagators(modes, grid)):
+        N = M if frame is None else M @ frame
         try:
-            dyn._check_uncertainty(M if frame is None else M @ frame,
-                                   state.cov, t, J, eps0)
+            dyn._check_uncertainty(N, dyn._evolved_cov(N, state.cov), t,
+                                   eps0)
         except DynamicsTrustError:
             refused.append(t)
     return clears, np.isin(grid, refused)
@@ -879,9 +901,31 @@ def test_compare_makes_no_per_time_eigvalsh_call(monkeypatch):
                              temperature, np.linspace(0.0, 2.0, n_times))
             counts.append(len(calls))
     # a 201-point pipeline costs what a 21-point one does: four momentum
-    # blocks, the confinement check, the bath's thermal state, the open
-    # mode's vacuum and each pass's initial deficit
-    assert counts == [9] * 4
+    # blocks, the confinement check, the bath's thermal state and the open
+    # mode's vacuum; both passes read the initial deficit those two
+    # validations kept
+    assert counts == [7] * 4
+
+
+@pytest.mark.parametrize("config", ["chain_compare", "two_mode_oracle"])
+def test_evolve_runs_no_per_time_gate_on_shipped_configs(monkeypatch,
+                                                         tmp_path, config):
+    # the certificate clears every time of `evolve` on each shipped config
+    cfg = Path(__file__).resolve().parents[1] / "configs" / f"{config}.cfg"
+    gate = _count_gate(monkeypatch)
+    assert main(["evolve", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert gate == []
+
+
+def test_crosscheck_runs_no_per_time_gate(monkeypatch):
+    # oracle_crosscheck's pool scenario seed 0 #0: the Gaussian pass over
+    # its 26-point grid and the negativity time
+    gate = _count_gate(monkeypatch)
+    rep = gaussian_crosscheck(TwoModeParams(1.0, 1.0, 1.0, 0.2081), 0.3712,
+                              np.linspace(0.0, 5.0, 26), dims=(16, 16),
+                              negativity_time=0.8455)
+    assert len(rep.rows) == 26 and gate == []
 
 
 def test_uncertainty_bound_reads_the_defect_and_the_initial_deficit(
@@ -889,12 +933,14 @@ def test_uncertainty_bound_reads_the_defect_and_the_initial_deficit(
     M = _expm_propagator(build_two_mode(TwoModeParams(1.0, 1.0, 1.0, 0.25)),
                          3.0)
     calls = _count_eigvalsh(monkeypatch)
-    J = symplectic_form(2)
-    check = oscidec.dynamics._check_uncertainty
+    dyn = oscidec.dynamics
+
+    def check(M, cov0, t, eps0):
+        dyn._check_uncertainty(M, dyn._evolved_cov(M, cov0), t, eps0)
 
     vac = np.eye(4) / 2
     # a symplectic M and a valid state: the bound decides, eigvalsh never runs
-    check(M, vac, 3.0, J, 0.0)
+    check(M, vac, 3.0, 0.0)
     assert calls == []
     bad = vac - 1e-6 * np.eye(4)
     eps0 = -oscidec.phase_space._uncertainty_min_eig(bad)
@@ -904,28 +950,39 @@ def test_uncertainty_bound_reads_the_defect_and_the_initial_deficit(
     # deficit of 1e-6 forward
     for M, cov0, eps0 in ((0.9 * np.eye(4), vac, 0.0), (np.eye(4), bad, eps0)):
         with pytest.raises(DynamicsTrustError, match="uncertainty relation"):
-            check(M, cov0, 1.0, J, eps0)
+            check(M, cov0, 1.0, eps0)
 
 
-def test_norm_read_clears_times_the_trace_read_fails(monkeypatch):
-    # a hot chain of the chain_compare benchmark, its base transformed to
-    # CM+R coordinates, where eigvalsh reads a rounding deficit eps0 on it:
-    # tr sigma overstates ||sigma||_F enough that the gate's first read
-    # fails at times its middle read, on the sigma it then builds, clears;
-    # each is an eigvalsh call the middle read saves
+def test_norm_read_clears_times_the_certificate_leaves(monkeypatch):
+    # where the certificate does not clear a time, the gate's norm read on
+    # the sigma the pass formed clears it before eigvalsh runs.  At T = 100
+    # the certificate clears no time of either compare pass on the shipped
+    # chain, and the norm read clears them all
+    b = discretize_ohmic_bath(32, 5.0, 0.1)
+    bath = BathParams(b.masses, b.freqs, b.couplings, -1)
+    with monkeypatch.context() as m:
+        gate = _count_gate(m)
+        calls = _count_eigvalsh(m)
+        parallel_compare(SystemPotential("harmonic", 1.0, 1.0), bath,
+                         (CoherentAmplitude("S", 3.0),
+                          CoherentAmplitude("S", -3.0)),
+                         (CoherentAmplitude("CM", 0.25),
+                          CoherentAmplitude("CM", -0.25)),
+                         100.0, np.linspace(0.0, 2.0, 201))
+    assert len(gate) == 2 * 201
+    assert len(calls) == 7          # only the pipeline's fixed calls
+    # the hot pool scenario seed 0 #2, its base transformed to CM+R
+    # coordinates, where eigvalsh reads a rounding deficit eps0 on it: the
+    # certificate leaves all but t = 0, the norm read clears 167 of those
+    # 200 and eigvalsh decides 33
     state, H, _, _ = _chain_states(32, 12.3488, eta=0.0441,
                                    coupling_sign=1)[1]
-    dyn = oscidec.dynamics
-    reads = []
-    floor = dyn._uncertainty_floor
-    monkeypatch.setattr(dyn, "_uncertainty_floor",
-                        lambda *a: reads.append(1) or floor(*a))
+    assert state._deficit > 0
+    gate = _count_gate(monkeypatch)
     calls = _count_eigvalsh(monkeypatch)
     grid = np.linspace(0.0, 2.0, 201)
     assert len(list(evolve_grid(state, H, grid))) == len(grid)
-    middle_reads = len(reads) - len(grid)
-    # one eigvalsh call is the initial deficit's; the rest decide times
-    assert 0 < len(calls) - 1 < middle_reads
+    assert (len(gate), len(calls)) == (200, 33) and 0.0 not in gate
 
 
 @pytest.mark.parametrize("n_times", [201, 2001])

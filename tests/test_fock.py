@@ -493,10 +493,11 @@ def test_oracle_diagonalizes_once_in_real_arithmetic(monkeypatch):
 def test_crosscheck_evolves_the_gaussian_branch_in_one_pass(monkeypatch):
     import oscidec.dynamics as dynamics
     passes, normal_modes = [], []
-    certified, modes = dynamics._certified_trajectory, dynamics._normal_modes
-    monkeypatch.setattr(dynamics, "_certified_trajectory",
-                        lambda cov0, H, ts: passes.append(list(ts))
-                        or certified(cov0, H, ts))
+    chunks, modes = dynamics._certified_chunks, dynamics._normal_modes
+    monkeypatch.setattr(dynamics, "_certified_chunks",
+                        lambda modes, state, ts, frame=None:
+                        passes.append(ts.tolist())
+                        or chunks(modes, state, ts, frame))
     monkeypatch.setattr(dynamics, "_normal_modes",
                         lambda *a: normal_modes.append(1) or modes(*a))
     t_grid = np.linspace(0.0, 1.0, 3)

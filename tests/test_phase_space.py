@@ -116,6 +116,8 @@ def test_product_of_checked_states_needs_no_eigendecomposition(monkeypatch):
                         lambda a, *args, **kw:
                         calls.append(a.shape) or eigvalsh(a, *args, **kw))
     prod = product_state(layout("E", "S", "F"), "S", open_state, env)
+    # the product's deficit is the larger of the deficits its parts kept
+    assert prod._deficit == max(open_state._deficit, env._deficit)
     assert calls == []
     monkeypatch.undo()
     checked = GaussianState(prod.layout, prod.mean, prod.cov)
@@ -124,6 +126,26 @@ def test_product_of_checked_states_needs_no_eigendecomposition(monkeypatch):
     assert _uncertainty_min_eig(prod.cov) == pytest.approx(
         min(_uncertainty_min_eig(open_state.cov),
             _uncertainty_min_eig(env.cov)), abs=1e-14)
+    assert checked._deficit == pytest.approx(prod._deficit, abs=1e-14)
+
+
+def test_deficit_is_read_once_per_state(monkeypatch):
+    # validation keeps max(0, -lambda_min(sigma + iJ/2)); a state built
+    # without validation computes it on first read, once
+    bad = np.eye(2) / 2 - 1e-11 * np.eye(2)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, *args, **kw:
+                        calls.append(a.shape) or eigvalsh(a, *args, **kw))
+    st = GaussianState(layout("S"), np.zeros(2), bad)
+    assert len(calls) == 1
+    assert st._deficit == pytest.approx(1e-11, rel=1e-4)
+    assert len(calls) == 1
+    pre = GaussianState._prechecked(layout("S"), np.zeros(2), bad)
+    assert [pre._deficit, pre._deficit] == [st._deficit] * 2
+    assert len(calls) == 2
+    assert GaussianState(layout("S"), np.zeros(2), np.eye(2))._deficit == 0.0
 
 
 @pytest.mark.parametrize("temperature", [-5.0, np.nan])
