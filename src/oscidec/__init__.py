@@ -34,7 +34,8 @@ from .fock import (CrosscheckReport, CrosscheckRow, FockSpace, OracleError,
 from .master import (MasterEqError, MasterEqScenario, MasterEqTrustError,
                      MasterEvolution, coherence_profile, evolve_master,
                      position_kernel)
-from .config import ConfigError, ScenarioConfig, manifest_text, parse_config
+from .config import ConfigError, ScenarioConfig, parse_config
+from .reporting import manifest_text
 
 __version__ = "0.1.0"
 

@@ -9,9 +9,10 @@ Exit codes: 0 success, 1 invalid config/arguments, 2 numerical-trust failure.
 A trust failure names its gate on stderr: oracle leakage (dense-solver leakage
 above gate at every grid time), confinement positivity (the chain's potential
 is not confining and the override is off), uncertainty relation (an evolved
-covariance violates it), master trace drift (an evolved density matrix is not
-finite or its trace left 1) or master leakage (an evolved density matrix holds
-the oracle's leakage bound or more in the top two Fock levels).
+covariance violates it, or its purity reads det(2 sigma) < 1), master trace
+drift (an evolved density matrix is not finite or its trace left 1) or master
+leakage (an evolved density matrix holds the oracle's leakage bound or more in
+the top two Fock levels).
 """
 from __future__ import annotations
 
@@ -84,10 +85,9 @@ def _cmd_transform(cfg: ScenarioConfig, out: Path, digest: str) -> int:
         consts = two_mode_constants(cfg.two_mode())
     else:
         consts = many_mode_constants(cfg.potential(), cfg.bath())
-    residuals = verify_constants(ham_cm, consts)
-    rows = [[k, float(v)] for k, v in sorted(residuals.items())]
+    residuals = dict(sorted(verify_constants(ham_cm, consts).items()))
     write_csv(out / "constants_residuals.csv", ["constant", "residual"],
-              rows, digest)
+              [residuals, residuals.values()], digest)
     worst = max(residuals.values()) if residuals else 0.0
     print(f"constants residual max={worst:.3e} "
           f"positivity_ok={consts.positivity_ok}")
@@ -212,8 +212,8 @@ def _cmd_master(cfg: ScenarioConfig, out: Path, digest: str) -> int:
     vis = coherence_profile(result, xs, (x0 - 0.8, x0 + 0.8),
                             (-x0 - 0.8, -x0 + 0.8), scen.mass,
                             scen.basis_freq)
-    rows = [[float(t), float(v)] for t, v in zip(t_grid, vis)]
-    write_csv(out / "visibility.csv", ["t", "visibility"], rows, digest)
+    write_csv(out / "visibility.csv", ["t", "visibility"], [t_grid, vis],
+              digest)
     print(f"trace drift={result.max_trace_drift:.3e}")
     print(f"wrote {out / 'visibility.csv'}")
     return 0
@@ -238,7 +238,7 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oscidec",
         description="Coupled-oscillator decoherence across coordinate "
@@ -250,8 +250,16 @@ def main(argv: list[str] | None = None) -> int:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="scenario file")
         sp.add_argument("--out", default="out", help="output directory")
+    return parser
+
+
+# built once per process; parse_args leaves it unchanged
+_PARSER = _build_parser()
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on a usage error; 2 is reserved for trust gates
         if exc.code:

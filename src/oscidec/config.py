@@ -2,7 +2,7 @@
 
 Blank lines and `#` comments are ignored.  Unknown keys are rejected and all
 validation errors are reported together.  The resolved config (defaults
-applied) round-trips through the emitted manifest.
+applied) round-trips through the manifest `reporting.manifest_text` emits.
 """
 from __future__ import annotations
 
@@ -41,16 +41,6 @@ def _parse_float(text: str) -> float:
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(_parse_float(tok) for tok in text.split(",") if tok.strip())
-
-
-def _fmt(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ",".join(repr(float(v)) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _uniform_grid(tmax: float, n: int) -> list[float]:
@@ -134,16 +124,6 @@ class ScenarioConfig:
 
     def __getitem__(self, key: str) -> Any:
         return self.values[key]
-
-    def resolved(self) -> dict[str, str]:
-        """Full effective configuration as manifest-ready strings."""
-        out = {}
-        for key in sorted(self.values):
-            v = self.values[key]
-            if v is None:
-                continue
-            out[key] = _fmt(v)
-        return out
 
     def t_grid(self) -> list[float]:
         return _uniform_grid(self["run.t_max"], self["run.t_steps"])
@@ -247,8 +227,3 @@ def _semantic_errors(values: dict[str, Any]) -> list[str]:
     except MasterEqError as exc:
         errors.append(f"master: {exc}")
     return errors
-
-
-def manifest_text(cfg: ScenarioConfig) -> str:
-    lines = [f"{k} = {v}" for k, v in cfg.resolved().items()]
-    return "\n".join(lines) + "\n"

@@ -104,10 +104,6 @@ def coherent_vector(d: int, mass: float, freq: float, x0: float,
     """Truncated coherent state |alpha>, alpha = sqrt(mw/2) x0 + i p0/sqrt(2mw)."""
     alpha = np.sqrt(mass * freq / 2) * x0 + 1j * p0 / np.sqrt(2 * mass * freq)
     nn = np.arange(d)
-    if alpha == 0:
-        v = np.zeros(d, complex)
-        v[0] = 1.0
-        return v
     log_sqrt_fact = np.array([0.5 * math.lgamma(n + 1.0) for n in range(d)])
     v = alpha ** nn * np.exp(-0.5 * abs(alpha) ** 2 - log_sqrt_fact)
     return v / np.linalg.norm(v)
@@ -420,9 +416,9 @@ def gaussian_crosscheck(p: TwoModeParams, x0: float, t_grid: Sequence[float],
     keeps total parity, so the oracle decomposes it one parity block at a
     time and evolves the +x0 branch to every grid time and the negativity
     time in one batched pass; the -x0 branch is that stack's total-parity
-    image.  The Gaussian side is the +x0 branch from one stepped pass over
-    the grid and the negativity time; the -x0 branch is its mirror image, so
-    the branches differ by twice its mean.
+    image.  The Gaussian side is the +x0 branch from one closed-form
+    `evolve_grid` pass over the grid and the negativity time; the -x0 branch
+    is its mirror image, so the branches differ by twice its mean.
     """
     # deferred: keeps the oracle standalone
     from .decomposition import cm_relative_transform, transform_state

@@ -39,6 +39,10 @@ class TrustGateError(ValueError):
         self.gate = gate
 
 
+class _UncertaintyGateError(PhaseSpaceError, TrustGateError):
+    """A covariance whose purity reads det(2 sigma) < 1."""
+
+
 @dataclass(frozen=True)
 class PhaseSpaceLayout:
     """Ordered mode labels fixing the (x-block, p-block) coordinate layout."""
@@ -249,7 +253,10 @@ def _log_purity_of_cov(cov: FloatArray) -> FloatArray:
     """-1/2 ln det(2 sigma) per covariance of a stack; refuses a degenerate one."""
     sign, logdet = np.linalg.slogdet(2.0 * cov)
     if np.any((sign <= 0) | (logdet < np.log(1.0 - _DET_FLOOR) - 1e-9)):
-        raise PhaseSpaceError("degenerate covariance: invalid state construction")
+        raise _UncertaintyGateError(
+            "uncertainty relation",
+            "degenerate covariance: det(2 sigma) < 1 violates the uncertainty "
+            "relation")
     return -0.5 * logdet
 
 

@@ -145,13 +145,15 @@ def test_bath_construction_modes():
 
 def test_write_csv_cell_formats(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, ["a", "b", "c", "d"],
-              [[True, 0.1, None, 3], [False, 2.0, "s", -1]], "deadbeef")
+    # a tuple cell is comma-joined, as the manifest writes bath lists
+    columns = [[True, np.bool_(False)], [0.1, np.float64(2.0)], [None, "s"],
+               [3, np.int64(-1)], [(0.5, 1.0), ()], np.array([0.25, -0.0])]
+    write_csv(path, ["a", "b", "c", "d", "e", "f"], columns, "deadbeef")
     lines = path.read_text().splitlines()
     assert lines[0] == "# manifest_sha256=deadbeef"
-    assert lines[1] == "a,b,c,d"
-    assert lines[2] == "true,0.1,,3"
-    assert lines[3] == "false,2.0,s,-1"
+    assert lines[1] == "a,b,c,d,e,f"
+    assert lines[2] == "true,0.1,,3,0.5,1.0,0.25"
+    assert lines[3] == "false,2.0,s,-1,,-0.0"
 
 
 # ------------------------------------------------------------------- cli ----
@@ -334,6 +336,18 @@ def _shipped(tmp_path, name, values):
     return _cfg_file(tmp_path, "\n".join(lines) + "\n", name=name)
 
 
+def test_cli_decohere_rows_equal_compare_open_rows(tmp_path):
+    """decohere and compare run the same S+E pass on the shipped chain."""
+    cfg = _shipped(tmp_path, "chain_compare.cfg", {})
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["decohere", "--config", cfg, "--out", str(a)]) == 0
+    assert main(["compare", "--config", cfg, "--out", str(b)]) == 0
+    alone = (a / "decoherence.csv").read_bytes().splitlines()[2:]
+    both = [ln for ln in (b / "decoherence_both.csv").read_bytes().splitlines()
+            if ln.startswith(b"S+E,")]
+    assert len(alone) == 201 and alone == both
+
+
 def test_cli_oracle_reports_projection_norm_on_shipped_config(tmp_path,
                                                               capsys):
     """The CM|relative amplitude at d_out = 24 holds the whole state."""
@@ -372,6 +386,10 @@ def _drifting_dephasing(monkeypatch):
     ("oracle", "two_mode_oracle.cfg",
      {"run.t_max": 60.0, "run.t_steps": 61, "oracle.dim": 8},
      "uncertainty relation", "violates the uncertainty relation", None),
+    # the gate clears every evolved covariance, but the purity read finds
+    # det(2 sigma) < 1 at t = 60
+    ("evolve", "two_mode_oracle.cfg", {"run.t_max": 60},
+     "uncertainty relation", "degenerate covariance", None),
 ])
 def test_cli_trust_refusals_exit_2_and_name_the_gate(
         tmp_path, capsys, monkeypatch, command, name, values, gate, message, rig):

@@ -3,7 +3,8 @@ import pytest
 
 from oscidec.phase_space import (CoherentAmplitude, GaussianState,
                                  PhaseSpaceError, PhaseSpaceLayout,
-                                 QuadraticHamiltonian, coherent_state, layout,
+                                 QuadraticHamiltonian, TrustGateError,
+                                 coherent_state, layout,
                                  log_negativity, log_purity, product_state,
                                  purity, reduce_state, symplectic_form,
                                  thermal_occupation, thermal_state,
@@ -97,8 +98,11 @@ def test_vacuum_is_pure_and_thermal_is_mixed():
 
 def test_log_purity_refuses_a_degenerate_covariance():
     flat = np.diag([0.5, 0.0])
-    with pytest.raises(PhaseSpaceError, match="degenerate covariance"):
+    with pytest.raises(PhaseSpaceError, match="degenerate covariance") as exc:
         log_purity(GaussianState._prechecked(layout("S"), np.zeros(2), flat))
+    # det(2 sigma) < 1 is the uncertainty relation failing: a trust refusal
+    assert isinstance(exc.value, TrustGateError)
+    assert exc.value.gate == "uncertainty relation"
     # a stack is refused if any member is degenerate
     stack = np.stack([vacuum_cov([1.0], [2.0]), flat])
     with pytest.raises(PhaseSpaceError, match="degenerate covariance"):
