@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import (BathParams, SystemPotential, TwoModeParams,
-                     build_caldeira_leggett)
+                     caldeira_leggett_matrix)
 from .phase_space import (FloatArray, GaussianState, PhaseSpaceLayout,
                           QuadraticHamiltonian, symplectic_form)
 
@@ -184,7 +184,7 @@ def many_mode_constants(pot: SystemPotential, bath: BathParams) -> ManyModeConst
     cum = np.cumsum(masses)
     mu_alpha = cum[:-1] * masses[1:] / cum[1:]
     # a diagonal test misses cross terms that make the chain unbounded below
-    xx = build_caldeira_leggett(pot, bath).h[:n + 1, :n + 1]
+    xx = caldeira_leggett_matrix(pot, bath)[:n + 1, :n + 1]
     xx_eigs = np.linalg.eigvalsh(xx)
     return ManyModeConstants(M, m_omega_cm_sq, mu_alpha, mu_nu_sq, sigma_alpha,
                              omega_alpha, omega_cross, xx_cross, pp_cross,

@@ -4,9 +4,9 @@ solved exactly in a truncated oscillator basis.
 With the Hamiltonian off (variant "none") the flow is diagonal in the
 eigenbasis of the truncated x and is evaluated in closed form, at a cost that
 does not depend on Lambda.  With a Hamiltonian ("free", "harmonic") the
-sparse Lindblad superoperator's exponential acts on vec rho, one Fock-parity
-sector at a time, with one expm_multiply call per norm-bounded chunk of the
-time grid.
+Lindblad generator is assembled as a sparse matrix on each Fock-parity sector
+of vec rho that the initial state occupies, and each grid interval is stepped
+with truncated Taylor sums.
 """
 from __future__ import annotations
 
@@ -24,12 +24,14 @@ if TYPE_CHECKING:
     from scipy.sparse import csr_array
 
 _TRACE_KEEP = 1e-8    # conservation demanded of every sampled state
-# Grid steps equal to within this many ulps of max|t| share one chunk, so the
-# rounding of t_max * i / (n - 1) does not split them.
-_SAME_STEP_ULPS = 4
-# Condition (3.13) of Al-Mohy & Higham for one vector, l = 2 and m_max = 55
-# holds up to a 1-norm of 352 * 9.9 / 55 = 63.36; this leaves rounding room.
-_STEP_NORM = 60.0
+# A Taylor sum of at most 55 terms reaches double precision on a step tau
+# with tau ||A||_1 <= theta_55 = 9.9 (Al-Mohy & Higham, table 3.1).
+_TAYLOR_TERMS = 55
+_THETA = 9.9
+_UNIT = 2.0 ** -53
+# ||F||_inf as read exceeds the summed bound by at most the rounding of 56
+# additions, about 56 ulps; this slack covers that many times over.
+_BOUND_SLACK = 1 + 1e-12
 
 
 class MasterEqError(ValueError):
@@ -106,91 +108,123 @@ class MasterEvolution:
         return 0
 
 
-def _superoperator(scn: MasterEqScenario) -> csr_array:
-    """The generator as a CSR matrix on row-major vec rho.
+def _sector_generator(scn: MasterEqScenario, sector: np.ndarray) -> csr_array:
+    """The generator L as a CSR matrix on the given entries of row-major
+    vec rho, which must be one Fock-parity sector.
 
-    With vec(A rho B) = (A kron B^T) vec rho, drho/dt = -(K rho + rho K^+)
-    + 2 Lambda x rho x becomes L = -(K kron I + I kron conj(K))
-    + 2 Lambda x kron x^T, with K = iH + Lambda x^2.
+    drho/dt = -(K rho + rho K^+) + 2 Lambda x rho x with K = iH + Lambda x^2,
+    whose bands sit at offsets 0 and +-2, and x's at +-1.  So entry (m, n)
+    reads (m + o, n) through -K[m, m + o], (m, n + o) through
+    -conj(K[n, n + o]) (o = +-2), (m + a, n + b) through
+    2 Lambda x[m, m + a] x[n, n + b] (a, b = +-1) and itself through
+    -(K[m, m] + conj(K[n, n])); each keeps the parity of m + n.
     """
     import scipy.sparse as sp
 
+    d = scn.dim
     x, H = scenario_operators(scn)
-    K = sp.csr_array(1j * H + scn.lam * (x @ x))
-    xs = sp.csr_array(x)
-    eye = sp.identity(scn.dim, dtype=complex, format="csr")
-    return (2 * scn.lam * sp.kron(xs, xs.T, format="csr")
-            - sp.kron(K, eye, format="csr")
-            - sp.kron(eye, K.conj(), format="csr"))
+    K = 1j * H + scn.lam * (x @ x)
+    m, n = np.divmod(sector, d)
+    pos = np.empty(d * d, dtype=np.intp)    # flat index -> sector position
+    pos[sector] = np.arange(sector.size)
+    own = np.arange(sector.size)
+    rows, cols, vals = [own], [own], [-(K[m, m] + K[n, n].conj())]
+    for dm, dn in ((-2, 0), (2, 0), (0, -2), (0, 2),
+                   (-1, -1), (-1, 1), (1, -1), (1, 1)):
+        ok = (m + dm >= 0) & (m + dm < d) & (n + dn >= 0) & (n + dn < d)
+        i, j = m[ok], n[ok]
+        if dn == 0:
+            vals.append(-K[i, i + dm])
+        elif dm == 0:
+            vals.append(-K[j, j + dn].conj())
+        else:
+            vals.append(2 * scn.lam * x[i, i + dm] * x[j, j + dn])
+        rows.append(own[ok])
+        cols.append(pos[(i + dm) * d + j + dn])
+    return sp.csr_array((np.concatenate(vals),
+                         (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(sector.size, sector.size))
 
 
-def _propagate(L: csr_array, v0: ComplexArray,
-               t_grid: FloatArray) -> ComplexArray:
-    """exp(t L) v0 at every grid time, one row per time.
+def _sector_flow(rho0: ComplexArray, scn: MasterEqScenario,
+                 t_grid: FloatArray) -> ComplexArray:
+    """Exact flow of a variant with a Hamiltonian at every grid time, shape
+    (T, d, d).
 
-    L acts on row-major vec rho of a d x d matrix.  H and K = iH + Lambda x^2
-    keep Fock parity and x kron x^T flips both indices, so L never couples an
-    entry (m, n) with m + n even to one with m + n odd.  Each parity sector
-    is propagated on its own sub-generator; a sector whose initial entries
-    are all zero stays exactly zero and is skipped.  A cat of two opposite
-    coherent states has no odd components, so it fills only the even sector.
+    H and K = iH + Lambda x^2 keep Fock parity and x rho x flips both
+    indices, so L never couples an entry (m, n) with m + n even to one with
+    m + n odd.  Each parity sector is stepped on its own generator; a sector
+    whose initial entries are all zero stays exactly zero and is skipped.  A
+    cat of two opposite coherent states has no odd components, so it fills
+    only the even sector.
     """
-    n = L.shape[0]
-    row, col = np.divmod(np.arange(n), math.isqrt(n))
-    odd = (row + col) % 2 == 1
-    out = np.zeros((len(t_grid), n), dtype=complex)
-    for sector in (np.flatnonzero(~odd), np.flatnonzero(odd)):
+    d = scn.dim
+    v0 = rho0.ravel()
+    m, n = np.divmod(np.arange(d * d), d)
+    out = np.zeros((len(t_grid), d * d), dtype=complex)
+    for parity in (0, 1):
+        sector = np.flatnonzero((m + n) % 2 == parity)
         if v0[sector].any():
-            out[:, sector] = _propagate_sector(L[sector][:, sector],
-                                               v0[sector], t_grid)
-    return out
+            out[:, sector] = _taylor_flow(_sector_generator(scn, sector),
+                                          v0[sector], t_grid)
+    return out.reshape(-1, d, d)
 
 
-def _propagate_sector(L: csr_array, v: ComplexArray,
-                      t_grid: FloatArray) -> ComplexArray:
-    """exp(t L) v at every grid time, one expm_multiply call per chunk.
+def _taylor_flow(L: csr_array, v: ComplexArray,
+                 t_grid: FloatArray) -> ComplexArray:
+    """exp(t L) v at every grid time, one row per time, stepped interval by
+    interval.
 
-    A chunk is a run of consecutive grid intervals of equal length (within
-    _SAME_STEP_ULPS), the first from t = 0, whose span s keeps
-    ||s(L - mu I)||_1 within _STEP_NORM; one interval call samples all of it
-    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33:488, 2011, algorithm 5.2).
-    A longer interval is cut into the fewest equal steps within the bound,
-    one call each.  Within the bound condition (3.13) holds for the chunk
-    and for each of its sub-intervals, so expm_multiply picks its Taylor
-    degree from the exact 1-norm; past it, it estimates ||L^p||_1 from
-    random vectors drawn from NumPy's global RNG, which costs about as much
-    as the solve, varies from one run to the next and moves the caller's
-    random stream.
+    This is algorithm 3.2 of Al-Mohy & Higham (SIAM J. Sci. Comput. 33:488,
+    2011), the Taylor scheme SciPy's sparse exponential runs for one time, on
+    A = L - mu I with mu = tr L / n: an interval h takes
+    s = ceil(h ||A||_1 / theta_55) equal sub-steps of a Taylor sum of at
+    most 55 terms, each scaled by exp(h mu / s).  The exact 1-norm is read
+    once, so no norm is ever estimated from random vectors.
     """
     import scipy.sparse as sp
-    from scipy.sparse.linalg import expm_multiply
 
     n = L.shape[0]
     mu = L.trace() / n
-    norm = float(abs(L - mu * sp.identity(n, format="csr")).sum(axis=0).max())
-    same = _SAME_STEP_ULPS * np.spacing(t_grid[-1])
+    A = L - mu * sp.identity(n, format="csr")
+    norm = float(abs(A).sum(axis=0).max())
     out = np.empty((len(t_grid), n), dtype=complex)
-    k, prev = 0, 0.0
-    while k < len(t_grid):
-        h = t_grid[k] - prev
-        if h == 0:
-            out[k] = v
-            k += 1
-            continue
-        j = k + 1
-        while (j < len(t_grid) and abs(t_grid[j] - t_grid[j - 1] - h) <= same
-               and (t_grid[j] - prev) * norm <= _STEP_NORM):
-            j += 1
-        # more than one step only for a lone interval past the bound
-        steps = max(1, math.ceil(h * norm / _STEP_NORM))
-        for _ in range(steps):
-            xs = expm_multiply(L, v, start=0.0,
-                               stop=(t_grid[j - 1] - prev) / steps,
-                               num=j - k + 1, endpoint=True)
-            v = xs[-1]
-        out[k:j] = xs[1:]
-        k, prev = j, t_grid[j - 1]
+    prev = 0.0
+    for k, t in enumerate(t_grid):
+        h = t - prev
+        if h:
+            s = max(1, math.ceil(h * norm / _THETA))
+            eta = np.exp(h * mu / s)
+            for _ in range(s):
+                v = eta * _taylor_sum(A, v, h / s)
+        out[k] = v
+        prev = t
     return out
+
+
+def _taylor_sum(A: csr_array, v: ComplexArray, tau: float) -> ComplexArray:
+    """sum_j (tau A)^j v / j! for j up to _TAYLOR_TERMS, cut by SciPy's test:
+    stop once two consecutive terms b_j together fall within u ||F||_inf of
+    the partial sum F.
+
+    ||F||_inf is read only when its upper bound ||v||_inf + sum ||b_j||_inf
+    (times _BOUND_SLACK, which covers the rounding of both sides) lets the
+    test pass, so the sum stops where the exact test alone would stop it.
+    """
+    F = v.copy()
+    b = v
+    c1 = bound = np.abs(v).max()
+    for j in range(1, _TAYLOR_TERMS + 1):
+        b = A @ b
+        b *= tau / j
+        c2 = np.abs(b).max()
+        F += b
+        bound += c2
+        if (c1 + c2 <= _UNIT * _BOUND_SLACK * bound
+                and c1 + c2 <= _UNIT * np.abs(F).max()):
+            break
+        c1 = c2
+    return F
 
 
 def _dephase(rho0: ComplexArray, scn: MasterEqScenario,
@@ -213,8 +247,8 @@ def evolve_master(rho0: ComplexArray, scn: MasterEqScenario,
                   t_grid: Sequence[float]) -> MasterEvolution:
     """Exact solve of the truncated equation, sampled at the grid times.
 
-    Variant "none" takes the closed form of `_dephase`; the others apply
-    the superoperator exponential with `_propagate`.  The truncated
+    Variant "none" takes the closed form of `_dephase`; the others step
+    each occupied parity sector with `_sector_flow`.  The truncated
     generator conserves the trace, so the trace-drift gate (1e-8, and every
     state finite) measures only solver error; truncation shows in
     `max_leakage` instead, which the caller judges.  Positivity needs no
@@ -231,12 +265,8 @@ def evolve_master(rho0: ComplexArray, scn: MasterEqScenario,
         raise MasterEqError("grid times must be a non-empty run of finite, "
                             "non-negative, ascending times")
     d = scn.dim
-    rho0 = np.asarray(rho0, complex)
-    if scn.variant == "none":
-        states = _dephase(rho0, scn, t_grid)
-    else:
-        states = _propagate(_superoperator(scn), rho0.ravel(),
-                            t_grid).reshape(-1, d, d)
+    solve = _dephase if scn.variant == "none" else _sector_flow
+    states = solve(np.asarray(rho0, complex), scn, t_grid)
     if not np.isfinite(states).all():
         raise MasterEqTrustError("master trace drift",
                                  "an evolved density matrix is not finite")

@@ -9,7 +9,7 @@ from typing import Literal
 
 import numpy as np
 
-from .phase_space import PhaseSpaceLayout, QuadraticHamiltonian
+from .phase_space import FloatArray, PhaseSpaceLayout, QuadraticHamiltonian
 
 
 class ModelError(ValueError):
@@ -103,15 +103,22 @@ def build_caldeira_leggett(pot: SystemPotential, bath: BathParams) -> QuadraticH
     H = p_S^2/2m_S + V(x_S) + sum_i [p_i^2/2m_i + m_i w_i^2 x_i^2/2
         + s kappa_i x_S x_i],  s = bath.coupling_sign.
     """
-    n = bath.n + 1
     lay = PhaseSpaceLayout(("S",) + tuple(f"E{i+1}" for i in range(bath.n)))
+    return QuadraticHamiltonian(lay, caldeira_leggett_matrix(pot, bath),
+                                tag="caldeira_leggett")
+
+
+def caldeira_leggett_matrix(pot: SystemPotential, bath: BathParams) -> FloatArray:
+    """The h matrix of `build_caldeira_leggett`, symmetric and unvalidated,
+    for callers that read only a block of it."""
+    n = bath.n + 1
     h = np.zeros((2 * n, 2 * n))
     h[0, 0] = pot.spring
     for i, (m, w, k) in enumerate(zip(bath.masses, bath.freqs, bath.couplings)):
         h[i + 1, i + 1] = m * w ** 2
         h[0, i + 1] = h[i + 1, 0] = bath.coupling_sign * k
     h[n:, n:] = np.diag(np.concatenate([[1.0 / pot.m_s], 1.0 / np.asarray(bath.masses)]))
-    return QuadraticHamiltonian(lay, h, tag="caldeira_leggett")
+    return h
 
 
 def discretize_ohmic_bath(n: int, omega_cutoff: float, eta: float) -> BathParams:

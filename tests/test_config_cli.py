@@ -363,8 +363,8 @@ def _drifting_master_solver(monkeypatch):
     """The exact solve conserves the trace; only a faulty solver trips the
     gate, so stand one in that scales every state by 1 + 1e-6."""
     import oscidec.master as master
-    exact = master._propagate
-    monkeypatch.setattr(master, "_propagate",
+    exact = master._sector_flow
+    monkeypatch.setattr(master, "_sector_flow",
                         lambda *args: exact(*args) * (1 + 1e-6))
 
 
@@ -438,8 +438,8 @@ def test_cli_master_eq(tmp_path, capsys):
 
 @pytest.mark.parametrize("values", [{}, {"master.t_max": 5.0, "master.t_steps": 2}])
 def test_cli_master_eq_ignores_global_rng(tmp_path, values):
-    # the solver keeps every expm_multiply step within the exact-norm bound,
-    # where no random norm estimate runs; the one long interval takes six
+    # the Taylor steps read only exact norms, so no random norm estimate
+    # runs; the one long interval takes 33 sub-steps
     cfg = _shipped(tmp_path, "dephasing_master.cfg", values)
     written = []
     for seed in (0, 12345):
@@ -495,11 +495,12 @@ def test_cli_gaussian_and_oracle_runs_never_load_scipy(tmp_path, command, name):
 
 
 @pytest.mark.parametrize("variant, loaded", [
-    ("none", []), ("harmonic", ["scipy.sparse", "scipy.sparse.linalg"])],
+    ("none", []), ("harmonic", ["scipy.sparse"])],
     ids=["none", "harmonic"])
 def test_cli_master_eq_none_leaves_out_sparse_solver(tmp_path, variant, loaded):
     # variant none is solved in closed form, so scipy.sparse never loads;
-    # the stepped solver of the other variants loads it
+    # the Taylor-stepped solver of the other variants loads scipy.sparse
+    # for its CSR generator, and never scipy.sparse.linalg
     cfg = _shipped(tmp_path, "dephasing_master.cfg", {"master.variant": variant})
     argv = ["master-eq", "--config", cfg, "--out", str(tmp_path / "o")]
     code = ("import sys; from oscidec.cli import main; "

@@ -900,11 +900,13 @@ def test_compare_makes_no_per_time_eigvalsh_call(monkeypatch):
                               CoherentAmplitude("CM", -c)),
                              temperature, np.linspace(0.0, 2.0, n_times))
             counts.append(len(calls))
-    # a 201-point pipeline costs what a 21-point one does: four momentum
-    # blocks, the confinement check, the bath's thermal state and the open
-    # mode's vacuum; both passes read the initial deficit those two
-    # validations kept
-    assert counts == [7] * 4
+    # a 201-point pipeline costs what a 21-point one does: three momentum
+    # blocks (the chain's Hamiltonian and its two transformed copies), the
+    # confinement check, the bath's thermal state and the open mode's vacuum;
+    # the confinement check reads the position block of the chain's h
+    # without validating a second Hamiltonian, and both passes read the
+    # initial deficit the two state validations kept
+    assert counts == [6] * 4
 
 
 @pytest.mark.parametrize("config", ["chain_compare", "two_mode_oracle"])
@@ -970,7 +972,7 @@ def test_norm_read_clears_times_the_certificate_leaves(monkeypatch):
                           CoherentAmplitude("CM", -0.25)),
                          100.0, np.linspace(0.0, 2.0, 201))
     assert len(gate) == 2 * 201
-    assert len(calls) == 7          # only the pipeline's fixed calls
+    assert len(calls) == 6          # only the pipeline's fixed calls
     # the hot pool scenario seed 0 #2, its base transformed to CM+R
     # coordinates, where eigvalsh reads a rounding deficit eps0 on it: the
     # certificate leaves all but t = 0, the norm read clears 167 of those

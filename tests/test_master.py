@@ -12,10 +12,13 @@ from oscidec import (MasterEqError, MasterEqScenario, TrustGateError,
                      coherence_profile, evolve_master, parse_config,
                      position_kernel)
 from oscidec.fock import coherent_vector
-from oscidec.master import (_STEP_NORM, MasterEvolution, _dephase, _propagate,
-                            _superoperator, scenario_operators)
+from oscidec.master import (MasterEvolution, _dephase, _sector_flow,
+                            _sector_generator, scenario_operators)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# Condition (3.13) of Al-Mohy & Higham for one vector, l = 2 and m_max = 55
+# holds up to a 1-norm of 352 * 9.9 / 55 = 63.36; this leaves rounding room.
+_STEP_NORM = 60.0
 
 
 def _cat_density(d: int, x0: float) -> np.ndarray:
@@ -67,6 +70,23 @@ def _loop_reference(rho, K, Kd, X, two_lam, dt, n_steps):
         k4 = rhs(r + dt * k3)
         r = r + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
     return r
+
+
+def _superoperator(scn):
+    """The whole generator as a CSR matrix on row-major vec rho, built with
+    Kronecker products.
+
+    With vec(A rho B) = (A kron B^T) vec rho, drho/dt = -(K rho + rho K^+)
+    + 2 Lambda x rho x becomes L = -(K kron I + I kron conj(K))
+    + 2 Lambda x kron x^T, with K = iH + Lambda x^2.
+    """
+    x, H = scenario_operators(scn)
+    K = sp.csr_array(1j * H + scn.lam * (x @ x))
+    xs = sp.csr_array(x)
+    eye = sp.identity(scn.dim, dtype=complex, format="csr")
+    return (2 * scn.lam * sp.kron(xs, xs.T, format="csr")
+            - sp.kron(K, eye, format="csr")
+            - sp.kron(eye, K.conj(), format="csr"))
 
 
 def _propagate_reference(L, v0, t_grid):
@@ -185,15 +205,38 @@ def test_pure_dephasing_matches_closed_form(grid):
 
 @pytest.mark.parametrize("lam", [0.1, 0.5])
 def test_closed_form_dephasing_matches_stepped_solver(lam):
-    # the "none" closed form against the stepped superoperator solve,
-    # at the benchmark's basis size and grid
+    # the "none" closed form against the Taylor-stepped sector solve and the
+    # per-interval expm_multiply reference on the Kronecker generator, at
+    # the benchmark's basis size and grid
     d = 64
     scn = MasterEqScenario("none", lam, d)
     rho0 = _cat_density(d, 1.5)
     grid = np.linspace(0.0, 0.5, 11)
     fast = _dephase(rho0, scn, grid)
-    slow = _propagate(_superoperator(scn), rho0.ravel(), grid).reshape(-1, d, d)
-    assert np.abs(fast - slow).max() < 1e-12
+    stepped = _sector_flow(rho0, scn, grid)
+    ref = _propagate_reference(_superoperator(scn), rho0.ravel(), grid)
+    assert np.abs(fast - stepped).max() < 1e-12
+    assert np.abs(fast - ref.reshape(-1, d, d)).max() < 1e-12
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@pytest.mark.parametrize("d", [2, 3, 20, 64])
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+@pytest.mark.parametrize("variant", ["none", "free", "harmonic"])
+def test_sector_assembly_matches_kronecker_generator(variant, lam, d, parity):
+    # the banded assembly against that parity sector of the Kronecker
+    # generator, entry by entry; the sector is closed under L
+    scn = MasterEqScenario(variant, lam, d, mass=1.3, omega=0.8,
+                           basis_freq=1.1)
+    m, n = np.divmod(np.arange(d * d), d)
+    sector = np.flatnonzero((m + n) % 2 == parity)
+    L = _superoperator(scn)
+    got = _sector_generator(scn, sector)
+    assert got.shape == (sector.size, sector.size)
+    gap = abs(got - L[sector][:, sector]).max()
+    assert gap <= 1e-15 * abs(L).max()
+    outside = np.flatnonzero((m + n) % 2 != parity)
+    assert not L[sector][:, outside].count_nonzero()
 
 
 def test_evolve_master_matches_naive_rk4_reference():
@@ -241,8 +284,9 @@ def test_grid_shapes_agree():
 
 
 def test_long_interval_is_stepped():
-    # 3 * ||L - mu I||_1 is about 91 at basis 20, so [3.0] takes two steps;
-    # the 31-point grid takes two chunks, of 19 and 11 intervals
+    # 3 * ||L - mu I||_1 is about 91 at basis 20, so the interval [0, 3]
+    # takes ten Taylor sub-steps of about 9.1, and each 0.1 interval of the
+    # 31-point grid one
     scn = MasterEqScenario("harmonic", 0.25, 20)
     rho0 = _cat_density(20, 1.0)
     fine = evolve_master(rho0, scn, np.linspace(0.0, 3.0, 31)).states[-1]
@@ -336,7 +380,7 @@ _REFERENCE_GRIDS = ([0.0, 0.1, 0.2, 0.3], [0.0, 0.1, 0.3], [0.1, 0.2, 0.3],
 @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5])
 @pytest.mark.parametrize("variant", ["none", "free", "harmonic"])
 def test_evolve_master_matches_per_interval_reference(variant, lam, d):
-    # the sector split and the chunked calls against the whole of vec rho
+    # the sector split and the Taylor steps against the whole of vec rho
     # stepped interval by interval, for a cat (even sector only) and a
     # random state (both sectors), on regular and irregular grids
     scn = MasterEqScenario(variant, lam, d)
@@ -359,16 +403,10 @@ def test_cat_fills_only_the_even_parity_sector():
     assert not res.states[:, (m + n) % 2 == 1].any()
 
 
-def test_solve_never_estimates_a_norm(monkeypatch):
-    # every expm_multiply call stays within condition (3.13), so the random
-    # 1-norm estimators never run and the global RNG is left alone
-    import scipy.sparse.linalg._expm_multiply as em
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("expm_multiply estimated a 1-norm")
-
-    monkeypatch.setattr(em, "onenormest", refuse)
-    monkeypatch.setattr(em, "_onenormest_matrix_power", refuse)
+def test_solve_never_estimates_a_norm():
+    # the Taylor steps read only the exact 1-norm of each sector's
+    # generator, so no random norm estimator runs and the global RNG is
+    # left alone, on a short grid and on one long interval
     np.random.seed(7)
     before = np.random.get_state()
     evolve_master(_cat_density(64, 1.5),
