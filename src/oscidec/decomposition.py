@@ -1,10 +1,13 @@
 """Linear canonical transformations between global structures.
 
 Restricted to position point-transformations x' = A x with induced symplectic
-action S = blockdiag(A, A^-T); includes the center-of-mass/relative (Jacobi)
-transform, Hamiltonian/state congruence transforms, normal-mode linearization
-of the environment block, and analytic formulas for the transformed constants
-used as independent cross-checks.
+action S = blockdiag(A, A^-T).  A is inverted once, when the transform is
+built; S^-1 = blockdiag(A^-1, A^T) is read from those blocks, never from a
+2n x 2n inverse.  Includes the center-of-mass/relative (Jacobi) transform,
+Hamiltonian/state congruence transforms, normal-mode linearization of the
+environment block, and analytic formulas for the transformed constants used
+as independent cross-checks: the chain's read the inverse Jacobi weights in
+closed form, independent of the transform's numerical inverse.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import numpy as np
 from .models import (BathParams, SystemPotential, TwoModeParams,
                      caldeira_leggett_matrix)
 from .phase_space import (FloatArray, GaussianState, PhaseSpaceLayout,
-                          QuadraticHamiltonian, symplectic_form)
+                          QuadraticHamiltonian)
 
 
 class TransformError(ValueError):
@@ -42,19 +45,20 @@ class LinearCoordinateTransform:
         cond = np.linalg.cond(A)
         if not np.isfinite(cond) or cond > 1e12:
             raise TransformError(f"A is singular or ill-conditioned (cond {cond:.3e})")
+        Ai = np.linalg.inv(A)
+        # S^T J S - J = [[0, R^T], [-R, 0]] with R = A^-1 A - I
+        if np.abs(Ai @ A - np.eye(n)).max() > 1e-10:
+            raise TransformError("induced action is not symplectic")
         S = np.zeros((2 * n, 2 * n))
         S[:n, :n] = A
-        S[n:, n:] = np.linalg.inv(A).T
-        J = symplectic_form(n)
-        if np.abs(S.T @ J @ S - J).max() > 1e-10:
-            raise TransformError("induced action is not symplectic")
+        S[n:, n:] = Ai.T
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "S", S)
 
 
-def cm_relative_transform(masses, labels: tuple[str, ...] | None = None,
-                          source: PhaseSpaceLayout | None = None) -> LinearCoordinateTransform:
-    """Center of mass plus Jacobi relative coordinates.
+def cm_relative_transform(masses, source: PhaseSpaceLayout | None = None
+                          ) -> LinearCoordinateTransform:
+    """Center of mass plus Jacobi relative coordinates, labelled CM, R1, ...
 
     Row 0: X_CM = sum m_k x_k / M.  Row a >= 1: rho_a = CM(x_0..x_{a-1}) - x_a,
     so the inverse's first column is all ones (every particle rides the CM
@@ -73,19 +77,40 @@ def cm_relative_transform(masses, labels: tuple[str, ...] | None = None,
         A[a, a] = -1.0
     if source is None:
         source = PhaseSpaceLayout(tuple(f"M{k}" for k in range(n)))
-    if labels is None:
-        labels = ("CM",) + tuple(f"R{a}" for a in range(1, n))
+    labels = ("CM",) + tuple(f"R{a}" for a in range(1, n))
     return LinearCoordinateTransform(source, PhaseSpaceLayout(labels), A)
+
+
+def _jacobi_inverse(masses: FloatArray) -> FloatArray:
+    """A^-1 of `cm_relative_transform` in closed form, no numerical inverse.
+
+    x_k = X_CM + sum_a w_{ak} rho_a: column 0 is all ones and, with M_a =
+    m_0 + ... + m_a, w_{ak} = m_a / M_a for a > k, -M_{a-1} / M_a for a = k
+    and 0 for a < k.
+    """
+    cum = np.cumsum(masses)
+    n = len(cum)
+    Ai = np.triu(np.broadcast_to(masses / cum, (n, n)), 1)
+    Ai[:, 0] = 1.0
+    Ai[np.arange(1, n), np.arange(1, n)] = -cum[:-1] / cum[1:]
+    return Ai
 
 
 def transform_hamiltonian(H: QuadraticHamiltonian,
                           T: LinearCoordinateTransform) -> QuadraticHamiltonian:
-    """Congruence h' = S^-T h S^-1 (the energy scalar is invariant)."""
+    """Congruence h' = S^-T h S^-1 (the energy scalar is invariant).
+
+    h has no position-momentum block and S^-1 = blockdiag(A^-1, A^T), so h'
+    is two n x n congruences: A^-T h_xx A^-1 and A h_pp A^T.
+    """
     if H.layout != T.source:
         raise TransformError("Hamiltonian layout does not match transform source")
-    Si = np.linalg.inv(T.S)
-    hp = Si.T @ H.h @ Si
-    return QuadraticHamiltonian(T.target, 0.5 * (hp + hp.T), tag=H.tag)
+    n = H.n_modes
+    A, Ai = T.A, T.S[n:, n:].T      # S's momentum block is A^-T
+    hp = np.zeros_like(H.h)
+    hp[:n, :n] = Ai.T @ H.h[:n, :n] @ Ai
+    hp[n:, n:] = A @ H.h[n:, n:] @ A.T
+    return QuadraticHamiltonian(T.target, hp, tag=H.tag)
 
 
 def transform_state(state: GaussianState,
@@ -150,9 +175,10 @@ def two_mode_constants(p: TwoModeParams) -> TwoModeConstants:
 def many_mode_constants(pot: SystemPotential, bath: BathParams) -> ManyModeConstants:
     """Closed-form transformed constants for the open-mode/bath chain.
 
-    Weights w_{alpha i} are read off the inverse Jacobi transform
-    (x_i = X_CM + sum_alpha w_{alpha i} rho_alpha); the coupling sign is
-    threaded through every kappa_i term.
+    Weights w_{alpha i} of the inverse Jacobi transform (x_i = X_CM +
+    sum_alpha w_{alpha i} rho_alpha) are taken in closed form by
+    `_jacobi_inverse`, independent of the transform's numerical inverse;
+    the coupling sign is threaded through every kappa_i term.
     """
     s = float(bath.coupling_sign)
     mi = np.asarray(bath.masses)
@@ -160,8 +186,7 @@ def many_mode_constants(pot: SystemPotential, bath: BathParams) -> ManyModeConst
     ki = np.asarray(bath.couplings)
     spring = pot.spring  # m_S omega_S^2, zero in the free case
     masses = np.concatenate([[pot.m_s], mi])
-    T = cm_relative_transform(masses)
-    Ainv = np.linalg.inv(T.A)
+    Ainv = _jacobi_inverse(masses)
     w_s = Ainv[0, 1:]        # w_{alpha S}
     w_env = Ainv[1:, 1:]     # w_{alpha i}, rows i, columns alpha
     n = bath.n

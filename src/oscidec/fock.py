@@ -470,8 +470,7 @@ def gaussian_crosscheck(p: TwoModeParams, x0: float, t_grid: Sequence[float],
         dev_cov.tolist(), dev_pur.tolist(), dev_ov.tolist(), strict=True))
 
     en_o, norm_o = cm_relative_log_negativity(amps[t_all.index(t_neg)], space)
-    T = cm_relative_transform([p.m_s, p.m_e], labels=("CM", "R1"),
-                              source=Hg.layout)
+    T = cm_relative_transform([p.m_s, p.m_e], source=Hg.layout)
     en_g = log_negativity(transform_state(st_neg, T), ["CM"], ["R1"])
     worst = [float(c[trusted].max(initial=0.0)) for c in (dev_mean, dev_cov, dev_ov)]
     return CrosscheckReport(rows, horizon, *worst, en_g, en_o, norm_o)

@@ -16,7 +16,7 @@ from .models import BathParams, SystemPotential, build_caldeira_leggett
 from .phase_space import (CoherentAmplitude, FloatArray, GaussianState,
                           PhaseSpaceLayout, QuadraticHamiltonian,
                           TrustGateError, coherent_state, layout,
-                          product_state, thermal_state)
+                          product_state, symplectic_form, thermal_state)
 
 # ln of the overlap floor: astronomically negative Gamma is clamped, flagged
 _GAMMA_FLOOR = float(np.log(1e-300))
@@ -169,10 +169,9 @@ def parallel_compare(pot: SystemPotential, bath: BathParams,
                          env)
 
     masses = np.concatenate([[pot.m_s], bath.masses])
-    cm_labels = ("CM",) + tuple(f"R{a}" for a in range(1, n))
-    T1 = cm_relative_transform(masses, labels=cm_labels, source=lay)
+    T1 = cm_relative_transform(masses, source=lay)
     H1 = transform_hamiltonian(H, T1)
-    T2, H2 = normal_mode_transform(H1, cm_labels[1:])
+    T2, H2 = normal_mode_transform(H1, T1.target.mode_labels[1:])
     S_tot = T2.S @ T1.S
     omega_cm = float(np.sqrt(consts.m_omega_cm_sq / consts.total_mass)) \
         if consts.m_omega_cm_sq > 0 else open_freq_ref
@@ -183,8 +182,10 @@ def parallel_compare(pot: SystemPotential, bath: BathParams,
     report_cm, M2 = _pipeline("CM+R", base, pair_cm, H2, t_grid,
                               (consts.total_mass, omega_cm), probes, S_tot)
 
-    # the propagators of the two passes must agree up to the frame change
-    S_inv = np.linalg.inv(S_tot)
+    # the propagators of the two passes must agree up to the frame change;
+    # S_tot is symplectic, so its inverse is -J S_tot^T J, a block transpose
+    J = symplectic_form(n)
+    S_inv = -J @ S_tot.T @ J
     residual = max((float(np.abs(M2[t] - S_tot @ M1[t] @ S_inv).max())
                     for t in probes), default=0.0)
 

@@ -245,8 +245,7 @@ def test_c08_entanglement_relativity():
     m_s, m_e, w_s, w_e = 1.0, 3.0, 1.0, 2.0
     lay = PhaseSpaceLayout(("S", "E"))
     st = GaussianState(lay, np.zeros(4), vacuum_cov([m_s, m_e], [w_s, w_e]))
-    T = cm_relative_transform(np.array([m_s, m_e]), labels=("CM", "R1"),
-                              source=lay)
+    T = cm_relative_transform(np.array([m_s, m_e]), source=lay)
     en_gauss = log_negativity(transform_state(st, T), ("CM",), ("R1",))
 
     space = FockSpace(("S", "E"), (24, 24), (m_s, m_e), (w_s, w_e))

@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from oscidec.decomposition import (LinearCoordinateTransform, TransformError,
-                                   cm_relative_transform, many_mode_constants,
-                                   normal_mode_transform,
+                                   _jacobi_inverse, cm_relative_transform,
+                                   many_mode_constants, normal_mode_transform,
                                    transform_hamiltonian, transform_state,
                                    two_mode_constants, verify_constants)
+from oscidec.dynamics import symplectic_residual
 from oscidec.models import (BathParams, SystemPotential, TwoModeParams,
-                            build_caldeira_leggett, build_two_mode)
-from oscidec.phase_space import (GaussianState, PhaseSpaceLayout, layout,
-                                 purity, thermal_state, vacuum_cov)
+                            build_caldeira_leggett, build_two_mode,
+                            discretize_ohmic_bath)
+from oscidec.phase_space import (GaussianState, PhaseSpaceLayout,
+                                 QuadraticHamiltonian, layout, purity,
+                                 thermal_state, vacuum_cov)
 
 
 def test_cm_transform_equal_masses():
@@ -44,12 +47,76 @@ def test_transform_rejects_singular_matrix():
         LinearCoordinateTransform(lay, lay, np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
+@pytest.mark.parametrize("n", range(4, 10))
+def test_transform_refuses_hilbert_matrices_from_n6(n):
+    # cond(A) stays under the 1e12 refusal to n = 9, so the inverse residual
+    # A^-1 A - I decides: it is the off-diagonal block of S^T J S - J, and the
+    # dense check on S agrees with it on both sides of the 1e-10 tolerance
+    k = np.arange(n)
+    A = 1.0 / (k[:, None] + k[None, :] + 1)
+    lay = PhaseSpaceLayout(tuple(f"M{j}" for j in range(n)))
+    zero = np.zeros((n, n))
+    S = np.block([[A, zero], [zero, np.linalg.inv(A).T]])
+    if n <= 5:
+        assert LinearCoordinateTransform(lay, lay, A).A.shape == (n, n)
+        assert symplectic_residual(S) <= 1e-10
+    else:
+        with pytest.raises(TransformError,
+                           match="induced action is not symplectic"):
+            LinearCoordinateTransform(lay, lay, A)
+        assert symplectic_residual(S) > 1e-10
+
+
 def test_transform_builds_its_symplectic_action_once():
     T = cm_relative_transform(np.array([1.0, 3.0]))
     assert T.S is T.S
     zero = np.zeros((2, 2))
     assert np.array_equal(T.S, np.block([[T.A, zero],
                                          [zero, np.linalg.inv(T.A).T]]))
+
+
+def _dense_congruence(H, T):
+    """The congruence S^-T h S^-1 through the dense inverse of S."""
+    Si = np.linalg.inv(T.S)
+    return Si.T @ H.h @ Si
+
+
+def _assert_matches_dense_congruence(H, T, Hp):
+    want = _dense_congruence(H, T)
+    assert np.abs(Hp.h - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_transform_hamiltonian_matches_dense_congruence_on_the_shipped_chain():
+    # configs/chain_compare.cfg: the CM/relative transform T1, then the
+    # environment normal modes T2 of the transformed chain
+    b = discretize_ohmic_bath(32, 5.0, 0.1)
+    bath = BathParams(b.masses, b.freqs, b.couplings, -1)
+    H = build_caldeira_leggett(SystemPotential("harmonic", 1.0, 1.0), bath)
+    T1 = cm_relative_transform(np.concatenate([[1.0], bath.masses]),
+                               source=H.layout)
+    H1 = transform_hamiltonian(H, T1)
+    _assert_matches_dense_congruence(H, T1, H1)
+    T2, H2 = normal_mode_transform(H1, T1.target.mode_labels[1:])
+    _assert_matches_dense_congruence(H1, T2, H2)
+
+
+def test_transform_hamiltonian_matches_dense_congruence_on_random_transforms():
+    rng = np.random.default_rng(11)
+    lay = layout("S", "E")
+    for _ in range(20):
+        V, K = (X @ X.T + 0.1 * np.eye(2) for X in rng.normal(size=(2, 2, 2)))
+        H = QuadraticHamiltonian(lay, np.block([[V, np.zeros((2, 2))],
+                                                [np.zeros((2, 2)), K]]))
+        T = LinearCoordinateTransform(lay, lay, rng.normal(size=(2, 2)))
+        _assert_matches_dense_congruence(H, T, transform_hamiltonian(H, T))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 33])
+def test_closed_form_jacobi_inverse_matches_numerical_inverse(n):
+    masses = np.random.default_rng(n).uniform(0.2, 5.0, n)
+    np.testing.assert_allclose(
+        _jacobi_inverse(masses),
+        np.linalg.inv(cm_relative_transform(masses).A), rtol=0, atol=1e-14)
 
 
 def test_transform_hamiltonian_preserves_energy_scalar():

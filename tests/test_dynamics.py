@@ -11,7 +11,8 @@ import oscidec.metrics
 from oscidec.cli import main
 from oscidec import (BathParams, BranchTrajectory, CoherentAmplitude,
                      DynamicsError, DynamicsTrustError, GaussianState,
-                     PhaseSpaceError, PhaseSpaceLayout, QuadraticHamiltonian,
+                     LinearCoordinateTransform, PhaseSpaceError,
+                     PhaseSpaceLayout, QuadraticHamiltonian,
                      SystemPotential, TrustGateError, build_caldeira_leggett, build_two_mode,
                      TwoModeParams, cm_relative_transform, coherent_state,
                      decoherence_function, discretize_ohmic_bath, energy,
@@ -353,10 +354,10 @@ def _chain_frames(n_bath, temperature, cutoff=5.0, eta=0.1, coupling_sign=-1,
                         bath.masses, bath.freqs, temperature)
     base = product_state(H.layout, "S",
                          coherent_state(layout("S"), [1.0], [1.0]), env)
-    labels = ("CM",) + tuple(f"R{a}" for a in range(1, n_bath + 1))
     T1 = cm_relative_transform(np.concatenate([[1.0], bath.masses]),
-                               labels=labels, source=H.layout)
-    T2, H2 = normal_mode_transform(transform_hamiltonian(H, T1), labels[1:])
+                               source=H.layout)
+    T2, H2 = normal_mode_transform(transform_hamiltonian(H, T1),
+                                   T1.target.mode_labels[1:])
     a, c = amplitudes
     return [(base, H, CoherentAmplitude("S", a), CoherentAmplitude("S", -a),
              None),
@@ -784,8 +785,7 @@ def test_certificate_clears_no_time_the_full_check_refuses(temperature, frame):
     state = thermal_state(H.layout, [1.0, 1.0], [1.0, 1.0], temperature)
     S = None
     if frame:
-        T = cm_relative_transform([1.0, 1.0], labels=("CM", "R1"),
-                                  source=H.layout)
+        T = cm_relative_transform([1.0, 1.0], source=H.layout)
         H, S = transform_hamiltonian(H, T), T.S
     grid = np.linspace(0.0, 45.0, 901)
     clears, refused = _certificate_scan(state, H, grid, S)
@@ -822,8 +822,7 @@ def test_certificate_bounds_each_defect(term):
     # weights that are not a symplectic map, a frame that is not symplectic.
     # The certificate must stay below the eigenvalue at every time.
     dyn = oscidec.dynamics
-    T = cm_relative_transform([1.0, 1.0], labels=("CM", "R1"),
-                              source=layout("S", "E"))
+    T = cm_relative_transform([1.0, 1.0], source=layout("S", "E"))
     H = transform_hamiltonian(build_two_mode(TwoModeParams(1.0, 1.0, 1.0,
                                                            0.25)), T)
     B, Bi, lam = dyn._normal_mode_factors(H)
@@ -909,6 +908,34 @@ def test_compare_makes_no_per_time_eigvalsh_call(monkeypatch):
     assert counts == [6] * 4
 
 
+def test_compare_inverts_no_point_transform_action(monkeypatch, tmp_path):
+    # one `compare` on the shipped chain: each of its two point transforms
+    # reads cond(A) and inverts its 33 x 33 A once, and each branch pass its
+    # 66 x 66 whitening; the congruences, the closed-form constants and the
+    # frame residual read S^-1 from the blocks without inverting S
+    inverted, conds, actions = [], [], []
+    inv, cond = np.linalg.inv, np.linalg.cond
+    monkeypatch.setattr(np.linalg, "inv",
+                        lambda a: inverted.append(np.array(a)) or inv(a))
+    monkeypatch.setattr(np.linalg, "cond",
+                        lambda a, *args: conds.append(np.shape(a))
+                        or cond(a, *args))
+    post_init = LinearCoordinateTransform.__post_init__
+
+    def record(T):
+        post_init(T)
+        actions.append(T.S)
+
+    monkeypatch.setattr(LinearCoordinateTransform, "__post_init__", record)
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "chain_compare.cfg"
+    assert main(["compare", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert [a.shape for a in inverted] == [(33, 33)] * 2 + [(66, 66)] * 2
+    assert conds == [(33, 33)] * 2
+    assert len(actions) == 2
+    assert not any(np.array_equal(a, S) for a in inverted for S in actions)
+
+
 @pytest.mark.parametrize("config", ["chain_compare", "two_mode_oracle"])
 def test_evolve_runs_no_per_time_gate_on_shipped_configs(monkeypatch,
                                                          tmp_path, config):
@@ -973,18 +1000,21 @@ def test_norm_read_clears_times_the_certificate_leaves(monkeypatch):
                          100.0, np.linspace(0.0, 2.0, 201))
     assert len(gate) == 2 * 201
     assert len(calls) == 6          # only the pipeline's fixed calls
-    # the hot pool scenario seed 0 #2, its base transformed to CM+R
-    # coordinates, where eigvalsh reads a rounding deficit eps0 on it: the
-    # certificate leaves all but t = 0, the norm read clears 167 of those
-    # 200 and eigvalsh decides 33
-    state, H, _, _ = _chain_states(32, 12.3488, eta=0.0441,
-                                   coupling_sign=1)[1]
-    assert state._deficit > 0
+    # the shipped chain's S+E base with a deficit put in on purpose: sigma0
+    # - eps I, whose open-mode vacuum gives lambda_min(sigma0 + iJ/2) = -eps.
+    # eps0 weighs ||N||^2 in both bounds, and the certificate's is the looser:
+    # it clears the first times only, the norm read clears some of the rest
+    # (91 of 196 when measured) and eigvalsh decides the others
+    state, H, _, _ = _chain_states(32, 10.0)[0]
+    eps = 5e-13
+    state = GaussianState(state.layout, state.mean,
+                          state.cov - eps * np.eye(len(state.cov)))
+    assert state._deficit == pytest.approx(eps, rel=0.05)
     gate = _count_gate(monkeypatch)
     calls = _count_eigvalsh(monkeypatch)
     grid = np.linspace(0.0, 2.0, 201)
     assert len(list(evolve_grid(state, H, grid))) == len(grid)
-    assert (len(gate), len(calls)) == (200, 33) and 0.0 not in gate
+    assert 0 < len(calls) < len(gate) < len(grid) and 0.0 not in gate
 
 
 @pytest.mark.parametrize("n_times", [201, 2001])

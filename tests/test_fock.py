@@ -584,8 +584,7 @@ def _crosscheck_reference(p, x0, t_grid, dims, negativity_time):
             horizon = float(t)
     t_neg = negativity_time if negativity_time is not None else horizon
     (st,) = evolve_grid(state0, Hg, [t_neg])
-    T = cm_relative_transform([p.m_s, p.m_e], labels=("CM", "R1"),
-                              source=Hg.layout)
+    T = cm_relative_transform([p.m_s, p.m_e], source=Hg.layout)
     en_g = log_negativity(transform_state(st, T), ["CM"], ["R1"])
     return rows, horizon, (en_g, *cm_relative_log_negativity(
         evolve(psi_a0, t_neg), space))
@@ -629,7 +628,7 @@ def test_cm_relative_negativity_matches_gaussian():
     en_o, norm = cm_relative_log_negativity(psi, space, d_out=14)
     lay = layout("S", "E")
     vac = GaussianState(lay, np.zeros(4), vacuum_cov(masses, freqs))
-    T = cm_relative_transform(masses, labels=("CM", "R1"), source=lay)
+    T = cm_relative_transform(masses, source=lay)
     en_g = log_negativity(transform_state(vac, T), ["CM"], ["R1"])
     assert norm == pytest.approx(1.0, abs=1e-6)
     assert en_o == pytest.approx(en_g, abs=1e-6)
