@@ -198,7 +198,7 @@ def many_mode_constants(pot: SystemPotential, bath: BathParams) -> ManyModeConst
                     + spring * w_s ** 2 / 2)
     sigma_alpha = (mi * wi ** 2) @ w_env + s * (ki.sum() * w_s + ki @ w_env) \
         + spring * w_s
-    omega_cross = 0.5 * w_env.T @ np.diag(mi * wi ** 2) @ w_env
+    omega_cross = (0.5 * w_env.T * (mi * wi ** 2)) @ w_env
     np.fill_diagonal(omega_cross, 0.0)
     xx_cross = (2 * omega_cross
                 + s * (np.outer(w_s, omega_alpha) + np.outer(omega_alpha, w_s))
@@ -248,8 +248,8 @@ def _normal_modes(V: FloatArray, T: FloatArray) -> tuple[FloatArray, ...]:
     eT, UT = np.linalg.eigh(T)
     if eT.min() <= 0:
         raise TransformError("kinetic block must be positive definite")
-    Th = UT @ np.diag(np.sqrt(eT)) @ UT.T        # T^{1/2}
-    Thi = UT @ np.diag(1 / np.sqrt(eT)) @ UT.T   # T^{-1/2}
+    Th = (UT * np.sqrt(eT)) @ UT.T          # T^{1/2}
+    Thi = (UT * (1 / np.sqrt(eT))) @ UT.T   # T^{-1/2}
     lam, U = np.linalg.eigh(Th @ V @ Th)
     return lam, U, Th, Thi
 

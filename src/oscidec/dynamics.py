@@ -173,6 +173,13 @@ class _Certificate:
     `_uncertainty_floor`, and tr sigma(t) = tr(R K R^T G), K = Q' sigma0
     Q'^T, G = P^T P, is a quadratic form v^T Z v in the modal vector
     v = (c, s, lam s): R's entries are those weights.
+
+    `build` reads n x n blocks.  D = I - B B^-1 gives P J P^T - J = [[0, -D],
+    [D^T, 0]] and I - P Q = blockdiag(D, D^T); with S_x, S_p the frame's
+    first and last n rows, Q' = [B^-1 S_x; B^T S_p] and E = [D S_x; D^T S_p]
+    (no frame: ||E||_F = ||PJP^T - J||_F).  G = blockdiag(B^T B, B^-1 B^-T)
+    =: blockdiag(G_x, G_p), so with * entrywise, Z = [[K_xx*G_x + K_pp*G_p,
+    K_xp*G_x, -K_px*G_p], [K_px*G_x, K_pp*G_x, 0], [-K_xp*G_p, 0, K_xx*G_p]].
     """
 
     lam: FloatArray
@@ -190,27 +197,23 @@ class _Certificate:
         B, Bi, lam = modes
         n = len(lam)
         zero = np.zeros((n, n))
-        P = np.block([[B, zero], [zero, Bi.T]])
-        Q = np.block([[Bi, zero], [zero, B.T]])
-        E = np.eye(2 * n) - P @ Q
-        if frame is not None:
-            Q, E = Q @ frame, E @ frame
-        J = symplectic_form(n)
+        D = np.eye(n) - B @ Bi
+        defect_p = float(np.sqrt(2) * np.linalg.norm(D))
+        if frame is None:
+            Q, err = np.block([[Bi, zero], [zero, B.T]]), defect_p
+        else:
+            S_x, S_p = frame[:n], frame[n:]
+            Q = np.concatenate([Bi @ S_x, B.T @ S_p])
+            err = float(np.linalg.norm(np.concatenate([D @ S_x, D.T @ S_p])))
         K = Q @ cov0 @ Q.T
-        G = P.T @ P
-        x, p = slice(0, n), slice(n, 2 * n)
-        # R's entries: (weight index in v, row block, column block, sign)
-        entries = ((0, x, x, 1.0), (0, p, p, 1.0), (1, x, p, 1.0),
-                   (2, p, x, -1.0))
-        Z = np.zeros((3, n, 3, n))
-        for a, ra, ca, sa in entries:
-            for b, rb, cb, sb in entries:
-                Z[a, :, b, :] += sa * sb * K[ca, cb] * G[ra, rb]
-        return cls(lam, eps0,
-                   max(np.linalg.norm(B, 2), np.linalg.norm(Bi, 2)),
-                   float(np.linalg.norm(Q)),
-                   _symplectic_defect(P, J), _symplectic_defect(Q, J),
-                   float(np.linalg.norm(E)), Z.reshape(3 * n, 3 * n))
+        Kxx, Kxp, Kpx, Kpp = K[:n, :n], K[:n, n:], K[n:, :n], K[n:, n:]
+        Gx, Gp = B.T @ B, Bi @ Bi.T
+        Z = np.block([[Kxx * Gx + Kpp * Gp, Kxp * Gx, -Kpx * Gp],
+                      [Kpx * Gx, Kpp * Gx, zero],
+                      [-Kxp * Gp, zero, Kxx * Gp]])
+        return cls(lam, eps0, max(np.linalg.norm(B, 2), np.linalg.norm(Bi, 2)),
+                   float(np.linalg.norm(Q)), defect_p,
+                   _symplectic_defect(Q, symplectic_form(n)), err, Z)
 
     def floor(self, cm1: FloatArray, s: FloatArray) -> FloatArray:
         """The bound at each time of (c - 1, s) from `_modal_weights`; -inf
@@ -310,7 +313,7 @@ class BranchTrajectory:
     gram: FloatArray               # (T, 3, 3): W, ordered (d_hat, e_x, e_p)
     alpha: CoherentAmplitude
     beta: CoherentAmplitude
-    # M(t) at the requested probe times, from the same pass
+    # M(t) at the requested probe times, on the grid or not
     propagators: dict[float, FloatArray]
 
 
@@ -334,7 +337,7 @@ def evolve_branches_from(base: GaussianState, alpha: CoherentAmplitude,
     the whitening by (S L)^-1, L L^T = sigma0, is one constant matrix.
     `_certified_chunks` certifies each time; one it does not clear has its
     full N(t) and sigma(t) formed and checked by `_check_uncertainty`.  The
-    propagators M(t) at `probe_times`, which must be grid times, are kept.
+    propagators M(t) at `probe_times`, any finite times, are kept.
     """
     if alpha.mode != beta.mode:
         raise DynamicsError("branch amplitudes must target the same mode")
@@ -349,10 +352,7 @@ def evolve_branches_from(base: GaussianState, alpha: CoherentAmplitude,
                                 "the propagator's")
     n = lay.n_modes
     ts = _finite_times(t_grid)
-    probes = sorted({float(p) for p in probe_times})
-    missing = set(probes).difference(ts.tolist())
-    if missing:
-        raise DynamicsError(f"probe times {sorted(missing)} are not grid times")
+    probes = sorted(set(_finite_times(probe_times).tolist()))
     k = lay.index(alpha.mode)
     delta = np.zeros(lay.dim)
     delta[k] = alpha.x0 - beta.x0

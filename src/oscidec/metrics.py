@@ -16,7 +16,7 @@ from .models import BathParams, SystemPotential, build_caldeira_leggett
 from .phase_space import (CoherentAmplitude, FloatArray, GaussianState,
                           PhaseSpaceLayout, QuadraticHamiltonian,
                           TrustGateError, coherent_state, layout,
-                          product_state, symplectic_form, thermal_state)
+                          product_state, thermal_state)
 
 # ln of the overlap floor: astronomically negative Gamma is clamped, flagged
 _GAMMA_FLOOR = float(np.log(1e-300))
@@ -184,8 +184,8 @@ def parallel_compare(pot: SystemPotential, bath: BathParams,
 
     # the propagators of the two passes must agree up to the frame change;
     # S_tot is symplectic, so its inverse is -J S_tot^T J, a block transpose
-    J = symplectic_form(n)
-    S_inv = -J @ S_tot.T @ J
+    S_inv = np.block([[S_tot[n:, n:].T, -S_tot[:n, n:].T],
+                      [-S_tot[n:, :n].T, S_tot[:n, :n].T]])
     residual = max((float(np.abs(M2[t] - S_tot @ M1[t] @ S_inv).max())
                     for t in probes), default=0.0)
 

@@ -488,8 +488,16 @@ def test_branch_probes_are_the_pass_propagators():
         schur = W[0, 0] - W[0, 1:] @ np.linalg.solve(W[1:, 1:], W[1:, 0])
         assert schur == pytest.approx(
             d @ np.linalg.solve(cov[np.ix_(idx, idx)], d), rel=1e-12)
-    with pytest.raises(DynamicsError, match="not grid times"):
-        evolve_branches_from(base, alpha, beta, H, grid, [0.05], frame=S)
+    # a probe off the grid is kept as the closed form gives it; only a
+    # non-finite probe is refused
+    off_grid = evolve_branches_from(base, alpha, beta, H, grid, [0.05],
+                                    frame=S).propagators
+    dyn = oscidec.dynamics
+    assert np.array_equal(off_grid[0.05],
+                          dyn._propagators(dyn._normal_mode_factors(H),
+                                           [0.05])[0])
+    with pytest.raises(DynamicsError, match="finite"):
+        evolve_branches_from(base, alpha, beta, H, grid, [np.inf], frame=S)
     with pytest.raises(DynamicsError, match="frame must map"):
         evolve_branches_from(base, alpha, beta, H, grid, frame=S[:, 1:])
     with pytest.raises(DynamicsError, match="layout"):
@@ -815,6 +823,39 @@ def _min_eig_of_factors(modes, cm1, s, cov0, frame):
     return np.array(out)
 
 
+def _dense_certificate(modes, cov0, frame, eps0):
+    """The certificate from dense 2n x 2n products: P, Q, E = (I - P Q) S,
+    K = Q' sigma0 Q'^T and G = P^T P, with Z summed over every pair of R's
+    entries.  The reference for `_Certificate.build`, which reads the same
+    quantities from their n x n blocks."""
+    B, Bi, lam = modes
+    n = len(lam)
+    zero = np.zeros((n, n))
+    P = np.block([[B, zero], [zero, Bi.T]])
+    Q = np.block([[Bi, zero], [zero, B.T]])
+    E = np.eye(2 * n) - P @ Q
+    if frame is not None:
+        Q, E = Q @ frame, E @ frame
+    J = symplectic_form(n)
+    K = Q @ cov0 @ Q.T
+    G = P.T @ P
+    x, p = slice(0, n), slice(n, 2 * n)
+    # R's entries: (weight index in v, row block, column block, sign)
+    entries = ((0, x, x, 1.0), (0, p, p, 1.0), (1, x, p, 1.0),
+               (2, p, x, -1.0))
+    Z = np.zeros((3, n, 3, n))
+    for a, ra, ca, sa in entries:
+        for b, rb, cb, sb in entries:
+            Z[a, :, b, :] += sa * sb * K[ca, cb] * G[ra, rb]
+    dyn = oscidec.dynamics
+    return dyn._Certificate(lam, eps0,
+                            max(np.linalg.norm(B, 2), np.linalg.norm(Bi, 2)),
+                            float(np.linalg.norm(Q)),
+                            dyn._symplectic_defect(P, J),
+                            dyn._symplectic_defect(Q, J),
+                            float(np.linalg.norm(E)), Z.reshape(3 * n, 3 * n))
+
+
 @pytest.mark.parametrize("term", ["eps0", "P", "R", "frame"])
 def test_certificate_bounds_each_defect(term):
     # one defect at a time, each large enough that sigma + iJ/2 fails the
@@ -848,6 +889,86 @@ def test_certificate_bounds_each_defect(term):
     nonzero = ts > 0 if term == "R" else ts >= 0   # M(0) = I
     assert np.all(min_eig[nonzero] < -1e-10)
     assert np.all(floor <= min_eig)
+
+
+@pytest.mark.parametrize("frame", [0, 1], ids=["S+E", "CM+R"])
+@pytest.mark.parametrize("case", [
+    ("chain", 32, 10.0, 60.0, 400),      # configs/chain_compare.cfg to t = 60
+    ("chain", 32, 100.0, 2.0, 201),      # ... at T = 100
+    ("chain", 64, 10.0, 2.0, 201),       # ... at bath.n = 64
+    ("chain", 128, 10.0, 2.0, 201),      # ... at bath.n = 128
+    ("two-mode", None, 0.0, 45.0, 901),  # the two-mode scans from vacuum
+    ("two-mode", None, 1.0, 45.0, 901),  # ... and from T = 1
+], ids=["chain-t60", "chain-T100", "chain-n64", "chain-n128",
+        "two-mode-vacuum", "two-mode-thermal"])
+def test_block_certificate_matches_the_dense_build(case, frame):
+    # the block build against the dense one, field by field, and the times
+    # each clears: the same, at every time of the scan
+    model, n_bath, temperature, t_max, n_times = case
+    if model == "chain":
+        base, H, _, _, S = _chain_frames(n_bath, temperature)[frame]
+    else:
+        H = build_two_mode(TwoModeParams(1.0, 1.0, 1.0, 0.25))
+        base = thermal_state(H.layout, [1.0, 1.0], [1.0, 1.0], temperature)
+        S = None
+        if frame:
+            T = cm_relative_transform([1.0, 1.0], source=H.layout)
+            H, S = transform_hamiltonian(H, T), T.S
+    dyn = oscidec.dynamics
+    modes = dyn._normal_mode_factors(H)
+    got = dyn._Certificate.build(modes, base.cov, S, base._deficit)
+    want = _dense_certificate(modes, base.cov, S, base._deficit)
+    assert got.norm_p == pytest.approx(want.norm_p, rel=1e-12, abs=0)
+    assert got.norm_q == pytest.approx(want.norm_q, rel=1e-12, abs=0)
+    # Q'JQ'^T - J has entries of scale ||Q'||^2
+    assert abs(got.defect_q - want.defect_q) <= 1e-12 * want.norm_q ** 2
+    scale = np.abs(want.trace_form).max()
+    assert np.abs(got.trace_form - want.trace_form).max() <= 1e-12 * scale
+    # both are rounding residuals of B B^-1 - I, summed by another route
+    assert abs(got.defect_p - want.defect_p) <= 1e-15
+    assert abs(got.err - want.err) <= 1e-15
+    weights = dyn._modal_weights(modes[2], np.linspace(0.0, t_max, n_times))
+    assert np.array_equal(got.floor(*weights) >= -1e-10,
+                          want.floor(*weights) >= -1e-10)
+
+
+@pytest.mark.parametrize("skew", [0.0, 1e-6], ids=["symplectic", "skewed"])
+@pytest.mark.parametrize("temperature", [0.0, 1.0], ids=["vacuum", "thermal"])
+def test_certificate_through_a_frame_that_mixes_x_and_p(temperature, skew):
+    # a shear [[I, X], [0, I]] after the two-mode CM+R frame: the frame's
+    # position rows read momenta, so the block build takes Q' and E from the
+    # frame's row blocks, not from its diagonal ones.  With X symmetric the
+    # shear is symplectic; skewed by 1e-6, S J S^T - J = [[X^T - X, 0],
+    # [0, 0]] is a defect that only the off-diagonal block carries
+    dyn = oscidec.dynamics
+    lay = layout("S", "E")
+    T = cm_relative_transform([1.0, 1.0], source=lay)
+    H = transform_hamiltonian(build_two_mode(TwoModeParams(1.0, 1.0, 1.0,
+                                                           0.25)), T)
+    X = np.array([[0.3, -0.2 + skew], [-0.2, 0.5]])
+    shear = np.block([[np.eye(2), X], [np.zeros((2, 2)), np.eye(2)]])
+    frame = shear @ T.S
+    state = thermal_state(lay, [1.0, 1.0], [1.0, 1.0], temperature)
+    modes = dyn._normal_mode_factors(H)
+    ts = np.linspace(0.0, 45.0, 901)
+    cm1, s = dyn._modal_weights(modes[2], ts)
+    cert = dyn._Certificate.build(modes, state.cov, frame, state._deficit)
+    floor = cert.floor(cm1, s)
+    want = _dense_certificate(modes, state.cov, frame,
+                              state._deficit).floor(cm1, s)
+    min_eig = _min_eig_of_factors(modes, cm1, s, state.cov, frame)
+    # Z reads tr sigma(t) of the closed-form N(t) = M(t) S
+    v = np.concatenate([1.0 + cm1, s, modes[2] * s], axis=1)
+    N = dyn._propagators(modes, ts) @ frame
+    np.testing.assert_allclose(((v @ cert.trace_form) * v).sum(axis=1),
+                               np.einsum("tij,jk,tik->t", N, state.cov, N),
+                               rtol=1e-12, atol=0)
+    assert np.all(floor <= min_eig)
+    # the eigenvalue refuses some times; the symplectic shear's bound
+    # clears others
+    assert (min_eig < -1e-10).any()
+    assert (floor >= -1e-10).any() == (skew == 0.0)
+    np.testing.assert_allclose(floor, want, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("frame", [0, 1], ids=["S+E", "CM+R"])
