@@ -22,12 +22,12 @@ from .decomposition import (LinearCoordinateTransform, ManyModeConstants,
                             transform_state, two_mode_constants,
                             verify_constants)
 from .dynamics import (BranchTrajectory, DynamicsError, DynamicsTrustError,
-                       energy, evolve_branches, evolve_branches_from,
-                       evolve_grid, symplectic_residual)
+                       energy, evolve_branches_from, evolve_grid,
+                       symplectic_residual)
 from .metrics import (DecoherenceReport, MetricsError, ParallelComparison,
                       PositivityGateError, amplitude_distance_sq, build_report,
                       decoherence_function, decoherence_time, fit_lambda,
-                      model_fingerprint, parallel_compare)
+                      model_fingerprint, open_mode_base, parallel_compare)
 from .fock import (CrosscheckReport, CrosscheckRow, FockSpace, OracleError,
                    cm_relative_log_negativity, gaussian_crosscheck, leakage,
                    pt_log_negativity_pure)
@@ -59,12 +59,13 @@ __all__ = [
     # dynamics
     "DynamicsError", "DynamicsTrustError",
     "symplectic_residual", "evolve_grid", "energy",
-    "BranchTrajectory", "evolve_branches", "evolve_branches_from",
+    "BranchTrajectory", "evolve_branches_from",
     # metrics
     "MetricsError", "PositivityGateError", "DecoherenceReport",
     "ParallelComparison",
     "model_fingerprint", "decoherence_function", "amplitude_distance_sq",
-    "fit_lambda", "decoherence_time", "build_report", "parallel_compare",
+    "fit_lambda", "decoherence_time", "build_report", "open_mode_base",
+    "parallel_compare",
     # oracle
     "OracleError", "FockSpace", "CrosscheckRow", "CrosscheckReport",
     "leakage", "gaussian_crosscheck",

@@ -27,12 +27,12 @@ from .config import ConfigError, ScenarioConfig, parse_config
 from .decomposition import (cm_relative_transform, many_mode_constants,
                             normal_mode_transform, transform_hamiltonian,
                             two_mode_constants, verify_constants)
-from .dynamics import energy, evolve_branches, evolve_grid
+from .dynamics import energy, evolve_branches_from, evolve_grid
 from .fock import _LEAK_TRUST, coherent_vector, gaussian_crosscheck
-from .master import MasterEqScenario, coherence_profile, evolve_master
-from .metrics import build_report, parallel_compare
-from .phase_space import (CoherentAmplitude, PhaseSpaceLayout, TrustGateError,
-                          coherent_state, purity, thermal_state)
+from .master import coherence_profile, evolve_master
+from .metrics import build_report, open_mode_base, parallel_compare
+from .phase_space import (CoherentAmplitude, GaussianState, TrustGateError,
+                          purity, thermal_state)
 from .reporting import (write_comparison, write_crosscheck, write_csv,
                         write_decoherence, write_manifest, write_matrix,
                         write_moments)
@@ -107,11 +107,12 @@ def _cmd_evolve(cfg: ScenarioConfig, out: Path, digest: str) -> int:
     ham = cfg.hamiltonian()
     masses, freqs = _scales(cfg)
     alpha, _ = _amplitudes(cfg, "S")
-    state = coherent_state(ham.layout, masses, freqs, [alpha])
-    temp = cfg["state.temperature"]
-    if temp > 0:
-        therm = thermal_state(ham.layout, masses, freqs, temp)
-        state = type(state)(state.layout, state.mean, therm.cov)
+    therm = thermal_state(ham.layout, masses, freqs, cfg["state.temperature"])
+    # a displacement keeps sigma and its check; at T = 0 sigma is the vacuum's
+    mean = np.zeros(ham.layout.dim)
+    mean[ham.layout.z_indices([alpha.mode])] = alpha.x0, alpha.p0
+    state = GaussianState._prechecked(ham.layout, mean, therm.cov,
+                                      therm._deficit)
     t_grid = cfg.t_grid()
     means, purities, energies = [], [], []
     for st in evolve_grid(state, ham, t_grid):
@@ -132,12 +133,10 @@ def _cmd_decohere(cfg: ScenarioConfig, out: Path, digest: str) -> int:
     ham = cfg.hamiltonian()
     masses, freqs = _scales(cfg)
     alpha, beta = _amplitudes(cfg, "S")
-    env = thermal_state(PhaseSpaceLayout(ham.layout.mode_labels[1:]),
-                        masses[1:], freqs[1:], cfg["state.temperature"])
-    t_grid = np.asarray(cfg.t_grid())
-    open_scale = (masses[0], freqs[0])
-    branches = evolve_branches(alpha, beta, env, ham, t_grid, open_scale)
-    report = build_report("S+E", branches, open_scale, ham)
+    base = open_mode_base(ham, masses, freqs, cfg["state.temperature"])
+    branches = evolve_branches_from(base, alpha, beta, ham,
+                                    np.asarray(cfg.t_grid()))
+    report = build_report("S+E", branches, (masses[0], freqs[0]), ham)
     write_decoherence(out / "decoherence.csv", [report], digest)
     print(f"tau={report.tau_dec!r} lambda(t_end)={float(report.lambda_fit[-1])!r}")
     print(f"wrote {out / 'decoherence.csv'}")
@@ -189,9 +188,7 @@ def _cmd_oracle(cfg: ScenarioConfig, out: Path, digest: str) -> int:
 
 
 def _cmd_master(cfg: ScenarioConfig, out: Path, digest: str) -> int:
-    scen = MasterEqScenario(cfg["master.variant"], cfg["master.lam"],
-                            cfg["master.dim"], cfg["model.m_s"],
-                            cfg["model.omega_s"])
+    scen = cfg.master()
     t_grid = cfg.master_t_grid()
     x0 = cfg["master.x0"]
     a = coherent_vector(scen.dim, scen.mass, scen.basis_freq, x0)

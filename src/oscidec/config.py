@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
+from .master import MasterEqError, MasterEqScenario
 from .models import (BathParams, ModelError, SystemPotential, TwoModeParams,
                      build_caldeira_leggett, build_two_mode,
                      discretize_ohmic_bath)
@@ -48,8 +49,9 @@ def _uniform_grid(tmax: float, n: int) -> list[float]:
     return [tmax * i / (n - 1) for i in range(n)] if n > 1 else [0.0]
 
 
-# key -> (parser, default); None default means required-if-relevant is
-# checked separately, "" means no default (key optional)
+# key -> (parser, default); a None default marks a key without one: the
+# state.cm_* keys take theirs from _DERIVED_DEFAULTS, and an unset
+# oracle.negativity_time reads the negativity at the trusted horizon
 _SCHEMA: dict[str, tuple[Any, Any]] = {
     "model.kind": (str, "two_mode"),
     "model.m_s": (_parse_float, 1.0),
@@ -148,6 +150,11 @@ class ScenarioConfig:
         return TwoModeParams(self["model.m_s"], self["model.m_e"],
                              self["model.omega"], self["model.coupling"])
 
+    def master(self) -> MasterEqScenario:
+        return MasterEqScenario(self["master.variant"], self["master.lam"],
+                                self["master.dim"], self["model.m_s"],
+                                self["model.omega_s"])
+
     def hamiltonian(self):
         if self["model.kind"] == "two_mode":
             return build_two_mode(self.two_mode())
@@ -219,11 +226,8 @@ def _semantic_errors(values: dict[str, Any]) -> list[str]:
     for key, low in _LOWER_BOUNDS.items():
         if values[key] < low:
             errors.append(f"{key}: must be >= {low}")
-    from .master import MasterEqError, MasterEqScenario
     try:
-        MasterEqScenario(values["master.variant"], values["master.lam"],
-                         values["master.dim"], values["model.m_s"],
-                         values["model.omega_s"])
+        cfg.master()
     except MasterEqError as exc:
         errors.append(f"master: {exc}")
     return errors

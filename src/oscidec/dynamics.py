@@ -20,7 +20,6 @@ from .decomposition import _normal_modes
 from .phase_space import (CoherentAmplitude, FloatArray, GaussianState,
                           QuadraticHamiltonian, TrustGateError,
                           _UNCERTAINTY_TOL, _uncertainty_min_eig,
-                          coherent_state, layout, product_state,
                           symplectic_form)
 
 # Times per batched closed-form evaluation: bounds a pass's working arrays.
@@ -400,20 +399,3 @@ def _branch_gram(modes: tuple[FloatArray, ...], k: int, delta: FloatArray,
                      axis=1)
         z = (y.reshape(3 * T, 2 * n) @ whiten).reshape(T, 3, 2 * n)
         return np.einsum("tid,tjd->tij", z, z)
-
-
-def evolve_branches(alpha: CoherentAmplitude, beta: CoherentAmplitude,
-                    env: GaussianState, H: QuadraticHamiltonian,
-                    t_grid: Sequence[float],
-                    open_scale: tuple[float, float]) -> BranchTrajectory:
-    """Product-state convenience: vacuum open mode (at open_scale) times env."""
-    lay = H.layout
-    if alpha.mode not in lay.mode_labels:
-        raise DynamicsError(f"open mode {alpha.mode!r} not in layout")
-    env_labels = tuple(lb for lb in lay.mode_labels if lb != alpha.mode)
-    if env.layout.mode_labels != env_labels:
-        raise DynamicsError("environment state must cover all non-open modes")
-    open_vacuum = coherent_state(layout(alpha.mode), [open_scale[0]],
-                                 [open_scale[1]])
-    base = product_state(lay, alpha.mode, open_vacuum, env)
-    return evolve_branches_from(base, alpha, beta, H, t_grid)

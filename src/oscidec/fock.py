@@ -27,8 +27,11 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .models import TwoModeParams
-from .phase_space import FloatArray
+from .decomposition import cm_relative_transform, transform_state
+from .dynamics import evolve_grid
+from .models import TwoModeParams, build_two_mode
+from .phase_space import (FloatArray, GaussianState, _log_purity_of_cov,
+                          log_negativity, vacuum_cov)
 
 ComplexArray = NDArray[np.complex128]
 
@@ -420,13 +423,6 @@ def gaussian_crosscheck(p: TwoModeParams, x0: float, t_grid: Sequence[float],
     `evolve_grid` pass over the grid and the negativity time; the -x0 branch
     is its mirror image, so the branches differ by twice its mean.
     """
-    # deferred: keeps the oracle standalone
-    from .decomposition import cm_relative_transform, transform_state
-    from .dynamics import evolve_grid
-    from .models import build_two_mode
-    from .phase_space import (GaussianState, _log_purity_of_cov,
-                              log_negativity, vacuum_cov)
-
     space = FockSpace(("S", "E"), dims, (p.m_s, p.m_e), (1.0, p.omega))
     evo = diagonalize(two_mode_hamiltonian(space, p), dims)
     psi0 = product_pure_state([coherent_vector(dims[0], p.m_s, 1.0, x0),

@@ -135,6 +135,18 @@ def _ratio_summary(tau_s: float | None, tau_cm: float | None) -> tuple[float | N
     return r, "within" if 0.1 <= r <= 10.0 else "outside"
 
 
+def open_mode_base(H: QuadraticHamiltonian, masses: Sequence[float],
+                   freqs: Sequence[float], temperature: float) -> GaussianState:
+    """The S+E start state: H's first mode in the vacuum of (masses[0],
+    freqs[0]) times the Gibbs state at `temperature` of the other modes."""
+    open_mode, *env_labels = H.layout.mode_labels
+    env = thermal_state(PhaseSpaceLayout(tuple(env_labels)), masses[1:],
+                        freqs[1:], temperature)
+    return product_state(H.layout, open_mode,
+                         coherent_state(layout(open_mode), masses[:1],
+                                        freqs[:1]), env)
+
+
 def parallel_compare(pot: SystemPotential, bath: BathParams,
                      pair_s: tuple[CoherentAmplitude, CoherentAmplitude],
                      pair_cm: tuple[CoherentAmplitude, CoherentAmplitude],
@@ -154,7 +166,6 @@ def parallel_compare(pot: SystemPotential, bath: BathParams,
     lay = H.layout
     n = lay.n_modes
     w_s = pot.omega_s if pot.variant == "harmonic" else open_freq_ref
-    env_labels = lay.mode_labels[1:]
 
     consts = many_mode_constants(pot, bath)
     if not consts.positivity_ok and not allow_positivity_violation:
@@ -163,12 +174,9 @@ def parallel_compare(pot: SystemPotential, bath: BathParams,
             "transformed constants violate confinement positivity; "
             "pass allow_positivity_violation=True to proceed")
 
-    env = thermal_state(PhaseSpaceLayout(env_labels), bath.masses, bath.freqs,
-                        temperature)
-    base = product_state(lay, "S", coherent_state(layout("S"), [pot.m_s], [w_s]),
-                         env)
-
     masses = np.concatenate([[pot.m_s], bath.masses])
+    base = open_mode_base(H, masses, [w_s, *bath.freqs], temperature)
+
     T1 = cm_relative_transform(masses, source=lay)
     H1 = transform_hamiltonian(H, T1)
     T2, H2 = normal_mode_transform(H1, T1.target.mode_labels[1:])

@@ -164,10 +164,11 @@ class GaussianState:
 
         Only for an evolved covariance that passed the dynamics uncertainty
         gate, a principal submatrix of a checked covariance (by Cauchy
-        interlacing its sigma + iJ/2 has no smaller minimum eigenvalue), or a
+        interlacing its sigma + iJ/2 has no smaller minimum eigenvalue), a
         product of checked states (its sigma + iJ/2 is theirs, block diagonal
-        up to a permutation, so its `deficit` is the larger of theirs).  A
-        state given no deficit computes it once, on first read.
+        up to a permutation, so its `deficit` is the larger of theirs), or a
+        checked state displaced (sigma, and so its `deficit`, is unchanged).
+        A state given no deficit computes it once, on first read.
         """
         state = object.__new__(cls)
         object.__setattr__(state, "layout", lay)

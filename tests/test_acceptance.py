@@ -12,10 +12,10 @@ from oscidec import (BathParams, CoherentAmplitude, GaussianState,
                      TwoModeParams, build_caldeira_leggett, build_report,
                      build_two_mode, cm_relative_log_negativity,
                      cm_relative_transform, coherence_profile, coherent_state,
-                     discretize_ohmic_bath, energy, evolve_branches,
-                     evolve_branches_from, evolve_grid, evolve_master,
-                     gaussian_crosscheck, log_negativity,
-                     log_purity, many_mode_constants, normal_mode_transform,
+                     discretize_ohmic_bath, energy, evolve_branches_from,
+                     evolve_grid, evolve_master, gaussian_crosscheck,
+                     log_negativity, log_purity, many_mode_constants,
+                     normal_mode_transform, open_mode_base,
                      parallel_compare, position_kernel,
                      symplectic_residual, thermal_state, transform_hamiltonian,
                      transform_state, two_mode_constants, vacuum_cov,
@@ -189,16 +189,14 @@ def test_c05_oracle_equivalence():
 def test_c06_overlap_exponent_scaling():
     pot, bath = _reference_scenario()
     H = build_caldeira_leggett(pot, bath)
-    env_labels = H.layout.mode_labels[1:]
-    env = thermal_state(PhaseSpaceLayout(env_labels), bath.masses, bath.freqs,
-                        10.0)
+    base = open_mode_base(H, [pot.m_s, *bath.masses],
+                          [pot.omega_s, *bath.freqs], 10.0)
     t_grid = np.linspace(0.0, 2.0, 51)
     reports = {}
     for s in (1, 2, 4):
         x0 = 0.75 * s
-        br = evolve_branches(CoherentAmplitude("S", x0),
-                             CoherentAmplitude("S", -x0), env, H, t_grid,
-                             (pot.m_s, pot.omega_s))
+        br = evolve_branches_from(base, CoherentAmplitude("S", x0),
+                                  CoherentAmplitude("S", -x0), H, t_grid)
         reports[s] = build_report("S+E", br, (pot.m_s, pot.omega_s), H)
     g1 = reports[1].gamma
     dev_g = 0.0

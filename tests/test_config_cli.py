@@ -90,12 +90,12 @@ def test_semantic_errors_collected():
 
 
 def test_master_programming_error_is_not_a_config_error(monkeypatch):
-    import oscidec.master as master
+    import oscidec.config as config
 
     def broken(*args):
         raise TypeError("broken scenario class")
 
-    monkeypatch.setattr(master, "MasterEqScenario", broken)
+    monkeypatch.setattr(config, "MasterEqScenario", broken)
     with pytest.raises(TypeError, match="broken scenario class"):
         parse_config("")
 
@@ -346,6 +346,22 @@ def test_cli_decohere_rows_equal_compare_open_rows(tmp_path):
     both = [ln for ln in (b / "decoherence_both.csv").read_bytes().splitlines()
             if ln.startswith(b"S+E,")]
     assert len(alone) == 201 and alone == both
+
+
+def test_readme_library_example_reproduces_shipped_compare(tmp_path):
+    """README's library example computes `compare` on the shipped chain."""
+    readme = (CONFIGS.parent / "README.md").read_text()
+    block = readme.split("## Library example", 1)[1]
+    code = block.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(code, scope)
+    cmp = scope["cmp"]
+    cfg = _shipped(tmp_path, "chain_compare.cfg", {})
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    lines = (tmp_path / "c" / "comparison.csv").read_text().splitlines()[2:]
+    values = dict(ln.split(",", 1) for ln in lines)
+    assert float(values["tau_open"]) == cmp.report_s.tau_dec
+    assert float(values["tau_cm"]) == cmp.report_cm.tau_dec
 
 
 def test_cli_oracle_reports_projection_norm_on_shipped_config(tmp_path,

@@ -16,9 +16,8 @@ from oscidec import (BathParams, BranchTrajectory, CoherentAmplitude,
                      SystemPotential, TrustGateError, build_caldeira_leggett, build_two_mode,
                      TwoModeParams, cm_relative_transform, coherent_state,
                      decoherence_function, discretize_ohmic_bath, energy,
-                     evolve_branches, evolve_branches_from,
-                     evolve_grid, gaussian_crosscheck, layout,
-                     normal_mode_transform,
+                     evolve_branches_from, evolve_grid, gaussian_crosscheck,
+                     layout, normal_mode_transform, open_mode_base,
                      parallel_compare, product_state, purity, symplectic_form,
                      symplectic_residual, thermal_state,
                      transform_hamiltonian, vacuum_cov)
@@ -211,15 +210,15 @@ def test_hamiltonian_has_no_linear_term():
 
 def test_branch_pair_shares_covariance_bitwise():
     H = build_two_mode(TwoModeParams(1.0, 1.0, 1.0, 0.2))
-    env = GaussianState(layout("E"), np.zeros(2), vacuum_cov([1.0], [1.0]))
+    base = open_mode_base(H, [1.0, 1.0], [1.0, 1.0], 0.0)
     a = CoherentAmplitude("S", 0.5)
     b = CoherentAmplitude("S", -0.5)
-    traj = evolve_branches(a, b, env, H, [0.0, 0.7, 1.9], (1.0, 1.0))
+    traj = evolve_branches_from(base, a, b, H, [0.0, 0.7, 1.9])
     assert traj.alpha is a and traj.beta is b
     # one covariance serves both branches: swapping them flips the sign of
     # the separation alone, so the open-mode block of W is unchanged, its
     # separation row only changes sign, and Gamma is unchanged bit for bit
-    swapped = evolve_branches(b, a, env, H, [0.0, 0.7, 1.9], (1.0, 1.0))
+    swapped = evolve_branches_from(base, b, a, H, [0.0, 0.7, 1.9])
     sign = np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]])
     assert np.array_equal(swapped.gram, sign * traj.gram)
     assert np.array_equal(decoherence_function(swapped),
@@ -276,35 +275,6 @@ def test_branch_pass_refuses_a_singular_base_covariance(monkeypatch):
         evolve_branches_from(base, CoherentAmplitude("S", 0.3),
                              CoherentAmplitude("S", -0.3), H, [0.0, 1.0])
     assert steps == []
-
-
-def test_evolve_branches_product_base():
-    H = build_two_mode(TwoModeParams(1.0, 2.0, 1.5, 0.1))
-    env = GaussianState(layout("E"), np.array([0.4, -0.1]),
-                        vacuum_cov([2.0], [1.5]))
-    a, b = CoherentAmplitude("S", 1.0), CoherentAmplitude("S", -1.0)
-    traj = evolve_branches(a, b, env, H, [0.0, 0.9], (1.0, 3.0))
-    # the open mode is the vacuum at open_scale: 1/(2 m0 w0), m0 w0 / 2, and
-    # at t = 0 W's open-mode block is its inverse
-    assert traj.gram[0, 1:, 1:] == pytest.approx(np.diag([6.0, 2.0 / 3.0]))
-    base = product_state(H.layout, "S",
-                         GaussianState(layout("S"), np.zeros(2),
-                                       np.diag([1.0 / 6.0, 1.5])), env)
-    want = evolve_branches_from(base, a, b, H, [0.0, 0.9])
-    for field in ("t", "gram"):
-        assert np.array_equal(getattr(traj, field), getattr(want, field))
-
-
-def test_evolve_branches_validates_modes():
-    H = build_two_mode(TwoModeParams(1.0, 1.0, 1.0, 0.2))
-    env = GaussianState(layout("E"), np.zeros(2), vacuum_cov([1.0], [1.0]))
-    with pytest.raises(DynamicsError, match="not in layout"):
-        evolve_branches(CoherentAmplitude("Q", 1.0), CoherentAmplitude("Q", -1.0),
-                        env, H, [0.0], (1.0, 1.0))
-    bad_env = GaussianState(layout("X"), np.zeros(2), vacuum_cov([1.0], [1.0]))
-    with pytest.raises(DynamicsError, match="non-open modes"):
-        evolve_branches(CoherentAmplitude("S", 1.0), CoherentAmplitude("S", -1.0),
-                        bad_env, H, [0.0], (1.0, 1.0))
 
 
 def _reference_moments(M, mean, cov):
@@ -1066,6 +1036,21 @@ def test_evolve_runs_no_per_time_gate_on_shipped_configs(monkeypatch,
     assert main(["evolve", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 0
     assert gate == []
+
+
+@pytest.mark.parametrize("temperature", [0.0, 2.0])
+def test_evolve_checks_its_start_state_once(monkeypatch, tmp_path,
+                                            temperature):
+    # the start state is the thermal state displaced, whose sigma is checked
+    # once: eigvalsh runs on the 2x2 momentum block of h and on one 4x4
+    # sigma + iJ/2, and the certificate clears every time after that
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "two_mode_oracle.cfg"
+    text = cfg.read_text() + f"state.temperature = {temperature}\n"
+    (tmp_path / "c.cfg").write_text(text)
+    calls = _count_eigvalsh(monkeypatch)
+    assert main(["evolve", "--config", str(tmp_path / "c.cfg"),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert calls == [(2, 2), (4, 4)]
 
 
 def test_crosscheck_runs_no_per_time_gate(monkeypatch):

@@ -3,20 +3,47 @@ import numpy as np
 import pytest
 
 from oscidec import (BathParams, CoherentAmplitude, MetricsError,
-                     SystemPotential, TwoModeParams, amplitude_distance_sq,
-                     build_report, build_two_mode, decoherence_function,
-                     decoherence_time, discretize_ohmic_bath, evolve_branches,
-                     fit_lambda, layout, model_fingerprint, parallel_compare,
-                     thermal_state)
+                     PhaseSpaceLayout, SystemPotential, TwoModeParams,
+                     amplitude_distance_sq, build_caldeira_leggett,
+                     build_report, build_two_mode, coherent_state,
+                     decoherence_function, decoherence_time,
+                     discretize_ohmic_bath, evolve_branches_from, fit_lambda,
+                     layout, model_fingerprint, open_mode_base,
+                     parallel_compare, product_state, thermal_state)
 from oscidec.metrics import _ratio_summary, saturation_flags
 
 
 def _two_mode_branches(coupling: float, x0: float, t_grid):
     H = build_two_mode(TwoModeParams(1.0, 1.0, 1.0, coupling))
-    env = thermal_state(layout("E"), [1.0], [1.0], 0.0)
+    base = open_mode_base(H, [1.0, 1.0], [1.0, 1.0], 0.0)
     a = CoherentAmplitude("S", x0)
     b = CoherentAmplitude("S", -x0)
-    return evolve_branches(a, b, env, H, t_grid, (1.0, 1.0)), H
+    return evolve_branches_from(base, a, b, H, t_grid), H
+
+
+def test_open_mode_base_is_the_product_state():
+    # the two-mode model, and configs/chain_compare.cfg
+    pot = SystemPotential("harmonic", 1.0, 1.0)
+    b = discretize_ohmic_bath(32, 5.0, 0.1)
+    bath = BathParams(b.masses, b.freqs, b.couplings, -1)
+    cases = [(build_two_mode(TwoModeParams(1.0, 2.0, 1.5, 0.1)),
+              [1.0, 2.0], [3.0, 1.5], 0.0),
+             (build_caldeira_leggett(pot, bath), [pot.m_s, *bath.masses],
+              [pot.omega_s, *bath.freqs], 10.0)]
+    for H, masses, freqs, temp in cases:
+        base = open_mode_base(H, masses, freqs, temp)
+        env = thermal_state(PhaseSpaceLayout(H.layout.mode_labels[1:]),
+                            masses[1:], freqs[1:], temp)
+        want = product_state(H.layout, "S",
+                             coherent_state(layout("S"), masses[:1],
+                                            freqs[:1]), env)
+        assert base.layout == want.layout
+        for field in ("mean", "cov", "_deficit"):
+            assert np.array_equal(getattr(base, field), getattr(want, field))
+    # the two-mode open mode is the vacuum at (1, 3): 1/(2 m w) and m w / 2
+    two_mode = open_mode_base(*cases[0])
+    assert two_mode.cov[np.ix_([0, 2], [0, 2])].tolist() == [[1 / 6, 0.0],
+                                                            [0.0, 1.5]]
 
 
 def test_gamma_zero_without_coupling():
@@ -77,9 +104,9 @@ def test_saturation_flags_mark_clamped_entries():
 def test_build_report_identical_amplitudes():
     t_grid = np.linspace(0.0, 1.0, 5)
     H = build_two_mode(TwoModeParams(1.0, 1.0, 1.0, 0.3))
-    env = thermal_state(layout("E"), [1.0], [1.0], 0.0)
+    base = open_mode_base(H, [1.0, 1.0], [1.0, 1.0], 0.0)
     a = CoherentAmplitude("S", 0.6)
-    branches = evolve_branches(a, a, env, H, t_grid, (1.0, 1.0))
+    branches = evolve_branches_from(base, a, a, H, t_grid)
     rep = build_report("S+E", branches, (1.0, 1.0), H)
     assert np.array_equal(rep.lambda_fit, np.zeros(5))
     assert rep.tau_dec is None

@@ -133,6 +133,13 @@ def test_product_of_checked_states_needs_no_eigendecomposition(monkeypatch):
     assert checked._deficit == pytest.approx(prod._deficit, abs=1e-14)
 
 
+def test_product_state_env_must_cover_the_non_open_modes():
+    open_state = coherent_state(layout("S"), [1.0], [1.0])
+    bad_env = thermal_state(layout("X"), [1.0], [1.0], 0.0)
+    with pytest.raises(PhaseSpaceError, match="non-open modes"):
+        product_state(layout("S", "E"), "S", open_state, bad_env)
+
+
 def test_deficit_is_read_once_per_state(monkeypatch):
     # validation keeps max(0, -lambda_min(sigma + iJ/2)); a state built
     # without validation computes it on first read, once

@@ -12,5 +12,5 @@ def test_removed_names_stay_removed():
     for name in ("pointer_robustness", "coupling_spectrum", "gaussian_overlap",
                  "log_gaussian_overlap", "evolve_exact",
                  "schmidt_log_negativity_pure", "SymplecticPropagator",
-                 "propagator", "evolve"):
+                 "propagator", "evolve", "evolve_branches"):
         assert not hasattr(oscidec, name), name
