@@ -124,10 +124,11 @@ def _modal_weights(lam: FloatArray, ts: FloatArray
     return cm1, s
 
 
-def _propagators(modes: tuple[FloatArray, ...], ts: Sequence[float]
-                 ) -> FloatArray:
-    """M(t) = exp(t J h) at each time, (T, 2n, 2n), exact, from modes =
-    (B, B^-1, lam) of `_normal_mode_factors`.
+def _propagators(modes: tuple[FloatArray, ...], cm1: FloatArray,
+                 s: FloatArray) -> FloatArray:
+    """M(t) = exp(t J h) at each time of the modal weights (c - 1, s) of
+    `_modal_weights`, (T, 2n, 2n), exact, from modes = (B, B^-1, lam) of
+    `_normal_mode_factors`.
 
     M(t) - I = P (R(t) - I) Q with P = blockdiag(B, B^-T), Q = P^-1 =
     blockdiag(B^-1, B^T) and R(t) the per-mode maps of `_modal_weights`:
@@ -135,7 +136,6 @@ def _propagators(modes: tuple[FloatArray, ...], ts: Sequence[float]
     M(0) = I exactly."""
     B, Bi, lam = modes
     n = len(lam)
-    cm1, s = _modal_weights(lam, np.asarray(ts, dtype=float))
     M = np.empty((len(cm1), 2 * n, 2 * n))
     with np.errstate(invalid="ignore", over="ignore"):
         M[:, :n, :n] = (B * cm1[:, None, :]) @ Bi
@@ -275,8 +275,8 @@ def _grid_states(state: GaussianState, H: QuadraticHamiltonian,
                  t_grid: Sequence[float]) -> Iterator[GaussianState]:
     ts = _finite_times(t_grid)
     modes = _normal_mode_factors(H)
-    for chunk, _, _, uncleared in _certified_chunks(modes, state, ts):
-        M = _propagators(modes, ts[chunk])
+    for chunk, cm1, s, uncleared in _certified_chunks(modes, state, ts):
+        M = _propagators(modes, cm1, s)
         with np.errstate(over="ignore", invalid="ignore"):
             means, covs = M @ state.mean, _evolved_cov(M, state.cov)
         for i, t in enumerate(ts[chunk].tolist()):
@@ -366,12 +366,14 @@ def evolve_branches_from(base: GaussianState, alpha: CoherentAmplitude,
     gram = np.empty((len(ts), 3, 3))
     for chunk, cm1, s, uncleared in _certified_chunks(modes, base, ts, frame):
         for t in ts[chunk][uncleared].tolist():
-            N = _propagators(modes, [t])[0]
+            N = _propagators(modes, *_modal_weights(modes[2],
+                                                    np.array([t])))[0]
             with np.errstate(over="ignore", invalid="ignore"):
                 N = N if frame is None else N @ frame
             _check_uncertainty(N, _evolved_cov(N, base.cov), t, base._deficit)
         gram[chunk] = _branch_gram(modes, k, delta, whiten, cm1, s)
-    kept = dict(zip(probes, _propagators(modes, probes)))
+    kept = dict(zip(probes, _propagators(
+        modes, *_modal_weights(modes[2], np.array(probes)))))
     return BranchTrajectory(ts, gram, alpha, beta, kept)
 
 

@@ -17,9 +17,16 @@ Gauss-Hermite quadrature projection as its reference.  The log-negativity of
 the CM/relative state is read from its Schmidt coefficients, which fix the
 spectrum of the partial transpose exactly; the tests keep the literal
 partial-transpose eigendecomposition as the reference it is checked against.
+
+The coupling-free terms of the two-mode Hamiltonian and the overlap tensor
+depend only on the basis (masses, frequencies, cutoffs), so each is built
+once per basis and kept, read-only, for the last basis asked for:
+cross-checks repeated in one process on one basis share them, and a one-shot
+CLI run builds each once either way.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -90,16 +97,30 @@ def two_mode_hamiltonian(space: FockSpace, p: TwoModeParams) -> FloatArray:
     taken on one mode's d x d matrices rather than on the full space.  With
     p = i p~ for the real antisymmetric p~, p^2 = -p~^2, so H is real
     symmetric.  The Kronecker products of symmetric factors are exactly
-    symmetric, so the single-mode terms are symmetrized instead of H.
+    symmetric, so the single-mode terms are symmetrized instead of H.  The
+    terms come from `_hamiltonian_terms`, built once per basis; only the
+    coupling is applied per call, and the H returned is a new array.
     """
+    H0, X = _hamiltonian_terms(space, p.m_s, p.m_e, p.omega)
+    return H0 - p.coupling * X
+
+
+@functools.lru_cache(maxsize=1)
+def _hamiltonian_terms(space: FockSpace, m_s: float, m_e: float,
+                       omega: float) -> tuple[FloatArray, FloatArray]:
+    """(hS kron I + I kron hE, xS kron xE) of the last basis asked for,
+    read-only: every scan over coupling, x0 or time shares them."""
     (xS, pS), (xE, pE) = (_quadratures(d, m, w) for d, m, w in
                           zip(space.dims, space.masses, space.freqs))
-    hS = -(pS.imag @ pS.imag) / (2 * p.m_s)
-    hE = (-(pE.imag @ pE.imag) / (2 * p.m_e)
-          + p.m_e * p.omega ** 2 / 2 * (xE @ xE))
-    return (np.kron(0.5 * (hS + hS.T), np.eye(space.dims[1]))
-            + np.kron(np.eye(space.dims[0]), 0.5 * (hE + hE.T))
-            - p.coupling * np.kron(xS, xE))
+    hS = -(pS.imag @ pS.imag) / (2 * m_s)
+    hE = (-(pE.imag @ pE.imag) / (2 * m_e)
+          + m_e * omega ** 2 / 2 * (xE @ xE))
+    terms = (np.kron(0.5 * (hS + hS.T), np.eye(space.dims[1]))
+             + np.kron(np.eye(space.dims[0]), 0.5 * (hE + hE.T)),
+             np.kron(xS, xE))
+    for a in terms:
+        a.flags.writeable = False
+    return terms
 
 
 def coherent_vector(d: int, mass: float, freq: float, x0: float,
@@ -293,32 +314,45 @@ def _overlap_tensor(B: FloatArray, d_out: int,
     last kept the rounding smallest of the axis orders tried: against an
     extended-precision fill it grows from 1e-16 on the lowest input shells
     j + k to about 1e-11 on the top shell of a 24 x 24 input, where a state
-    the leakage gate trusts has amplitudes below 1e-3.  The return value is
-    a transposed view.
+    the leakage gate trusts has amplitudes below 1e-3.  The tensor of the
+    last (B, d_out, dims) is kept, keyed on B's exact bytes, and the return
+    value is a read-only transposed view of it.
     """
+    return _overlap_fill(np.asarray(B, dtype=float).tobytes(), d_out,
+                         tuple(dims)).T
+
+
+@functools.lru_cache(maxsize=1)
+def _overlap_fill(B_bytes: bytes, d_out: int,
+                  dims: tuple[int, int]) -> FloatArray:
+    """The read-only [k, j, b, a] array of `_overlap_tensor` for the 2 x 2
+    map with these bytes."""
+    B = np.frombuffer(B_bytes).reshape(2, 2)
     eye = np.eye(2)
     K = eye + B.T @ B
     P = np.linalg.inv(K)
     Q = np.block([[2 * B @ P @ B.T - eye, 2 * B @ P],
                   [2 * P @ B.T, 2 * P - eye]])[::-1, ::-1]
-    shape = tuple(dims)[::-1] + (d_out, d_out)
+    shape = dims[::-1] + (d_out, d_out)
     g = np.zeros(shape)
     g[0, 0, 0, 0] = 2 * np.sqrt(abs(np.linalg.det(B)) / np.linalg.det(K))
     roots = [np.sqrt(np.arange(d, dtype=float)) for d in shape]
     for i in reversed(range(4)):
         v = g[(0,) * i]                # axis i first, every later axis after
+        # sqrt(m) Q_il g[.., m - 1, ..] along each later axis l, into index m
+        later = [((slice(None),) * ax,
+                  Q[i, l] * roots[l][1:][(slice(None),) + (None,) * (3 - l)])
+                 for ax, l in enumerate(range(i + 1, 4))]
         for n in range(1, shape[i]):
-            acc = (Q[i, i] * roots[i][n - 1] * v[n - 2] if n >= 2
-                   else np.zeros(v.shape[1:]))
-            for ax, l in enumerate(range(i + 1, 4)):
-                # sqrt(m) g[.., m - 1, ..] along axis l, into index m
-                lead = (slice(None),) * ax
-                bcast = (slice(None),) + (None,) * (3 - l)
+            acc = v[n, ...]            # a view, still zero
+            if n >= 2:
+                np.multiply(Q[i, i] * roots[i][n - 1], v[n - 2], out=acc)
+            for lead, coef in later:
                 acc[lead + (slice(1, None),)] += (
-                    Q[i, l] * roots[l][1:][bcast]
-                    * v[n - 1][lead + (slice(None, -1),)])
-            v[n] = acc / roots[i][n]
-    return g.T
+                    coef * v[n - 1][lead + (slice(None, -1),)])
+            acc /= roots[i][n]
+    g.flags.writeable = False
+    return g
 
 
 def project_to_transformed_basis(c: ComplexArray,

@@ -336,6 +336,20 @@ def _shipped(tmp_path, name, values):
     return _cfg_file(tmp_path, "\n".join(lines) + "\n", name=name)
 
 
+def test_cli_oracle_reruns_in_one_process_are_byte_identical(tmp_path,
+                                                            capsys):
+    # the second run reads the first one's kept Hamiltonian terms and
+    # overlap tensor
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(["oracle", "--config", str(CONFIGS / "two_mode_oracle.cfg"),
+                     "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "<out>")
+        runs.append(((out / "crosscheck.csv").read_bytes(), stdout))
+    assert runs[0] == runs[1]
+
+
 def test_cli_decohere_rows_equal_compare_open_rows(tmp_path):
     """decohere and compare run the same S+E pass on the shipped chain."""
     cfg = _shipped(tmp_path, "chain_compare.cfg", {})

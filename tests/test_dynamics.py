@@ -35,10 +35,17 @@ def _expm_propagator(H, t):
     return expm(t * symplectic_form(H.n_modes) @ H.h)
 
 
+def _propagators_at(modes, ts):
+    """M(t) of the closed form at each of ts, from its modal weights."""
+    dyn = oscidec.dynamics
+    return dyn._propagators(modes, *dyn._modal_weights(
+        modes[2], np.asarray(ts, dtype=float)))
+
+
 def _pass_propagators(H, t_grid):
     """M(t) of the closed form at each grid time."""
-    dyn = oscidec.dynamics
-    return list(dyn._propagators(dyn._normal_mode_factors(H), t_grid))
+    return list(_propagators_at(oscidec.dynamics._normal_mode_factors(H),
+                                t_grid))
 
 
 # Grid steps equal to within this many ulps of max|t| share one step
@@ -57,11 +64,11 @@ def _stepped_trajectory(H, t_grid):
     M = E = step = t_prev = None
     for t in ts:
         if M is None:
-            (M,) = dyn._propagators(modes, [t])
+            (M,) = _propagators_at(modes, [t])
         else:
             dt = t - t_prev
             if step is None or abs(dt - step) > same_step:
-                step, (E,) = dt, dyn._propagators(modes, [dt])
+                step, (E,) = dt, _propagators_at(modes, [dt])
             M = E @ M
         t_prev = t
         yield t, M
@@ -419,8 +426,8 @@ def test_stepped_pass_takes_one_exponential_per_distinct_step(monkeypatch):
     calls = []
     propagators = oscidec.dynamics._propagators
     monkeypatch.setattr(oscidec.dynamics, "_propagators",
-                        lambda modes, ts: calls.append(list(ts))
-                        or propagators(modes, ts))
+                        lambda modes, cm1, s: calls.append(len(cm1))
+                        or propagators(modes, cm1, s))
     _, H, _, _, _ = _chain_frames(4, 1.0)[0]
     grid = [2.0 * i / 200 for i in range(201)]   # the config grid's rounding
     list(_stepped_trajectory(H, grid))
@@ -464,8 +471,8 @@ def test_branch_probes_are_the_pass_propagators():
                                     frame=S).propagators
     dyn = oscidec.dynamics
     assert np.array_equal(off_grid[0.05],
-                          dyn._propagators(dyn._normal_mode_factors(H),
-                                           [0.05])[0])
+                          _propagators_at(dyn._normal_mode_factors(H),
+                                          [0.05])[0])
     with pytest.raises(DynamicsError, match="finite"):
         evolve_branches_from(base, alpha, beta, H, grid, [np.inf], frame=S)
     with pytest.raises(DynamicsError, match="frame must map"):
@@ -489,12 +496,21 @@ def test_rows_only_pass_matches_stepped_reference(monkeypatch, chain, frame):
         amplitudes=amplitudes)[frame]
     grid = np.linspace(0.0, 2.0, 201)
     probes = oscidec.metrics._residual_probe_times(grid)
-    formed = []
+    formed, times_of = [], {}
+    weights = oscidec.dynamics._modal_weights
     propagators = oscidec.dynamics._propagators
+
+    def recorded_weights(lam, ts):
+        # keeping cm1 alive keeps its id its own
+        cm1, s = weights(lam, ts)
+        times_of[id(cm1)] = cm1, ts.tolist()
+        return cm1, s
+
     with monkeypatch.context() as m:
+        m.setattr(oscidec.dynamics, "_modal_weights", recorded_weights)
         m.setattr(oscidec.dynamics, "_propagators",
-                  lambda modes, ts: formed.extend(ts)
-                  or propagators(modes, ts))
+                  lambda modes, cm1, s: formed.extend(times_of[id(cm1)][1])
+                  or propagators(modes, cm1, s))
         got = evolve_branches_from(base, alpha, beta, H, grid, probes,
                                    frame=S)
     assert sorted(formed) == probes and len(probes) == 3
@@ -744,7 +760,7 @@ def _certificate_scan(state, H, grid, frame=None):
     cert = dyn._Certificate.build(modes, state.cov, frame, eps0)
     clears = cert.floor(*dyn._modal_weights(modes[2], grid)) >= -1e-10
     refused = []
-    for t, M in zip(grid, dyn._propagators(modes, grid)):
+    for t, M in zip(grid, _propagators_at(modes, grid)):
         N = M if frame is None else M @ frame
         try:
             dyn._check_uncertainty(N, dyn._evolved_cov(N, state.cov), t,
@@ -929,7 +945,7 @@ def test_certificate_through_a_frame_that_mixes_x_and_p(temperature, skew):
     min_eig = _min_eig_of_factors(modes, cm1, s, state.cov, frame)
     # Z reads tr sigma(t) of the closed-form N(t) = M(t) S
     v = np.concatenate([1.0 + cm1, s, modes[2] * s], axis=1)
-    N = dyn._propagators(modes, ts) @ frame
+    N = dyn._propagators(modes, cm1, s) @ frame
     np.testing.assert_allclose(((v @ cert.trace_form) * v).sum(axis=1),
                                np.einsum("tij,jk,tik->t", N, state.cov, N),
                                rtol=1e-12, atol=0)

@@ -11,6 +11,7 @@ from oscidec import (BathParams, FockSpace, GaussianState, OracleError,
                      cm_relative_transform, evolve_grid, gaussian_crosscheck,
                      layout, leakage, log_negativity, pt_log_negativity_pure,
                      purity, reduce_state, transform_state, vacuum_cov)
+import oscidec.fock as fock
 from oscidec.fock import (_LEAK_TRUST, _mode_wavefunctions, _overlap_tensor,
                           _quadratures, coherent_vector, diagonalize,
                           hs_overlap, moments, product_pure_state,
@@ -86,6 +87,35 @@ def quadrature_projection(c, scales_in, scales_out, A, d_out, n_quad=140):
     out1 = _mode_wavefunctions(g1, d_out, M1, W1) * (q * np.exp(y ** 2)) / s1
     out2 = _mode_wavefunctions(g2, d_out, M2, W2) * (q * np.exp(y ** 2)) / s2
     return np.sqrt(abs(np.linalg.det(Ai))) * (out1 @ psi @ out2.T)
+
+
+def overlap_tensor_reference(B, d_out, dims, dtype=float):
+    """The overlap tensor of `_overlap_tensor` by the fill it replaced, which
+    recomputes every later axis's coefficients at each step, in `dtype`.
+    Q and T0 are formed in float64 either way, so a longdouble fill differs
+    from the float64 one only by the recurrence's own rounding."""
+    eye = np.eye(2)
+    K = eye + B.T @ B
+    P = np.linalg.inv(K)
+    Q = np.block([[2 * B @ P @ B.T - eye, 2 * B @ P],
+                  [2 * P @ B.T, 2 * P - eye]])[::-1, ::-1].astype(dtype)
+    shape = tuple(dims)[::-1] + (d_out, d_out)
+    g = np.zeros(shape, dtype)
+    g[0, 0, 0, 0] = 2 * np.sqrt(abs(np.linalg.det(B)) / np.linalg.det(K))
+    roots = [np.sqrt(np.arange(d, dtype=dtype)) for d in shape]
+    for i in reversed(range(4)):
+        v = g[(0,) * i]
+        for n in range(1, shape[i]):
+            acc = (Q[i, i] * roots[i][n - 1] * v[n - 2] if n >= 2
+                   else np.zeros(v.shape[1:], dtype))
+            for ax, l in enumerate(range(i + 1, 4)):
+                lead = (slice(None),) * ax
+                bcast = (slice(None),) + (None,) * (3 - l)
+                acc[lead + (slice(1, None),)] += (
+                    Q[i, l] * roots[l][1:][bcast]
+                    * v[n - 1][lead + (slice(None, -1),)])
+            v[n] = acc / roots[i][n]
+    return g.T
 
 
 def literal_pt_log_negativity(amp):
@@ -361,10 +391,39 @@ def test_overlap_tensor_of_an_orthogonal_map_keeps_each_shell(B):
         assert np.abs(blk.T @ blk - np.eye(N + 1)).max() < 1e-13
 
 
-@pytest.mark.parametrize("p, dims", [
+@pytest.mark.parametrize("dims, d_out", [
+    ((9, 12), 10), ((11, 7), 24), ((16, 16), 24), ((24, 24), 24),
+    ((40, 40), 24), ((5, 3), 8)])
+def test_overlap_fill_matches_the_reference_fill(dims, d_out):
+    # the coefficients hoisted out of the step and the in-place steps do the
+    # same operations in the same order
+    B = np.random.default_rng(sum(dims) + d_out).normal(size=(2, 2))
+    assert np.array_equal(_overlap_tensor(B, d_out, dims),
+                          overlap_tensor_reference(B, d_out, dims))
+
+
+@pytest.mark.parametrize("masses", [(1.0, 1.0), (1.0, 3.0)])
+def test_overlap_fill_rounding_against_extended_precision(masses):
+    # the docstring's bound: about 1e-16 on the lowest input shells j + k,
+    # growing to about 1e-11 at the top of a 24 x 24 input
+    A, scales_out = _cm_relative_map(masses)
+    d_in, d_new = (np.sqrt([m * w for m, w in s])
+                   for s in ([(m, 1.0) for m in masses], scales_out))
+    B = d_new[:, None] * A / d_in[None, :]
+    err = np.abs(_overlap_tensor(B, 24, (24, 24))
+                 - overlap_tensor_reference(B, 24, (24, 24), np.longdouble))
+    shell = np.add.outer(np.arange(24), np.arange(24))
+    assert err[..., shell <= 8].max() <= 1e-14
+    assert err.max() <= 1e-10                  # the top shells included
+
+
+_TWO_MODE_CASES = [
     (TwoModeParams(1.0, 1.0, 1.0, 0.25), (16, 16)),
     (TwoModeParams(1.3, 0.7, 1.6, -0.4), (9, 12)),
-    (TwoModeParams(2.0, 0.5, 1.8, 0.6), (11, 7))])
+    (TwoModeParams(2.0, 0.5, 1.8, 0.6), (11, 7))]
+
+
+@pytest.mark.parametrize("p, dims", _TWO_MODE_CASES)
 def test_two_mode_hamiltonian_keeps_total_parity(p, dims):
     space = FockSpace(("S", "E"), dims, (p.m_s, p.m_e), (1.0, p.omega))
     H = two_mode_hamiltonian(space, p)
@@ -383,6 +442,86 @@ def test_two_mode_hamiltonian_keeps_total_parity(p, dims):
     assert np.sort(evo.energies) == pytest.approx(np.linalg.eigvalsh(H),
                                                   abs=1e-12)
     assert np.abs(H @ evo.vectors - evo.vectors * evo.energies).max() < 1e-12
+
+
+def _kron_two_mode_hamiltonian(space, p):
+    """The two-mode H as one Kronecker expression, built on every call."""
+    (xS, pS), (xE, pE) = (_quadratures(d, m, w) for d, m, w in
+                          zip(space.dims, space.masses, space.freqs))
+    hS = -(pS.imag @ pS.imag) / (2 * p.m_s)
+    hE = (-(pE.imag @ pE.imag) / (2 * p.m_e)
+          + p.m_e * p.omega ** 2 / 2 * (xE @ xE))
+    return (np.kron(0.5 * (hS + hS.T), np.eye(space.dims[1]))
+            + np.kron(np.eye(space.dims[0]), 0.5 * (hE + hE.T))
+            - p.coupling * np.kron(xS, xE))
+
+
+@pytest.mark.parametrize("p, dims", _TWO_MODE_CASES)
+def test_two_mode_hamiltonian_from_kept_terms_is_bit_identical(p, dims):
+    # cold and warm, H = H0 - C X is the Kronecker expression bit for bit,
+    # and each call returns a new array
+    space = FockSpace(("S", "E"), dims, (p.m_s, p.m_e), (1.0, p.omega))
+    want = _kron_two_mode_hamiltonian(space, p)
+    fock._hamiltonian_terms.cache_clear()
+    cold = two_mode_hamiltonian(space, p)
+    warm = two_mode_hamiltonian(space, p)
+    assert fock._hamiltonian_terms.cache_info().hits == 1
+    assert np.array_equal(cold, want) and np.array_equal(warm, want)
+    assert warm is not cold and warm.flags.writeable
+
+
+def test_kept_terms_are_read_only_and_survive_edits_of_h():
+    space = FockSpace(("S", "E"), (6, 6), (1.0, 1.0), (1.0, 1.0))
+    p = TwoModeParams(1.0, 1.0, 1.0, 0.25)
+    H = two_mode_hamiltonian(space, p)
+    kept = (*fock._hamiltonian_terms(space, p.m_s, p.m_e, p.omega),
+            _overlap_tensor(np.eye(2), 4, (3, 3)))
+    for a in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
+    # the edits the diagonalize refusal tests make
+    H[0, 1] = H[1, 0] = 1e-300
+    H[0, 2] += 1e-6
+    assert np.array_equal(two_mode_hamiltonian(space, p),
+                          _kron_two_mode_hamiltonian(space, p))
+
+
+def test_crosscheck_on_alternating_bases_equals_cold_runs():
+    # each basis's terms are kept until another basis is asked for: a
+    # cross-check after another basis's, or after its own, equals one made
+    # with nothing kept, whichever of masses, frequency or cutoffs differ
+    def run(case, cold=False):
+        if cold:
+            fock._hamiltonian_terms.cache_clear()
+            fock._overlap_fill.cache_clear()
+        p, dims = case
+        return gaussian_crosscheck(p, 0.3, np.linspace(0.0, 2.0, 5),
+                                   dims=dims, negativity_time=0.5)
+
+    a = (TwoModeParams(1.0, 1.0, 1.0, 0.25), (12, 12))
+    others = [(TwoModeParams(1.3, 1.0, 1.0, 0.25), (12, 12)),
+              (TwoModeParams(1.0, 0.8, 1.0, 0.25), (12, 12)),
+              (TwoModeParams(1.0, 1.0, 1.2, 0.25), (12, 12)),
+              (TwoModeParams(1.0, 1.0, 1.0, 0.25), (12, 10)),
+              (TwoModeParams(1.0, 1.0, 1.0, 0.15), (12, 12))]   # same basis
+    want = {case: run(case, cold=True) for case in [a, *others]}
+    assert len({r.negativity_oracle for r in want.values()}) == len(want)
+    for b in others:
+        for case in (a, b, a, a):
+            assert run(case) == want[case]
+    # the CM|relative cutoff d_out keys the overlap tensor too
+    masses, freqs = (1.0, 2.0), (1.0, 2.0)
+    space = FockSpace(("S", "E"), (10, 10), masses, freqs)
+    psi = product_pure_state([coherent_vector(10, m, w, 0.2)
+                              for m, w in zip(masses, freqs)])
+    cold = {}
+    for d in (12, 16):
+        fock._overlap_fill.cache_clear()
+        cold[d] = cm_relative_log_negativity(psi, space, d_out=d)
+    for d in (12, 16, 12, 12):
+        assert cm_relative_log_negativity(psi, space, d_out=d) == cold[d]
+    assert fock._hamiltonian_terms.cache_info().currsize == 1
+    assert fock._overlap_fill.cache_info().currsize == 1
 
 
 def test_diagonalize_refuses_a_hamiltonian_that_breaks_total_parity():
@@ -426,7 +565,6 @@ def test_minus_branch_is_the_total_parity_image():
 def _oracle_cm_relative_amplitude(monkeypatch):
     """The CM|relative amplitude that cm_relative_log_negativity hands to
     pt_log_negativity_pure, for a cutoff-16 oracle state at t = 0.7."""
-    import oscidec.fock as fock
     p = TwoModeParams(1.0, 1.0, 1.0, 0.2)
     space = FockSpace(("S", "E"), (16, 16), (1.0, 1.0), (1.0, 1.0))
     evo = diagonalize(two_mode_hamiltonian(space, p), space.dims)
