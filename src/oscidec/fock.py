@@ -60,6 +60,10 @@ class FockSpace:
     freqs: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        # tuples, so that a space given lists or arrays is hashable and
+        # keys the kept Hamiltonian terms
+        for name in ("labels", "dims", "masses", "freqs"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         k = len(self.labels)
         if not (1 <= k <= 2):
             raise OracleError("oracle supports 1 or 2 modes")

@@ -486,6 +486,18 @@ def test_kept_terms_are_read_only_and_survive_edits_of_h():
                           _kron_two_mode_hamiltonian(space, p))
 
 
+def test_two_mode_hamiltonian_of_a_space_given_lists():
+    # the kept terms are keyed on the space, which holds tuples whatever
+    # sequences it was given
+    p = TwoModeParams(1.3, 0.7, 1.6, -0.4)
+    space = FockSpace(("S", "E"), (9, 12), (p.m_s, p.m_e), (1.0, p.omega))
+    given = FockSpace(["S", "E"], [9, 12], np.array([p.m_s, p.m_e]),
+                      [1.0, p.omega])
+    assert given == space
+    assert np.array_equal(two_mode_hamiltonian(given, p),
+                          _kron_two_mode_hamiltonian(space, p))
+
+
 def test_crosscheck_on_alternating_bases_equals_cold_runs():
     # each basis's terms are kept until another basis is asked for: a
     # cross-check after another basis's, or after its own, equals one made
