@@ -149,7 +149,7 @@ def validate_density(rho: ComplexArray) -> None:
         raise OracleError("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-10:
         raise OracleError("density matrix trace deviates from 1")
-    if np.linalg.eigvalsh(rho).min() < -1e-8:
+    if np.linalg.eigvalsh(rho if rho.imag.any() else rho.real).min() < -1e-8:
         raise OracleError("density matrix has a significant negative eigenvalue")
 
 

@@ -293,6 +293,23 @@ def test_validate_density_rejections():
         validate_density(np.diag([1.5, -0.5]).astype(complex))
 
 
+def test_validate_density_of_a_complex_typed_real_matrix():
+    # Im rho = 0 sends the eigenvalue test through the real matrix; it
+    # refuses what the complex one refused
+    q, _ = np.linalg.qr(np.random.default_rng(2).normal(size=(6, 6)))
+    eig = np.array([0.5, 0.3, 0.2 + 1e-6, 0.0, 0.0, -1e-6])
+    rho = ((q * eig) @ q.T).astype(complex)
+    assert not rho.imag.any()
+    with pytest.raises(OracleError, match="negative"):
+        validate_density(rho)
+    validate_density(((q * np.abs(eig)) @ q.T / np.abs(eig).sum()
+                      ).astype(complex))
+    bad_h = rho.copy()
+    bad_h[0, 1] += 1e-9
+    with pytest.raises(OracleError, match="Hermitian"):
+        validate_density(bad_h)
+
+
 def test_reduced_density_vector_and_matrix_paths_agree():
     space = FockSpace(("S", "E"), (6, 5), (1.0, 1.0), (1.0, 1.0))
     rng = np.random.default_rng(3)

@@ -8,10 +8,11 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
+import oscidec.master as master
 from oscidec import (MasterEqError, MasterEqScenario, TrustGateError,
                      coherence_profile, evolve_master, parse_config,
                      position_kernel)
-from oscidec.fock import coherent_vector
+from oscidec.fock import _quadratures, coherent_vector
 from oscidec.master import (MasterEvolution, _dephase, _sector_flow,
                             _sector_generator, scenario_operators)
 
@@ -89,6 +90,76 @@ def _superoperator(scn):
             - sp.kron(eye, K.conj(), format="csr"))
 
 
+def _sector_generator_reference(scn, sector):
+    """The sector generator assembled from scratch, band by band, in COO
+    form and converted to CSR."""
+    d = scn.dim
+    x, H = scenario_operators(scn)
+    K = 1j * H + scn.lam * (x @ x)
+    m, n = np.divmod(sector, d)
+    pos = np.empty(d * d, dtype=np.intp)    # flat index -> sector position
+    pos[sector] = np.arange(sector.size)
+    own = np.arange(sector.size)
+    rows, cols, vals = [own], [own], [-(K[m, m] + K[n, n].conj())]
+    for dm, dn in ((-2, 0), (2, 0), (0, -2), (0, 2),
+                   (-1, -1), (-1, 1), (1, -1), (1, 1)):
+        ok = (m + dm >= 0) & (m + dm < d) & (n + dn >= 0) & (n + dn < d)
+        i, j = m[ok], n[ok]
+        if dn == 0:
+            vals.append(-K[i, i + dm])
+        elif dm == 0:
+            vals.append(-K[j, j + dn].conj())
+        else:
+            vals.append(2 * scn.lam * x[i, i + dm] * x[j, j + dn])
+        rows.append(own[ok])
+        cols.append(pos[(i + dm) * d + j + dn])
+    return sp.csr_array((np.concatenate(vals),
+                         (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(sector.size, sector.size))
+
+
+def _shifted_flow_reference(L, v, t_grid):
+    """The Taylor steps always on A = L - mu I, mu = tr L / n, with A and
+    ||A||_1 formed by sparse arithmetic; each sum goes through the module's
+    `_taylor_sum` as looked up at call time."""
+    n = L.shape[0]
+    mu = L.trace() / n
+    A = L - mu * sp.identity(n, format="csr")
+    norm = float(abs(A).sum(axis=0).max())
+    out = np.empty((len(t_grid), n), dtype=complex)
+    prev = 0.0
+    for k, t in enumerate(t_grid):
+        h = t - prev
+        if h:
+            s = max(1, math.ceil(h * norm / 9.9))
+            eta = np.exp(h * mu / s)
+            for _ in range(s):
+                v = eta * master._taylor_sum(A, v, h / s)
+        out[k] = v
+        prev = t
+    return out
+
+
+def _dephase_reference(rho0, scn, t_grid):
+    """The closed form of variant none in complex products throughout."""
+    x, _ = _quadratures(scn.dim, scn.mass, scn.basis_freq)
+    xi, U = np.linalg.eigh(x)
+    tilde = U.T @ rho0 @ U
+    gap2 = (xi[:, None] - xi[None, :]) ** 2
+    decay = np.expm1(-scn.lam * t_grid[:, None, None] * gap2)
+    return rho0 + U @ (tilde * decay) @ U.T
+
+
+# what `master` keeps of the last basis, and how many entries each keeps
+_KEPT = {master._basis_operators: 1, master._position_eigh: 1,
+         master._parity_sectors: 1, master._sector_layout: 2}
+
+
+def _forget_kept_basis():
+    for cache in _KEPT:
+        cache.cache_clear()
+
+
 def _propagate_reference(L, v0, t_grid):
     """exp(t L) v0 on the whole of vec rho, interval by interval: each
     interval is cut into the fewest equal steps h with ||h(L - mu I)||_1
@@ -154,6 +225,15 @@ def test_scenario_validation():
         MasterEqScenario("none", 0.1, 8, mass=-1.0)
     with pytest.raises(MasterEqError, match="omega"):
         MasterEqScenario("harmonic", 0.1, 8, omega=0.0)
+    # non-finite inputs are invalid input, not a trust failure or a bare
+    # ValueError from the sub-step count
+    for key in ("lam", "mass", "basis_freq", "omega"):
+        for bad in (math.inf, -math.inf, math.nan):
+            for variant in ("none", "harmonic"):
+                kwargs = {"lam": 0.1, "dim": 8, key: bad}
+                with pytest.raises(MasterEqError, match="finite") as exc:
+                    MasterEqScenario(variant, **kwargs)
+                assert not isinstance(exc.value, TrustGateError)
 
 
 def test_scenario_operators_variants():
@@ -231,12 +311,149 @@ def test_sector_assembly_matches_kronecker_generator(variant, lam, d, parity):
     m, n = np.divmod(np.arange(d * d), d)
     sector = np.flatnonzero((m + n) % 2 == parity)
     L = _superoperator(scn)
-    got = _sector_generator(scn, sector)
+    got = _sector_generator(scn, parity)
     assert got.shape == (sector.size, sector.size)
     gap = abs(got - L[sector][:, sector]).max()
     assert gap <= 1e-15 * abs(L).max()
     outside = np.flatnonzero((m + n) % 2 != parity)
     assert not L[sector][:, outside].count_nonzero()
+
+
+@pytest.mark.parametrize("d", [2, 3, 20, 64])
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+@pytest.mark.parametrize("variant", ["none", "free", "harmonic"])
+def test_sector_generator_from_kept_layout_is_bit_identical(variant, lam, d):
+    # values filled into the kept layout against the COO assembly from
+    # scratch: the same values, indices and index pointers, cold and warm
+    scn = MasterEqScenario(variant, lam, d, mass=1.3, omega=0.8,
+                           basis_freq=1.1)
+    _forget_kept_basis()
+    for parity, sector in enumerate(master._parity_sectors(d)):
+        want = _sector_generator_reference(scn, sector)
+        for _ in ("cold", "warm"):
+            got = _sector_generator(scn, parity)
+            assert got.data.dtype == want.data.dtype
+            assert np.array_equal(got.data, want.data)
+            assert got.indices.dtype == want.indices.dtype
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.indptr, want.indptr)
+
+
+def test_kept_basis_is_read_only():
+    d = 12
+    rho0 = _random_pure_density(d, 4)        # fills both parity sectors
+    for variant in ("harmonic", "none"):
+        evolve_master(rho0, MasterEqScenario(variant, 0.3, d), [0.0, 0.1])
+    kept = [*master._basis_operators(d, 1.0, 1.0),
+            *master._position_eigh(d, 1.0, 1.0), *master._parity_sectors(d)]
+    for parity in (0, 1):
+        kept += vars(master._sector_layout(d, parity)).values()
+    for a in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 0
+    # the operators handed out are new, writable arrays
+    x, H = scenario_operators(MasterEqScenario("harmonic", 0.3, d))
+    x[0, 1] = H[0, 0] = 7.0
+    assert master._basis_operators(d, 1.0, 1.0)[0][0, 1] == 1 / np.sqrt(2)
+
+
+def test_solves_on_alternating_bases_equal_cold_solves():
+    # bases A, B, A in one process: each solve equals the one made with
+    # nothing kept, and each cache holds no more than its bound
+    bases = ((20, 1.0, 1.0), (24, 1.3, 0.9), (20, 1.0, 1.0))
+    grid = [0.0, 0.2, 0.5]
+    runs = [(MasterEqScenario(variant, 0.3, d, mass=m, omega=1.1,
+                              basis_freq=w), _random_pure_density(d, 9))
+            for d, m, w in bases for variant in ("harmonic", "none")]
+    cold = []
+    for scn, rho0 in runs:
+        _forget_kept_basis()
+        cold.append(evolve_master(rho0, scn, grid).states)
+    _forget_kept_basis()
+    for (scn, rho0), want in zip(runs, cold):
+        assert np.array_equal(evolve_master(rho0, scn, grid).states, want)
+    for cache, bound in _KEPT.items():
+        assert cache.cache_info().currsize == bound
+
+
+@pytest.mark.parametrize("d", [40, 64])
+def test_dephasing_a_real_cat_in_real_arithmetic_is_bit_identical(d):
+    # a cat of real x0 has Im rho0 = 0, so only the real products run; at
+    # the shipped and the benchmark basis sizes they equal the complex ones
+    scn = MasterEqScenario("none", 0.3, d)
+    rho0 = _cat_density(d, 1.5)
+    assert not rho0.imag.any()
+    grid = np.linspace(0.0, 0.5, 11)
+    assert np.array_equal(_dephase(rho0, scn, grid),
+                          _dephase_reference(rho0, scn, grid))
+
+
+@pytest.mark.parametrize("rho0", [_cat_density(20, 1.5),
+                                  _random_pure_density(20, 3),
+                                  _random_pure_density(64, 3)],
+                         ids=["cat-20", "random-20", "random-64"])
+def test_dephasing_in_real_arithmetic_matches_complex_products(rho0):
+    d = rho0.shape[0]
+    scn = MasterEqScenario("none", 0.3, d, mass=1.2, basis_freq=0.9)
+    grid = np.linspace(0.0, 0.5, 11)
+    got = _dephase(rho0, scn, grid)
+    assert np.abs(got - _dephase_reference(rho0, scn, grid)).max() <= 1e-15
+
+
+def _substep_totals(scn, grid):
+    """Taylor sub-steps over the grid with the shift mu = tr L / n and
+    without it, from norms of the reference assembly."""
+    L = _sector_generator_reference(scn, master._parity_sectors(scn.dim)[0])
+    n = L.shape[0]
+    shifted = L - L.trace() / n * sp.identity(n, format="csr")
+    h = np.diff(np.asarray(grid, float), prepend=0.0)
+    return tuple(sum(max(1, math.ceil(hk * norm / 9.9)) for hk in h if hk)
+                 for norm in (float(abs(A).sum(axis=0).max())
+                              for A in (shifted, L)))
+
+
+@pytest.mark.parametrize("d, lam, grid, totals, shifted", [
+    (64, 0.15, np.linspace(0.0, 0.5, 11), (10, 10), False),
+    (64, 0.45, np.linspace(0.0, 0.5, 11), (10, 20), True),
+    (20, 0.25, [3.0], (10, 11), True),
+])
+def test_generator_is_shifted_only_when_the_shift_saves_substeps(
+        monkeypatch, d, lam, grid, totals, shifted):
+    scn = MasterEqScenario("harmonic", lam, d)
+    assert _substep_totals(scn, grid) == totals
+    rho0 = _cat_density(d, 1.5)
+    seen = {"sums": 0, "matvecs": 0, "diagonals": []}
+    inner = master._taylor_sum
+
+    class Counted:
+        def __init__(self, A):
+            self.A = A
+
+        def __matmul__(self, b):
+            seen["matvecs"] += 1
+            return self.A @ b
+
+    def counted_sum(A, v, tau):
+        seen["sums"] += 1
+        seen["diagonals"].append(A.diagonal())
+        return inner(Counted(A), v, tau)
+
+    monkeypatch.setattr(master, "_taylor_sum", counted_sum)
+    got = evolve_master(rho0, scn, grid).states
+    rule = dict(seen, diagonals=None)
+    L = _sector_generator(scn, 0)
+    n = L.shape[0]
+    want = L.diagonal() - L.trace() / n if shifted else L.diagonal()
+    assert all(np.array_equal(diag, want) for diag in seen["diagonals"])
+    assert rule["sums"] == min(totals)
+    # the same steps always shifted take at least as many matvecs, and
+    # agree with the rule's states to rounding
+    seen.update(sums=0, matvecs=0)
+    sector = master._parity_sectors(d)[0]
+    ref = _shifted_flow_reference(L, rho0.ravel()[sector], grid)
+    assert seen["sums"] == totals[0]
+    assert rule["matvecs"] <= seen["matvecs"]
+    assert np.abs(got.reshape(len(grid), -1)[:, sector] - ref).max() < 1e-14
 
 
 def test_evolve_master_matches_naive_rk4_reference():
@@ -284,9 +501,10 @@ def test_grid_shapes_agree():
 
 
 def test_long_interval_is_stepped():
-    # 3 * ||L - mu I||_1 is about 91 at basis 20, so the interval [0, 3]
-    # takes ten Taylor sub-steps of about 9.1, and each 0.1 interval of the
-    # 31-point grid one
+    # at basis 20, 3 ||L - mu I||_1 is about 91 and 3 ||L||_1 about 105, so
+    # the interval [0, 3] takes ten shifted Taylor sub-steps of about 9.1
+    # (eleven unshifted); each 0.1 interval of the 31-point grid takes one
+    # either way, so that grid is stepped unshifted
     scn = MasterEqScenario("harmonic", 0.25, 20)
     rho0 = _cat_density(20, 1.0)
     fine = evolve_master(rho0, scn, np.linspace(0.0, 3.0, 31)).states[-1]
